@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -217,13 +218,12 @@ func BenchmarkLookupAllocs(b *testing.B) {
 	}
 	// Size the reused buffer for the largest response, the state a
 	// pooled server buffer converges to after a few requests.
-	maxBody := 0
-	for _, tail := range snap.asTails {
-		if n := len(asBodyPrefix) + 10 + len(tail); n > maxBody {
-			maxBody = n
-		}
+	var buf []byte
+	for i := range snap.Mapping().Clusters {
+		c := &snap.Mapping().Clusters[i]
+		body, _ := snap.AppendASBody(nil, c.ASNs[len(c.ASNs)-1])
+		buf = slices.Grow(buf, len(body))
 	}
-	buf := make([]byte, 0, maxBody)
 	allocs := testing.AllocsPerRun(1000, func() {
 		body, ok := snap.AppendASBody(buf[:0], 4242)
 		if !ok || len(body) == 0 {

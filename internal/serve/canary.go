@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
 )
@@ -65,11 +65,10 @@ func (c CanaryConfig) seed() uint64 {
 
 // canaryCheck replays a deterministic sample of lookups and searches
 // against the candidate snapshot before it is promoted. It proves,
-// for every sampled ASN: the pre-rendered /v1/as body assembles into
-// valid JSON, the index resolves the ASN to a cluster that actually
-// contains it, the cluster's pre-rendered /v1/org body is valid JSON,
-// and every token of the cluster's name resolves back to the cluster
-// through the search index. prev may be nil (no θ comparison). All
+// for every sampled ASN: the spliced /v1/as body is valid JSON, the
+// index resolves the ASN to a cluster that actually contains it, the
+// cluster's spliced /v1/org body is valid JSON, and every token of the
+// cluster's name resolves back to the cluster through the search index. prev may be nil (no θ comparison). All
 // failures wrap ErrCanaryRejected.
 //
 // The checks deliberately cross section boundaries — index ↔
@@ -122,11 +121,11 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 		if !containsASN(c.ASNs, a) {
 			return fmt.Errorf("%w: AS%d maps to org %d which does not contain it", ErrCanaryRejected, a, c.ID)
 		}
-		body := next.OrgBody(c.ID)
-		if body == nil {
+		scratch, ok = next.AppendOrgBody(scratch[:0], c.ID)
+		if !ok {
 			return fmt.Errorf("%w: org %d has no rendered body", ErrCanaryRejected, c.ID)
 		}
-		if !json.Valid(body) {
+		if !json.Valid(scratch) {
 			return fmt.Errorf("%w: /v1/org body for org %d is not valid JSON", ErrCanaryRejected, c.ID)
 		}
 		if err := canaryCheckTokens(next, c.ID); err != nil {
@@ -149,12 +148,11 @@ func canaryCheckTokens(s *Snapshot, id int) error {
 		return fmt.Errorf("%w: cluster %d outside name table", ErrCanaryRejected, id)
 	}
 	for _, tok := range tokenize(s.lowerNames[id]) {
-		ids, ok := s.tokens[tok]
+		ti, ok := slices.BinarySearch(s.tokenList, tok)
 		if !ok {
 			return fmt.Errorf("%w: org %d name token %q missing from search index", ErrCanaryRejected, id, tok)
 		}
-		at := sort.SearchInts(ids, id)
-		if at >= len(ids) || ids[at] != id {
+		if _, ok := slices.BinarySearch(s.postings[ti], int32(id)); !ok {
 			return fmt.Errorf("%w: org %d missing from postings of its own name token %q", ErrCanaryRejected, id, tok)
 		}
 	}

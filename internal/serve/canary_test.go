@@ -11,11 +11,13 @@ import (
 	"testing"
 )
 
-// poisonOrgBodies encodes snap as a snapbin artifact, corrupts the
-// first byte of every pre-rendered org body, and re-signs the content
-// hash — modeling an artifact altered after hashing (a buggy writer, a
-// tampering proxy). Every structural check passes: magic, version,
-// size, section table, the re-signed hash, and cluster.Restore's
+// poisonOrgBodies encodes snap as a snapbin artifact, plants a raw
+// control byte (invalid inside a JSON string) at the start of every
+// organization's name — in its org body and, consistently, in the copy
+// its AS tail embeds — and re-signs the content hash, modeling an
+// artifact altered after hashing (a buggy writer, a tampering proxy).
+// Every structural check passes: magic, version, size, section table,
+// the re-signed hash, the tail↔body check, and cluster.Restore's
 // index↔membership verification. Only replaying live traffic against
 // the candidate can catch it, which is exactly the canary's job.
 func poisonOrgBodies(t testing.TB, snap *Snapshot) []byte {
@@ -34,17 +36,29 @@ func poisonOrgBodies(t testing.TB, snap *Snapshot) []byte {
 		id := binary.LittleEndian.Uint32(e)
 		sections[id] = span{binary.LittleEndian.Uint64(e[4:]), binary.LittleEndian.Uint64(e[12:])}
 	}
-	// Org bodies (section 6) payload: count u32, count lengths u32,
-	// then the blobs contiguously. Flip each blob's opening byte.
-	bodies := sections[6]
-	n := binary.LittleEndian.Uint32(data[bodies.off:])
-	blob := bodies.off + 4 + 4*uint64(n)
-	for i := uint32(0); i < n; i++ {
-		l := binary.LittleEndian.Uint32(data[bodies.off+4+4*uint64(i):])
-		if l > 0 {
-			data[blob] ^= 0xff
+	// Org bodies (section 6) and AS tails (section 7) payloads: count
+	// u32, count lengths u32, then the blobs contiguously. Tail i embeds
+	// body i (sans newline) right after its `,"org":` prefix.
+	blobs := func(sec span) [][]byte {
+		n := binary.LittleEndian.Uint32(data[sec.off:])
+		out := make([][]byte, n)
+		blob := sec.off + 4 + 4*uint64(n)
+		for i := range out {
+			l := uint64(binary.LittleEndian.Uint32(data[sec.off+4+4*uint64(i):]))
+			out[i] = data[blob : blob+l]
+			blob += l
 		}
-		blob += uint64(l)
+		return out
+	}
+	tails := blobs(sections[7])
+	for i, body := range blobs(sections[6]) {
+		at := bytes.Index(body, []byte(`"name":"`))
+		if at < 0 {
+			continue
+		}
+		at += len(`"name":"`)
+		body[at] = 0x01
+		tails[i][len(`,"org":`)+at] = 0x01
 	}
 	// Re-sign: the content hash covers sections 2..7 in order.
 	h := sha256.New()

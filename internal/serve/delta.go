@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -15,6 +12,7 @@ import (
 	"github.com/nu-aqualab/borges/internal/cluster"
 	"github.com/nu-aqualab/borges/internal/mapdiff"
 	"github.com/nu-aqualab/borges/internal/orgfactor"
+	"github.com/nu-aqualab/borges/internal/snapbin"
 )
 
 // ErrDeltaMismatch marks a delta whose removals do not describe the
@@ -24,8 +22,10 @@ import (
 var ErrDeltaMismatch = errors.New("serve: delta does not apply to the serving snapshot")
 
 // ApplyDelta produces a new snapshot by patching only what the delta
-// touches, leaving every untouched cluster's indexes and pre-rendered
-// bytes shared with the base snapshot. The result is deep-equal to a
+// touches. Every surviving cluster shares its pre-rendered body bytes
+// with the base snapshot — bodies carry no ID (see snapbin.Body), so a
+// survivor whose canonical ID shifted needs no new bytes — and only
+// the additions are rendered. The result is deep-equal to a
 // from-scratch build of the patched mapping:
 //
 //   - Canonical cluster order (descending size, ties by smallest
@@ -33,8 +33,8 @@ var ErrDeltaMismatch = errors.New("serve: delta does not apply to the serving sn
 //     survivors+additions reproduces the exact IDs a full build
 //     assigns. Survivors keep their relative order, so remapping a
 //     sorted posting list keeps it sorted.
-//   - Added (and ID-shifted surviving) clusters render through the
-//     same renderBodies used by the full build, byte for byte.
+//   - Added clusters render through the same bodyArena the full build
+//     uses, byte for byte.
 //   - θ and the histogram recompute from the patched descending size
 //     slice with the same arithmetic the full build runs.
 //
@@ -118,48 +118,33 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	})
 
 	// Assemble the patched cluster slice and per-cluster serving
-	// artifacts. A survivor whose ID is unchanged shares its rendered
-	// bytes with the base; a shifted survivor gets its ID digits
-	// respliced without re-encoding JSON; an addition renders from
-	// scratch through the same code as a full build.
+	// artifacts. A survivor keeps its base body bytes whatever its new
+	// ID; an addition renders from scratch through the same code as a
+	// full build.
 	n := len(entries)
 	clusters := make([]cluster.Cluster, n)
 	lowerNames := make([]string, n)
-	orgBodies := make([][]byte, n)
-	asTails := make([][]byte, n)
+	bodies := make([]snapbin.Body, n)
 	remap := make([]int32, nOld) // base ID → patched ID, -1 if deleted
 	for i := range remap {
 		remap[i] = -1
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
+	arena := newBodyArena()
 	for i, e := range entries {
 		if e.oldID >= 0 {
-			oc := &s.mapping.Clusters[e.oldID]
-			clusters[i] = *oc
+			clusters[i] = s.mapping.Clusters[e.oldID]
 			clusters[i].ID = i
 			lowerNames[i] = s.lowerNames[e.oldID]
+			bodies[i] = s.bodies[e.oldID]
 			remap[e.oldID] = int32(i)
-			if i == e.oldID {
-				orgBodies[i] = s.orgBodies[e.oldID]
-				asTails[i] = s.asTails[e.oldID]
-			} else {
-				body := respliceOrgID(s.orgBodies[e.oldID], i)
-				orgBodies[i] = body
-				asTails[i] = renderTail(body, oc.ASNs)
-			}
 			continue
 		}
 		clusters[i] = d.Added[e.addIdx]
 		clusters[i].ID = i
 		lowerNames[i] = strings.ToLower(clusters[i].Name)
-		body, tail, err := renderBodies(&clusters[i], &buf, enc)
-		if err != nil {
+		if err := arena.render(&clusters[i], &bodies[i]); err != nil {
 			return nil, fmt.Errorf("serve: rendering added organization: %w", err)
 		}
-		orgBodies[i] = body
-		asTails[i] = tail
 	}
 
 	// Splice the packed ASN→cluster index: one merge pass over the old
@@ -204,43 +189,46 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		return nil, fmt.Errorf("serve: patched mapping fails validation: %w", err)
 	}
 
-	// Patch the token index: one filter-and-remap pass over every
-	// posting list (deletions drop out, survivors renumber, order is
-	// preserved because survivor remapping is monotonic), then sorted
-	// insertion of the additions' tokens.
-	tokens := make(map[string][]int, len(s.tokens))
-	for tok, ids := range s.tokens {
-		nids := make([]int, 0, len(ids))
+	// Patch the token index. One pass remaps every surviving posting
+	// list into a single slab (deletions drop out, survivors renumber,
+	// order is preserved because survivor remapping is monotonic), and
+	// tokens keep the base list's sorted order. Additions then insert
+	// their IDs — into a surviving token's postings, found by binary
+	// search, or under a fresh token — and the (few) fresh tokens merge
+	// into the list, so nothing is re-sorted.
+	total := 0
+	for _, ids := range s.postings {
+		total += len(ids)
+	}
+	slab := make([]int32, 0, total)
+	tokenList := make([]string, 0, len(s.tokenList))
+	postings := make([][]int32, 0, len(s.tokenList))
+	for ti, ids := range s.postings {
+		start := len(slab)
 		for _, id := range ids {
 			if v := remap[id]; v >= 0 {
-				nids = append(nids, int(v))
+				slab = append(slab, v)
 			}
 		}
-		if len(nids) > 0 {
-			tokens[tok] = nids
+		if end := len(slab); end > start {
+			tokenList = append(tokenList, s.tokenList[ti])
+			postings = append(postings, slab[start:end:end])
 		}
 	}
+	fresh := map[string][]int32{}
 	for i := range entries {
 		if entries[i].addIdx < 0 {
 			continue
 		}
 		for _, tok := range tokenize(lowerNames[i]) {
-			ids := tokens[tok]
-			pos := sort.SearchInts(ids, i)
-			if pos < len(ids) && ids[pos] == i {
-				continue
+			if ti, ok := slices.BinarySearch(tokenList, tok); ok {
+				postings[ti] = insertID(postings[ti], int32(i))
+			} else {
+				fresh[tok] = insertID(fresh[tok], int32(i))
 			}
-			ids = append(ids, 0)
-			copy(ids[pos+1:], ids[pos:])
-			ids[pos] = i
-			tokens[tok] = ids
 		}
 	}
-	tokenList := make([]string, 0, len(tokens))
-	for tok := range tokens {
-		tokenList = append(tokenList, tok)
-	}
-	sort.Strings(tokenList)
+	tokenList, postings = mergeTokens(tokenList, postings, fresh)
 
 	// Recompute corpus statistics from the patched descending size
 	// slice — the same inputs and arithmetic as a full build, so θ is
@@ -253,17 +241,16 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 
 	ns := &Snapshot{
 		mapping:    m,
-		tokens:     tokens,
 		tokenList:  tokenList,
+		postings:   postings,
 		lowerNames: lowerNames,
-		orgBodies:  orgBodies,
-		asTails:    asTails,
+		bodies:     bodies,
 		source:     s.source,
 		loadedAt:   now,
 		health:     s.health,
 		loadMode:   LoadModeDelta,
 	}
-	// Unchanged survivors share body bytes with the base snapshot; if
+	// Survivors share body bytes with the base snapshot; if
 	// those bytes live in a memory mapping, the patched snapshot takes
 	// its own reference so the mapping outlives the base's retirement.
 	// The acquire cannot fail here: the caller holds the base as a live
@@ -286,30 +273,40 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	return ns, nil
 }
 
-// respliceOrgID rewrites the leading `{"org":<digits>` of a
-// pre-rendered body for a cluster whose canonical ID shifted, without
-// re-encoding the JSON. The body layout is fixed by orgJSON's field
-// order, so the ID digits always sit immediately after the prefix.
-func respliceOrgID(body []byte, newID int) []byte {
-	const prefix = `{"org":`
-	i := len(prefix)
-	j := i
-	for j < len(body) && body[j] >= '0' && body[j] <= '9' {
-		j++
+// insertID adds id to an ascending posting list, keeping it ascending
+// and duplicate-free. A list at capacity (every slab-backed one) is
+// copied rather than grown in place, so its slab neighbours are never
+// overwritten.
+func insertID(ids []int32, id int32) []int32 {
+	pos, found := slices.BinarySearch(ids, id)
+	if found {
+		return ids
 	}
-	out := make([]byte, 0, len(body)+10)
-	out = append(out, body[:i]...)
-	out = strconv.AppendInt(out, int64(newID), 10)
-	return append(out, body[j:]...)
+	return slices.Insert(ids, pos, id)
 }
 
-// renderTail rebuilds a /v1/as tail from its (already-respliced) org
-// body — the same bytes renderBodies produces for a full build.
-func renderTail(body []byte, asns []asnum.ASN) []byte {
-	tail := make([]byte, 0, len(asTailOrg)+len(body)-1+len(asTailSiblings)+12*len(asns)+2)
-	tail = append(tail, asTailOrg...)
-	tail = append(tail, body[:len(body)-1]...) // org JSON sans newline
-	tail = append(tail, asTailSiblings...)
-	tail = appendASNList(tail, asns)
-	return append(tail, '}', '\n')
+// mergeTokens merges fresh tokens, none already in the ascending list,
+// into list and its parallel postings.
+func mergeTokens(list []string, postings [][]int32, fresh map[string][]int32) ([]string, [][]int32) {
+	if len(fresh) == 0 {
+		return list, postings
+	}
+	keys := make([]string, 0, len(fresh))
+	for tok := range fresh {
+		keys = append(keys, tok)
+	}
+	sort.Strings(keys)
+	outList := make([]string, 0, len(list)+len(keys))
+	outPost := make([][]int32, 0, len(list)+len(keys))
+	i := 0
+	for _, tok := range keys {
+		for ; i < len(list) && list[i] < tok; i++ {
+			outList = append(outList, list[i])
+			outPost = append(outPost, postings[i])
+		}
+		outList = append(outList, tok)
+		outPost = append(outPost, fresh[tok])
+	}
+	outList = append(outList, list[i:]...)
+	return outList, append(outPost, postings[i:]...)
 }

@@ -2,10 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/nu-aqualab/borges/internal/cluster"
+	"github.com/nu-aqualab/borges/internal/snapbin"
+	"github.com/nu-aqualab/borges/internal/vfs"
 )
 
 // FuzzLoadMapping fuzzes the snapshot load path a -mapping file (and
@@ -16,15 +21,21 @@ import (
 // the same validate-then-swap guarantee hot reload relies on. The
 // seed corpus includes a torn-tail file (a crash mid-append), the
 // failure mode the cache layer's disk tier also has to survive.
-// FuzzLoadSnapshot fuzzes the binary artifact decoder behind
-// -snapshot-in and binary /admin/reload. The contract under arbitrary
-// bytes: LoadSnapshot returns a typed error or a fully self-consistent
-// snapshot — never a panic, and never an allocation sized by an
-// unvalidated length field (the size cap below would not save us from
-// a forged multi-gigabyte count; the decoder's bounds checks must).
-// The seed corpus is a valid artifact plus the mutations the format is
-// designed to reject: truncations, flipped header/hash/payload bytes,
-// and bare magic.
+// FuzzLoadSnapshot fuzzes the binary artifact decoders behind
+// -snapshot-in and binary /admin/reload: the streaming decoder, driven
+// through LoadSnapshot (on a reader that reports its length and on one
+// that hides it) and through LoadSnapshotFileFS on a temp file, and the
+// in-memory decoder under the memory mapping. The contract under
+// arbitrary bytes: every loader
+// returns a typed error or a fully self-consistent snapshot — never a
+// panic, and never an allocation sized by an unvalidated length field
+// (the size cap below would not save us from a forged multi-gigabyte
+// count; the decoders' bounds checks must) — and all of them agree on
+// whether to accept. An accepted snapshot re-encodes to the artifact's
+// content hash and splices valid JSON for every organization. The seed
+// corpus is a valid artifact plus the mutations the format is designed
+// to reject: truncations, flipped header/hash/payload bytes, and bare
+// magic.
 func FuzzLoadSnapshot(f *testing.F) {
 	var buf bytes.Buffer
 	snap, err := NewSnapshot(variantMapping(3, 24), "fuzz")
@@ -50,35 +61,66 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if len(data) > 1<<20 {
 			return // bound the cost of one fuzz iteration
 		}
-		snap, err := LoadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			return // rejected cleanly — the acceptable outcome
+		path := filepath.Join(t.TempDir(), "fuzz.snapbin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		st := snap.Stats()
-		if st.Orgs == 0 || st.ASNs == 0 {
-			t.Fatal("LoadSnapshot accepted an empty mapping")
+		loaded := map[string]*Snapshot{}
+		errs := map[string]error{}
+		loaded["reader"], errs["reader"] = LoadSnapshot(bytes.NewReader(data))
+		loaded["opaque-reader"], errs["opaque-reader"] = LoadSnapshot(opaqueReader{bytes.NewReader(data)})
+		loaded["file"], errs["file"] = LoadSnapshotFileFS(vfs.OS, path)
+		loaded["mapped"], errs["mapped"] = LoadSnapshotFileMapped(path)
+		if m := loaded["mapped"]; m != nil {
+			defer m.retire()
 		}
-		m := snap.Mapping()
-		if st.Orgs != m.NumOrgs() || st.ASNs != m.NumASNs() {
-			t.Fatalf("stats (%d orgs, %d asns) disagree with mapping (%d, %d)",
-				st.Orgs, st.ASNs, m.NumOrgs(), m.NumASNs())
-		}
-		for i := range m.Clusters {
-			c := &m.Clusters[i]
-			for _, a := range c.ASNs {
-				hit := snap.Lookup(a)
-				if hit == nil || hit != c {
-					t.Fatalf("ASN %v misresolved in an accepted snapshot", a)
-				}
+		for name, err := range errs {
+			if (err == nil) != (errs["reader"] == nil) {
+				t.Fatalf("loaders disagree on %s: %v", name, errs)
 			}
-			if body := snap.OrgBody(c.ID); len(body) == 0 {
-				t.Fatalf("cluster %d accepted without a rendered body", c.ID)
+			if err == nil {
+				checkAcceptedSnapshot(t, name, loaded[name])
 			}
-		}
-		if snap.LoadMode() != LoadModeBinary || snap.ContentHash() == "" {
-			t.Fatalf("accepted snapshot reports mode %q hash %q", snap.LoadMode(), snap.ContentHash())
 		}
 	})
+}
+
+// checkAcceptedSnapshot asserts an accepted artifact decoded into a
+// self-consistent, servable snapshot.
+func checkAcceptedSnapshot(t *testing.T, loader string, snap *Snapshot) {
+	t.Helper()
+	st := snap.Stats()
+	if st.Orgs == 0 || st.ASNs == 0 {
+		t.Fatalf("%s accepted an empty mapping", loader)
+	}
+	m := snap.Mapping()
+	if st.Orgs != m.NumOrgs() || st.ASNs != m.NumASNs() {
+		t.Fatalf("%s: stats (%d orgs, %d asns) disagree with mapping (%d, %d)",
+			loader, st.Orgs, st.ASNs, m.NumOrgs(), m.NumASNs())
+	}
+	var body []byte
+	for i := range m.Clusters {
+		c := &m.Clusters[i]
+		for _, a := range c.ASNs {
+			hit := snap.Lookup(a)
+			if hit == nil || hit != c {
+				t.Fatalf("%s: ASN %v misresolved in an accepted snapshot", loader, a)
+			}
+		}
+		var ok bool
+		if body, ok = snap.AppendOrgBody(body[:0], c.ID); !ok || !json.Valid(body) {
+			t.Fatalf("%s: cluster %d splices an invalid /v1/org body: %s", loader, c.ID, body)
+		}
+		if body, ok = snap.AppendASBody(body[:0], c.ASNs[0]); !ok || !json.Valid(body) {
+			t.Fatalf("%s: %v splices an invalid /v1/as body: %s", loader, c.ASNs[0], body)
+		}
+	}
+	if snap.LoadMode() != LoadModeBinary || snap.ContentHash() == "" {
+		t.Fatalf("%s: accepted snapshot reports mode %q hash %q", loader, snap.LoadMode(), snap.ContentHash())
+	}
+	if h := snapbin.HashImage(snap.image()); h != snap.ContentHash() {
+		t.Fatalf("%s: re-encoding hashes %s, the artifact %s", loader, h, snap.ContentHash())
+	}
 }
 
 func FuzzLoadMapping(f *testing.F) {

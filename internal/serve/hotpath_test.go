@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -35,18 +34,15 @@ func TestParallelSnapshotBuildEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(seq.tokenList, par.tokenList) {
 			t.Fatalf("workers=%d: token lists diverge", workers)
 		}
-		if !reflect.DeepEqual(seq.tokens, par.tokens) {
+		if !reflect.DeepEqual(seq.postings, par.postings) {
 			t.Fatalf("workers=%d: posting lists diverge", workers)
 		}
 		if !reflect.DeepEqual(seq.lowerNames, par.lowerNames) {
 			t.Fatalf("workers=%d: lowercase names diverge", workers)
 		}
-		for i := range seq.orgBodies {
-			if !bytes.Equal(seq.orgBodies[i], par.orgBodies[i]) {
+		for i := range seq.bodies {
+			if !bodiesEqual(seq.bodies[i], par.bodies[i]) {
 				t.Fatalf("workers=%d: org body %d diverges", workers, i)
-			}
-			if !bytes.Equal(seq.asTails[i], par.asTails[i]) {
-				t.Fatalf("workers=%d: AS tail %d diverges", workers, i)
 			}
 		}
 	}
@@ -94,7 +90,8 @@ func TestPreRenderedBodies(t *testing.T) {
 }
 
 // TestLookupZeroAllocs is the CI guard for the serving hot path: an ASN
-// point lookup plus pre-rendered body assembly must not allocate.
+// point lookup plus the spliced /v1/as and /v1/org bodies must not
+// allocate.
 func TestLookupZeroAllocs(t *testing.T) {
 	s := mustSnapshot(t, variantMapping(2, 4096))
 	buf := make([]byte, 0, 4096)
@@ -112,7 +109,8 @@ func TestLookupZeroAllocs(t *testing.T) {
 		if !ok || len(body) == 0 {
 			t.Fatal("empty AS body")
 		}
-		if s.OrgBody(c.ID) == nil {
+		body, ok = s.AppendOrgBody(buf[:0], c.ID)
+		if !ok || len(body) == 0 {
 			t.Fatal("missing org body")
 		}
 	}); got != 0 {

@@ -653,9 +653,10 @@ func writeRetryableError(w http.ResponseWriter, status int, after time.Duration,
 	writeError(w, status, format, args...)
 }
 
-// respBufPool recycles /v1/as response buffers: the body is assembled
-// from the snapshot's pre-rendered bytes in a pooled scratch slice, so
-// the point-lookup hot path performs no per-request allocation.
+// respBufPool recycles /v1/as and /v1/org response buffers: the body
+// is spliced from the snapshot's pre-rendered bytes in a pooled scratch
+// slice, so the point-lookup hot path performs no per-request
+// allocation.
 var respBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 1024)
@@ -695,14 +696,18 @@ func (s *Server) handleOrg(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.pinnedSnapshot()
 	defer snap.Unpin()
-	body := snap.OrgBody(id)
-	if body == nil {
+	bp := respBufPool.Get().(*[]byte)
+	body, ok := snap.AppendOrgBody((*bp)[:0], id)
+	if !ok {
+		respBufPool.Put(bp)
 		writeError(w, http.StatusNotFound, "organization %d is not in the mapping", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
+	*bp = body[:0]
+	respBufPool.Put(bp)
 }
 
 // maxSearchLimit is the server-side ceiling on ?limit=: a single

@@ -38,21 +38,12 @@ func (s *Snapshot) image() *snapbin.Image {
 		Vals:         vals,
 		LowerNames:   s.lowerNames,
 		Tokens:       s.tokenList,
-		OrgBodies:    s.orgBodies,
-		ASTails:      s.asTails,
+		Postings:     s.postings,
+		Bodies:       s.bodies,
 	}
 	img.Histogram = make([]snapbin.Bucket, len(s.stats.SizeHistogram))
 	for i, b := range s.stats.SizeHistogram {
 		img.Histogram[i] = snapbin.Bucket{Lo: b.Lo, Hi: b.Hi, Orgs: b.Orgs}
-	}
-	img.Postings = make([][]int32, len(s.tokenList))
-	for i, tok := range s.tokenList {
-		ids := s.tokens[tok]
-		ps := make([]int32, len(ids))
-		for j, id := range ids {
-			ps[j] = int32(id)
-		}
-		img.Postings[i] = ps
 	}
 	return img
 }
@@ -82,8 +73,7 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	s := &Snapshot{
 		mapping:     m,
 		lowerNames:  img.LowerNames,
-		orgBodies:   img.OrgBodies,
-		asTails:     img.ASTails,
+		bodies:      img.Bodies,
 		source:      img.Source,
 		loadedAt:    img.LoadedAt,
 		health:      health,
@@ -93,15 +83,7 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	s.scratchPool.New = func() any {
 		return &searchScratch{bits: make([]uint64, (n+63)/64)}
 	}
-	s.tokenList = img.Tokens
-	s.tokens = make(map[string][]int, len(img.Tokens))
-	for i, tok := range img.Tokens {
-		ids := make([]int, len(img.Postings[i]))
-		for j, id := range img.Postings[i] {
-			ids[j] = int(id)
-		}
-		s.tokens[tok] = ids
-	}
+	s.tokenList, s.postings = img.Tokens, img.Postings
 	s.stats = Stats{
 		Orgs:        m.NumOrgs(),
 		ASNs:        m.NumASNs(),
@@ -137,14 +119,13 @@ func WriteSnapshotFileFS(fsys vfs.FS, path string, s *Snapshot) (string, error) 
 }
 
 // LoadSnapshot decodes a snapbin artifact from r into a serving
-// snapshot. The whole artifact is read into memory once; pre-rendered
-// bodies alias that buffer.
+// snapshot through the streaming decoder (snapbin.Read): sections are
+// decoded as they arrive, the org-bodies payload becomes the
+// snapshot's body arena, and the AS-tails section is verified against
+// the bodies and dropped. The content hash is checked over every byte
+// before the snapshot is built.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading snapshot artifact: %w", err)
-	}
-	img, hash, err := snapbin.Decode(data)
+	img, hash, err := snapbin.Read(r)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +133,7 @@ func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 }
 
 // LoadSnapshotFile decodes the snapbin artifact at path into a
-// serving snapshot.
+// serving snapshot, streaming it like LoadSnapshot.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
 	img, hash, err := snapbin.ReadFile(path)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/nu-aqualab/borges/internal/cluster"
+	"github.com/nu-aqualab/borges/internal/snapbin"
 )
 
 // snapEqual asserts two snapshots are deep-equal in every field that
@@ -37,23 +38,26 @@ func snapEqual(t *testing.T, want, got *Snapshot) {
 	if !reflect.DeepEqual(want.tokenList, got.tokenList) {
 		t.Fatal("token list diverged")
 	}
-	if !reflect.DeepEqual(want.tokens, got.tokens) {
+	if !reflect.DeepEqual(want.postings, got.postings) {
 		t.Fatal("posting lists diverged")
 	}
-	if len(want.orgBodies) != len(got.orgBodies) {
-		t.Fatalf("%d org bodies vs %d", len(want.orgBodies), len(got.orgBodies))
+	if len(want.bodies) != len(got.bodies) {
+		t.Fatalf("%d org bodies vs %d", len(want.bodies), len(got.bodies))
 	}
-	for i := range want.orgBodies {
-		if !bytes.Equal(want.orgBodies[i], got.orgBodies[i]) {
-			t.Fatalf("org body %d diverged:\n want %s\n  got %s", i, want.orgBodies[i], got.orgBodies[i])
-		}
-		if !bytes.Equal(want.asTails[i], got.asTails[i]) {
-			t.Fatalf("AS tail %d diverged:\n want %s\n  got %s", i, want.asTails[i], got.asTails[i])
+	for i := range want.bodies {
+		if !bodiesEqual(want.bodies[i], got.bodies[i]) {
+			t.Fatalf("org body %d diverged:\n want %s\n  got %s", i, want.OrgBody(i), got.OrgBody(i))
 		}
 	}
 	if wh, gh := want.ContentHash(), got.ContentHash(); wh != gh {
 		t.Fatalf("content hash diverged: %s vs %s", wh, gh)
 	}
+}
+
+// bodiesEqual reports whether two stored bodies hold the same bytes and
+// sibling span.
+func bodiesEqual(a, b snapbin.Body) bool {
+	return bytes.Equal(a.Rest, b.Rest) && a.Lo == b.Lo && a.Hi == b.Hi
 }
 
 // TestSnapshotBinaryRoundTrip is the format's correctness guard: a

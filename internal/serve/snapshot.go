@@ -105,22 +105,26 @@ type Snapshot struct {
 	mapping *cluster.Mapping
 	stats   Stats
 
-	// tokens maps each lowercase name token to the sorted cluster IDs
-	// whose display name contains it; tokenList keeps the tokens sorted
-	// for deterministic substring scans.
-	tokens    map[string][]int
+	// tokenList holds every lowercase name token, sorted, for
+	// deterministic substring scans and prefix binary searches;
+	// postings[i] lists, ascending, the cluster IDs whose display name
+	// contains tokenList[i]. These are the token section's own layout,
+	// so a binary load adopts them without conversion.
 	tokenList []string
+	postings  [][]int32
 	// lowerNames[i] is the lowercase display name of cluster i, for
 	// multi-word substring queries that cross token boundaries.
 	lowerNames []string
 
-	// orgBodies[i] is the complete pre-rendered /v1/org/{i} response
-	// (trailing newline included); asTails[i] is everything after the
-	// requested ASN's digits in a /v1/as response. Point lookups
-	// therefore serve bytes assembled at build time — the hot path
-	// allocates nothing and encodes nothing.
-	orgBodies [][]byte
-	asTails   [][]byte
+	// bodies[i] is cluster i's pre-rendered /v1/org response, stored
+	// once and without its ID (see snapbin.Body). /v1/org and /v1/as
+	// responses are spliced from it per request: the current ID, the
+	// stored bytes, and for /v1/as the "asns" array again as
+	// "siblings", located by a stored offset. The hot path copies bytes
+	// rendered at build time — it allocates nothing and encodes
+	// nothing — and because no ID is baked in, a delta that shifts IDs
+	// shares every survivor's bytes with its base.
+	bodies []snapbin.Body
 
 	// scratchPool recycles per-query search state (dedup bitset, posting
 	// heads, result ids) so Search and SearchBrownout stay off the heap.
@@ -138,8 +142,8 @@ type Snapshot struct {
 	contentHash string
 	hashOnce    sync.Once
 
-	// backing, when non-nil, refcounts the memory mapping that
-	// orgBodies/asTails alias (see backing.go). Nil for heap-backed
+	// backing, when non-nil, refcounts the memory mapping that bodies
+	// alias (see backing.go). Nil for heap-backed
 	// snapshots.
 	backing *mmapBacking
 }
@@ -179,7 +183,7 @@ func newSnapshotAt(m *cluster.Mapping, source string, health Health, now time.Ti
 
 // indexShard is one worker's slice of the snapshot index build.
 type indexShard struct {
-	tokens map[string][]int
+	tokens map[string][]int32
 	err    error
 }
 
@@ -206,8 +210,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	s := &Snapshot{
 		mapping:    m,
 		lowerNames: make([]string, n),
-		orgBodies:  make([][]byte, n),
-		asTails:    make([][]byte, n),
+		bodies:     make([]snapbin.Body, n),
 		source:     source,
 		loadedAt:   now,
 		health:     health,
@@ -253,7 +256,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 			lo := w * chunk
 			hi := min(lo+chunk, n)
 			if lo >= hi {
-				shards[w].tokens = map[string][]int{}
+				shards[w].tokens = map[string][]int32{}
 				continue
 			}
 			wg.Add(1)
@@ -284,83 +287,102 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 			merged[tok] = append(merged[tok], ids...)
 		}
 	}
-	s.tokens = merged
 	s.tokenList = make([]string, 0, len(merged))
 	for tok := range merged {
 		s.tokenList = append(s.tokenList, tok)
 	}
 	sort.Strings(s.tokenList)
+	// Copy the postings into one exact-size slab, the layout a binary
+	// load and a delta patch produce.
+	total := 0
+	for _, ids := range merged {
+		total += len(ids)
+	}
+	slab := make([]int32, 0, total)
+	s.postings = make([][]int32, len(s.tokenList))
+	for i, tok := range s.tokenList {
+		start := len(slab)
+		slab = append(slab, merged[tok]...)
+		s.postings[i] = slab[start:len(slab):len(slab)]
+	}
 	return s, nil
 }
 
 // buildRange indexes and pre-renders clusters [lo, hi): lowercase
-// names, token postings, and the /v1/org and /v1/as response bytes.
-// Workers write disjoint index ranges of the shared slices.
+// names, token postings, and the /v1/org bodies. Workers write disjoint
+// index ranges of the shared slices.
 func (s *Snapshot) buildRange(sh *indexShard, lo, hi int) {
-	sh.tokens = make(map[string][]int, (hi-lo)/2+1)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
+	sh.tokens = make(map[string][]int32, (hi-lo)/2+1)
+	arena := newBodyArena()
 	for i := lo; i < hi; i++ {
 		c := &s.mapping.Clusters[i]
 		lower := strings.ToLower(c.Name)
 		s.lowerNames[i] = lower
 		for _, tok := range tokenize(lower) {
 			ids := sh.tokens[tok]
-			if len(ids) == 0 || ids[len(ids)-1] != i {
-				sh.tokens[tok] = append(ids, i)
+			if len(ids) == 0 || ids[len(ids)-1] != int32(i) {
+				sh.tokens[tok] = append(ids, int32(i))
 			}
 		}
-		body, tail, err := renderBodies(c, &buf, enc)
-		if err != nil {
+		if err := arena.render(c, &s.bodies[i]); err != nil {
 			sh.err = err
 			return
 		}
-		s.orgBodies[i] = body
-		s.asTails[i] = tail
 	}
 }
 
-// renderBodies pre-renders one cluster's /v1/org body (trailing
-// newline included) and /v1/as tail. buf and enc are reusable
-// scratch (enc must encode into buf with HTML escaping off). The
-// delta-patch path shares this with buildRange so an incrementally
-// rebuilt cluster is byte-identical to a from-scratch one.
-func renderBodies(c *cluster.Cluster, buf *bytes.Buffer, enc *json.Encoder) (body, tail []byte, err error) {
-	buf.Reset()
-	if err := enc.Encode(orgToJSON(c)); err != nil {
-		return nil, nil, fmt.Errorf("org %d: %w", c.ID, err)
-	}
-	org := buf.Bytes()
-	body = make([]byte, len(org), len(org)*2+len(asTailOrg)+len(asTailSiblings)+12*len(c.ASNs))
-	copy(body, org)
-	tail = body[len(org):]
-	tail = append(tail, asTailOrg...)
-	tail = append(tail, org[:len(org)-1]...) // org JSON sans newline
-	tail = append(tail, asTailSiblings...)
-	tail = appendASNList(tail, c.ASNs)
-	tail = append(tail, '}', '\n')
-	return body, tail, nil
+// bodyArena pre-renders /v1/org bodies into 64 KiB chunks — one
+// allocation per chunk instead of one per body, and no bytes copied
+// again as the arena fills. The delta-patch path renders its additions
+// through it too, so an incrementally added cluster is byte-identical
+// to a from-scratch one.
+type bodyArena struct {
+	buf   bytes.Buffer
+	enc   *json.Encoder
+	chunk []byte // the current chunk; its spare capacity takes the next body
 }
 
-// The /v1/as response is `{"asn":<n>` + asTails[cluster]:
-const (
-	asBodyPrefix   = `{"asn":`
-	asTailOrg      = `,"org":`
-	asTailSiblings = `,"siblings":`
-)
+// arenaChunk is the size of one arena chunk. A body larger than an
+// eighth of it gets its own allocation, so a chunk wastes at most that
+// much at its end.
+const arenaChunk = 64 << 10
 
-// appendASNList renders a JSON array of ASN numbers.
-func appendASNList(dst []byte, asns []asnum.ASN) []byte {
-	dst = append(dst, '[')
-	for i, a := range asns {
-		if i > 0 {
-			dst = append(dst, ',')
+func newBodyArena() *bodyArena {
+	a := &bodyArena{}
+	a.enc = json.NewEncoder(&a.buf)
+	a.enc.SetEscapeHTML(false)
+	return a
+}
+
+// render encodes c's /v1/org body into the arena and stores it in *dst.
+func (a *bodyArena) render(c *cluster.Cluster, dst *snapbin.Body) error {
+	a.buf.Reset()
+	if err := a.enc.Encode(orgToJSON(c)); err != nil {
+		return fmt.Errorf("org %d: %w", c.ID, err)
+	}
+	_, b, ok := snapbin.SplitBody(a.buf.Bytes())
+	if !ok {
+		return fmt.Errorf("org %d: rendered body has no member list", c.ID)
+	}
+	n := len(b.Rest)
+	if n > cap(a.chunk)-len(a.chunk) {
+		if n > arenaChunk/8 {
+			b.Rest = bytes.Clone(b.Rest)
+			*dst = b
+			return nil
 		}
-		dst = strconv.AppendUint(dst, uint64(a), 10)
+		a.chunk = make([]byte, 0, arenaChunk)
 	}
-	return append(dst, ']')
+	start := len(a.chunk)
+	a.chunk = append(a.chunk, b.Rest...)
+	b.Rest = a.chunk[start:len(a.chunk):len(a.chunk)]
+	*dst = b
+	return nil
 }
+
+// A /v1/as response is `{"asn":<n>` + the organization's tail
+// (snapbin.Body.AppendTail).
+const asBodyPrefix = `{"asn":`
 
 // multiCount counts entries > 1 in a descending size slice.
 func multiCount(sizes []int) int {
@@ -468,20 +490,33 @@ func (s *Snapshot) Org(id int) *cluster.Cluster {
 	return &s.mapping.Clusters[id]
 }
 
-// OrgBody returns the pre-rendered /v1/org JSON response for the given
-// cluster ID (trailing newline included), or nil when out of range. The
-// returned slice is shared — callers must not modify it.
+// OrgBody returns a copy of the /v1/org JSON response for the given
+// cluster ID (trailing newline included), or nil when out of range.
+// Serving paths use AppendOrgBody instead.
 func (s *Snapshot) OrgBody(id int) []byte {
-	if id < 0 || id >= len(s.orgBodies) {
+	body, ok := s.AppendOrgBody(nil, id)
+	if !ok {
 		return nil
 	}
-	return s.orgBodies[id]
+	return body
+}
+
+// AppendOrgBody appends the /v1/org JSON response for cluster id to dst
+// and reports whether id exists. The response is the cluster's current
+// ID spliced before its stored body bytes, so a call with spare
+// capacity in dst performs zero allocations.
+func (s *Snapshot) AppendOrgBody(dst []byte, id int) ([]byte, bool) {
+	if id < 0 || id >= len(s.bodies) {
+		return dst, false
+	}
+	return s.bodies[id].AppendOrg(dst, id), true
 }
 
 // AppendASBody appends the /v1/as JSON response for a to dst and
-// reports whether a is mapped. Everything but the ASN's own digits was
-// rendered at snapshot-build time, so a call with spare capacity in dst
-// performs zero allocations.
+// reports whether a is mapped. The response is spliced from the ASN's
+// digits, its organization's current ID, and the organization's stored
+// body (its member array repeated as the siblings), so a call with
+// spare capacity in dst performs zero allocations.
 func (s *Snapshot) AppendASBody(dst []byte, a asnum.ASN) ([]byte, bool) {
 	c := s.mapping.ClusterOf(a)
 	if c == nil {
@@ -489,7 +524,7 @@ func (s *Snapshot) AppendASBody(dst []byte, a asnum.ASN) ([]byte, bool) {
 	}
 	dst = append(dst, asBodyPrefix...)
 	dst = strconv.AppendUint(dst, uint64(a), 10)
-	return append(dst, s.asTails[c.ID]...), true
+	return s.bodies[c.ID].AppendTail(dst, c.ID), true
 }
 
 // searchScratch is the reusable per-query state behind Search and
@@ -498,7 +533,7 @@ func (s *Snapshot) AppendASBody(dst []byte, a asnum.ASN) ([]byte, bool) {
 // query path performs no steady-state allocation.
 type searchScratch struct {
 	bits  []uint64
-	lists [][]int
+	lists [][]int32
 	heads []int
 	ids   []int
 }
@@ -552,9 +587,9 @@ func (s *Snapshot) Search(query string, limit int) []*cluster.Cluster {
 		return s.materialize(ids)
 	}
 	sc := s.scratchPool.Get().(*searchScratch)
-	for _, tok := range s.tokenList {
+	for i, tok := range s.tokenList {
 		if strings.Contains(tok, q) {
-			sc.lists = append(sc.lists, s.tokens[tok])
+			sc.lists = append(sc.lists, s.postings[i])
 		}
 	}
 	s.mergePostings(sc, limit)
@@ -577,7 +612,9 @@ func (s *Snapshot) mergePostings(sc *searchScratch, limit int) {
 		if len(ids) > limit {
 			ids = ids[:limit]
 		}
-		sc.ids = append(sc.ids, ids...)
+		for _, id := range ids {
+			sc.ids = append(sc.ids, int(id))
+		}
 		return
 	}
 	for range sc.lists {
@@ -586,15 +623,15 @@ func (s *Snapshot) mergePostings(sc *searchScratch, limit int) {
 	for len(sc.ids) < limit {
 		best := -1
 		for li, l := range sc.lists {
-			if h := sc.heads[li]; h < len(l) && (best < 0 || l[h] < best) {
-				best = l[h]
+			if h := sc.heads[li]; h < len(l) && (best < 0 || int(l[h]) < best) {
+				best = int(l[h])
 			}
 		}
 		if best < 0 {
 			return
 		}
 		for li, l := range sc.lists {
-			if h := sc.heads[li]; h < len(l) && l[h] == best {
+			if h := sc.heads[li]; h < len(l) && int(l[h]) == best {
 				sc.heads[li] = h + 1
 			}
 		}
@@ -635,13 +672,12 @@ func (s *Snapshot) SearchBrownout(query string, limit int) []*cluster.Cluster {
 	}
 	sc := s.scratchPool.Get().(*searchScratch)
 	for i := sort.SearchStrings(s.tokenList, q); i < len(s.tokenList); i++ {
-		tok := s.tokenList[i]
-		if !strings.HasPrefix(tok, q) {
+		if !strings.HasPrefix(s.tokenList[i], q) {
 			break
 		}
-		for _, id := range s.tokens[tok] {
-			if sc.mark(id) {
-				sc.ids = append(sc.ids, id)
+		for _, id := range s.postings[i] {
+			if sc.mark(int(id)) {
+				sc.ids = append(sc.ids, int(id))
 			}
 		}
 		if len(sc.ids) >= limit {

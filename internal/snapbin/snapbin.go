@@ -27,6 +27,16 @@
 // ending exactly at the file size. Version 1 requires exactly the
 // sections declared below.
 //
+// # Bodies and tails
+//
+// The org-bodies section holds every organization's complete /v1/org
+// response and the AS-tails section every /v1/as tail. A tail is a pure
+// function of its body (see Body), so in memory an Image holds each
+// body once, without its ID: the writers splice the ID back in and
+// generate both sections from that one copy, and the decoders check
+// every stored tail against its body in place and keep none of the
+// tails section. A tail that disagrees with its body is ErrCorrupt.
+//
 // # Content hash
 //
 // The hash covers the payload bytes of every section except
@@ -46,7 +56,6 @@
 package snapbin
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -56,6 +65,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -103,7 +113,8 @@ var (
 	// signature of a crashed half-written artifact.
 	ErrTruncated = errors.New("snapbin: truncated artifact")
 	// ErrCorrupt: structural damage — a malformed section table, a
-	// length field pointing outside its section, an out-of-range ID.
+	// length field pointing outside its section, an out-of-range ID, a
+	// tail that disagrees with its body.
 	ErrCorrupt = errors.New("snapbin: corrupt artifact")
 	// ErrHashMismatch: the content hash does not cover the payload
 	// bytes present; the artifact was altered or torn mid-section.
@@ -147,29 +158,83 @@ type Image struct {
 	Tokens     []string
 	Postings   [][]int32
 
-	// Pre-rendered response bytes per cluster.
-	OrgBodies [][]byte
-	ASTails   [][]byte
+	// Bodies[i] is cluster i's pre-rendered response, held once; both
+	// the org-bodies and the AS-tails sections derive from it.
+	Bodies []Body
 
 	// statOrgs/statASNs are the counts the stats section declared,
 	// held for the cross-section consistency check after decode.
 	statOrgs, statASNs int
 }
 
-// countingWriter tracks how many bytes a section writer produced.
-type countingWriter struct {
-	w io.Writer
-	n uint64
+// sink serializes sections into one reused buffer, handing it to w
+// whenever it passes flushSize and counting the bytes emitted, so a
+// section writer appends integers and strings without allocating.
+type sink struct {
+	bp  *[]byte // pooled backing for buf
+	buf []byte
+	w   io.Writer
+	n   uint64
+	err error
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += uint64(n)
-	return n, err
+const flushSize = 64 << 10
+
+// sinkBufs recycles sink buffers across HashImage and encode calls.
+var sinkBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2*flushSize)
+	return &b
+}}
+
+func newSink(w io.Writer) *sink {
+	bp := sinkBufs.Get().(*[]byte)
+	return &sink{bp: bp, buf: (*bp)[:0], w: w}
 }
 
-// sectionWriter serializes one section's payload.
-type sectionWriter func(w *countingWriter, img *Image) error
+// release returns the sink's buffer to the pool.
+func (s *sink) release() {
+	*s.bp = s.buf[:0]
+	s.buf = nil
+	sinkBufs.Put(s.bp)
+}
+
+// flush hands the buffered bytes to the writer.
+func (s *sink) flush() {
+	if len(s.buf) > 0 && s.err == nil {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.n += uint64(len(s.buf))
+	s.buf = s.buf[:0]
+}
+
+// spill flushes once the buffer passes flushSize; writers call it
+// inside their loops.
+func (s *sink) spill() {
+	if len(s.buf) >= flushSize {
+		s.flush()
+	}
+}
+
+func (s *sink) u32(v uint32) { s.buf = binary.LittleEndian.AppendUint32(s.buf, v) }
+
+func (s *sink) u64(v uint64) { s.buf = binary.LittleEndian.AppendUint64(s.buf, v) }
+
+func (s *sink) str(v string) {
+	s.u32(uint32(len(v)))
+	s.buf = append(s.buf, v...)
+	s.spill()
+}
+
+// section serializes one section's payload to w and reports its length.
+func (s *sink) section(w io.Writer, id uint32, img *Image) (uint64, error) {
+	s.w, s.n = w, 0
+	sectionWriters[id](s, img)
+	s.flush()
+	return s.n, s.err
+}
+
+// sectionWriter serializes one section's payload into a sink.
+type sectionWriter func(s *sink, img *Image)
 
 var sectionWriters = map[uint32]sectionWriter{
 	secProvenance: writeProvenance,
@@ -177,86 +242,41 @@ var sectionWriters = map[uint32]sectionWriter{
 	secClusters:   writeClusters,
 	secIndex:      writeIndex,
 	secTokens:     writeTokens,
-	secOrgBodies:  func(w *countingWriter, img *Image) error { return writeBlobs(w, img.OrgBodies) },
-	secASTails:    func(w *countingWriter, img *Image) error { return writeBlobs(w, img.ASTails) },
+	secOrgBodies:  writeOrgBodies,
+	secASTails:    writeASTails,
 }
 
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
+func writeProvenance(s *sink, img *Image) {
+	s.str(img.Source)
+	s.u64(uint64(img.LoadedAt.UnixNano()))
 }
 
-func putU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func putString(w io.Writer, s string) error {
-	if err := putU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func writeProvenance(w *countingWriter, img *Image) error {
-	if err := putString(w, img.Source); err != nil {
-		return err
-	}
-	return putU64(w, uint64(img.LoadedAt.UnixNano()))
-}
-
-func writeStats(w *countingWriter, img *Image) error {
-	if err := putU64(w, math.Float64bits(img.Theta)); err != nil {
-		return err
-	}
-	for _, v := range []uint32{
-		uint32(len(img.Clusters)), uint32(len(img.Keys)),
-		uint32(img.MultiASOrgs), uint32(img.LargestOrg),
-	} {
-		if err := putU32(w, v); err != nil {
-			return err
-		}
-	}
-	if err := putString(w, img.HealthStatus); err != nil {
-		return err
-	}
-	if err := putU32(w, uint32(img.Quarantined)); err != nil {
-		return err
-	}
-	if err := putString(w, img.HealthDetail); err != nil {
-		return err
-	}
-	if err := putU32(w, uint32(len(img.Histogram))); err != nil {
-		return err
-	}
+func writeStats(s *sink, img *Image) {
+	s.u64(math.Float64bits(img.Theta))
+	s.u32(uint32(len(img.Clusters)))
+	s.u32(uint32(len(img.Keys)))
+	s.u32(uint32(img.MultiASOrgs))
+	s.u32(uint32(img.LargestOrg))
+	s.str(img.HealthStatus)
+	s.u32(uint32(img.Quarantined))
+	s.str(img.HealthDetail)
+	s.u32(uint32(len(img.Histogram)))
 	for _, b := range img.Histogram {
-		for _, v := range []uint32{uint32(b.Lo), uint32(b.Hi), uint32(b.Orgs)} {
-			if err := putU32(w, v); err != nil {
-				return err
-			}
-		}
+		s.u32(uint32(b.Lo))
+		s.u32(uint32(b.Hi))
+		s.u32(uint32(b.Orgs))
 	}
-	return nil
 }
 
 // writeClusters lays membership out columnar — counts, features,
 // name lengths, name bytes, lowercase variants, then one flat ASN
 // pool — so the decoder's inner loops run over homogeneous runs.
-func writeClusters(w *countingWriter, img *Image) error {
-	if err := putU32(w, uint32(len(img.Clusters))); err != nil {
-		return err
-	}
+func writeClusters(s *sink, img *Image) {
+	s.u32(uint32(len(img.Clusters)))
 	for i := range img.Clusters {
-		if err := putU32(w, uint32(len(img.Clusters[i].ASNs))); err != nil {
-			return err
-		}
+		s.u32(uint32(len(img.Clusters[i].ASNs)))
+		s.spill()
 	}
-	feats := make([]byte, len(img.Clusters))
 	for i := range img.Clusters {
 		var b byte
 		for f := 0; f < cluster.NumFeatures; f++ {
@@ -264,100 +284,73 @@ func writeClusters(w *countingWriter, img *Image) error {
 				b |= 1 << f
 			}
 		}
-		feats[i] = b
-	}
-	if _, err := w.Write(feats); err != nil {
-		return err
+		s.buf = append(s.buf, b)
+		s.spill()
 	}
 	for i := range img.Clusters {
-		if err := putString(w, img.Clusters[i].Name); err != nil {
-			return err
-		}
+		s.str(img.Clusters[i].Name)
 	}
-	for _, s := range img.LowerNames {
-		if err := putString(w, s); err != nil {
-			return err
-		}
+	for _, name := range img.LowerNames {
+		s.str(name)
 	}
 	for i := range img.Clusters {
 		for _, a := range img.Clusters[i].ASNs {
-			if err := putU32(w, uint32(a)); err != nil {
-				return err
-			}
+			s.u32(uint32(a))
 		}
+		s.spill()
 	}
-	return nil
 }
 
-func writeIndex(w *countingWriter, img *Image) error {
-	if err := putU32(w, uint32(len(img.Keys))); err != nil {
-		return err
+func writeIndex(s *sink, img *Image) {
+	s.u32(uint32(len(img.Keys)))
+	for _, a := range img.Keys {
+		s.u32(uint32(a))
+		s.spill()
 	}
-	buf := make([]byte, 4*len(img.Keys))
-	for i, a := range img.Keys {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(a))
+	for _, v := range img.Vals {
+		s.u32(uint32(v))
+		s.spill()
 	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	for i, v := range img.Vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	_, err := w.Write(buf[:4*len(img.Vals)])
-	return err
 }
 
-func writeTokens(w *countingWriter, img *Image) error {
-	if err := putU32(w, uint32(len(img.Tokens))); err != nil {
-		return err
-	}
+func writeTokens(s *sink, img *Image) {
+	s.u32(uint32(len(img.Tokens)))
 	for _, tok := range img.Tokens {
-		if err := putString(w, tok); err != nil {
-			return err
-		}
+		s.str(tok)
 	}
 	for _, ids := range img.Postings {
-		if err := putU32(w, uint32(len(ids))); err != nil {
-			return err
-		}
+		s.u32(uint32(len(ids)))
 		for _, id := range ids {
-			if err := putU32(w, uint32(id)); err != nil {
-				return err
-			}
+			s.u32(uint32(id))
 		}
+		s.spill()
 	}
-	return nil
 }
 
-func writeBlobs(w *countingWriter, blobs [][]byte) error {
-	if err := putU32(w, uint32(len(blobs))); err != nil {
-		return err
+// writeOrgBodies emits each body with its ID spliced back in.
+func writeOrgBodies(s *sink, img *Image) {
+	s.u32(uint32(len(img.Bodies)))
+	for i, b := range img.Bodies {
+		s.u32(uint32(b.orgLen(i)))
+		s.spill()
 	}
-	for _, b := range blobs {
-		if err := putU32(w, uint32(len(b))); err != nil {
-			return err
-		}
+	for i, b := range img.Bodies {
+		s.buf = b.AppendOrg(s.buf, i)
+		s.spill()
 	}
-	for _, b := range blobs {
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// sectionLengths serializes every section to a counting sink to learn
-// payload sizes without materializing a second copy of the data.
-func sectionLengths(img *Image) ([]uint64, error) {
-	out := make([]uint64, len(sectionIDs))
-	for i, id := range sectionIDs {
-		cw := &countingWriter{w: io.Discard}
-		if err := sectionWriters[id](cw, img); err != nil {
-			return nil, err
-		}
-		out[i] = cw.n
+// writeASTails generates each /v1/as tail from its body.
+func writeASTails(s *sink, img *Image) {
+	s.u32(uint32(len(img.Bodies)))
+	for i, b := range img.Bodies {
+		s.u32(uint32(b.tailLen(i)))
+		s.spill()
 	}
-	return out, nil
+	for i, b := range img.Bodies {
+		s.buf = b.AppendTail(s.buf, i)
+		s.spill()
+	}
 }
 
 // HashImage computes the content hash of an image: the hash the
@@ -366,74 +359,75 @@ func sectionLengths(img *Image) ([]uint64, error) {
 // logical content.
 func HashImage(img *Image) string {
 	h := sha256.New()
+	s := newSink(h)
+	defer s.release()
 	for _, id := range sectionIDs {
-		if id == secProvenance {
-			continue
+		if id != secProvenance {
+			// Writers only fail when the sink fails; a hash never does.
+			_, _ = s.section(h, id, img)
 		}
-		// Writers only fail when the sink fails; a hash never does.
-		_ = sectionWriters[id](&countingWriter{w: h}, img)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Encode writes the artifact to w and returns its content hash. The
-// write is buffered and sequential: header, section table, then each
-// payload streamed once.
+// header is assembled before payloads stream, so the hashed sections
+// are serialized twice: once through the digest (which also sizes
+// them for the section table), then to w.
 func Encode(w io.Writer, img *Image) (string, error) {
-	lengths, err := sectionLengths(img)
-	if err != nil {
+	s := newSink(io.Discard)
+	defer s.release()
+	digest := sha256.New()
+	lengths := make([]uint64, len(sectionIDs))
+	for i, id := range sectionIDs {
+		sw := io.Writer(digest)
+		if id == secProvenance {
+			sw = io.Discard
+		}
+		n, err := s.section(sw, id, img)
+		if err != nil {
+			return "", err
+		}
+		lengths[i] = n
+	}
+	sum := digest.Sum(nil)
+	if _, err := w.Write(header(lengths, sum)); err != nil {
 		return "", err
 	}
+	for i, id := range sectionIDs {
+		n, err := s.section(w, id, img)
+		if err != nil {
+			return "", err
+		}
+		if n != lengths[i] {
+			return "", fmt.Errorf("snapbin: section %d length drifted between passes", id)
+		}
+	}
+	return hex.EncodeToString(sum), nil
+}
+
+// header assembles the fixed header and section table for payloads of
+// the given lengths and content hash.
+func header(lengths []uint64, sum []byte) []byte {
 	tableSize := uint64(sectionEntrySize * len(sectionIDs))
 	offset := uint64(headerSize) + tableSize
 	total := offset
 	for _, n := range lengths {
 		total += n
 	}
-
-	header := make([]byte, headerSize, headerSize+tableSize)
-	copy(header, Magic)
-	binary.LittleEndian.PutUint32(header[8:], Version)
-	binary.LittleEndian.PutUint32(header[12:], uint32(len(sectionIDs)))
-	binary.LittleEndian.PutUint64(header[16:], total)
+	head := make([]byte, headerSize, headerSize+tableSize)
+	copy(head, Magic)
+	binary.LittleEndian.PutUint32(head[8:], Version)
+	binary.LittleEndian.PutUint32(head[12:], uint32(len(sectionIDs)))
+	binary.LittleEndian.PutUint64(head[16:], total)
+	copy(head[24:56], sum)
 	for i, id := range sectionIDs {
-		var entry [sectionEntrySize]byte
-		binary.LittleEndian.PutUint32(entry[0:], id)
-		binary.LittleEndian.PutUint64(entry[4:], offset)
-		binary.LittleEndian.PutUint64(entry[12:], lengths[i])
-		header = append(header, entry[:]...)
+		head = binary.LittleEndian.AppendUint32(head, id)
+		head = binary.LittleEndian.AppendUint64(head, offset)
+		head = binary.LittleEndian.AppendUint64(head, lengths[i])
 		offset += lengths[i]
 	}
-
-	digest := sha256.New()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	// The header is assembled before payloads stream, so the hash
-	// must be known first: run the hashed sections through the digest
-	// now, then stream everything.
-	for i, id := range sectionIDs {
-		if id == secProvenance {
-			continue
-		}
-		cw := &countingWriter{w: digest}
-		_ = sectionWriters[id](cw, img)
-		if cw.n != lengths[i] {
-			return "", fmt.Errorf("snapbin: section %d length drifted between passes", id)
-		}
-	}
-	sum := digest.Sum(nil)
-	copy(header[24:56], sum)
-	if _, err := bw.Write(header); err != nil {
-		return "", err
-	}
-	for _, id := range sectionIDs {
-		if err := sectionWriters[id](&countingWriter{w: bw}, img); err != nil {
-			return "", err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(sum), nil
+	return head
 }
 
 // WriteFile atomically persists the artifact at path: the bytes land
@@ -466,7 +460,7 @@ func WriteFileFS(fsys vfs.FS, path string, img *Image) (string, error) {
 	}()
 	// The temp file is seekable, so the single-pass section writer
 	// applies: payloads stream once and the header is patched in place,
-	// instead of Encode's serialize-thrice dance.
+	// instead of Encode's serialize-twice dance.
 	hash, err := EncodeToFile(f, img)
 	if err != nil {
 		return "", err
@@ -611,50 +605,42 @@ func parseTable(table []byte, count uint32, size uint64) ([]sectionSpan, error) 
 	return spans, nil
 }
 
-// decodeSections runs every section decoder over its span of data and
-// cross-checks the result. The content hash must already have been
-// verified by the caller.
-func decodeSections(spans []sectionSpan, data []byte) (*Image, error) {
-	img := &Image{}
-	for _, sp := range spans {
-		r := &reader{buf: data[sp.off : sp.off+sp.length : sp.off+sp.length], sec: sp.id}
-		var err error
-		switch sp.id {
-		case secProvenance:
-			err = readProvenance(r, img)
-		case secStats:
-			err = readStats(r, img)
-		case secClusters:
-			err = readClusters(r, img)
-		case secIndex:
-			err = readIndex(r, img)
-		case secTokens:
-			err = readTokens(r, img)
-		case secOrgBodies:
-			img.OrgBodies, err = readBlobs(r)
-		case secASTails:
-			img.ASTails, err = readBlobs(r)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
+// decodeSection decodes one fully-read section payload into img. The
+// bodies of the org-bodies section alias payload; every other section
+// copies what it keeps, so its payload buffer may be reused. The
+// AS-tails section is only checked against the bodies, never kept.
+func decodeSection(id uint32, payload []byte, img *Image) error {
+	r := &reader{buf: payload, sec: id}
+	var err error
+	switch id {
+	case secProvenance:
+		err = readProvenance(r, img)
+	case secStats:
+		err = readStats(r, img)
+	case secClusters:
+		err = readClusters(r, img)
+	case secIndex:
+		err = readIndex(r, img)
+	case secTokens:
+		err = readTokens(r, img)
+	case secOrgBodies:
+		img.Bodies, err = readBodies(r)
+	case secASTails:
+		err = checkTails(r, img.Bodies)
 	}
-	if err := crossCheck(img); err != nil {
-		return nil, err
+	if err != nil {
+		return err
 	}
-	return img, nil
+	return r.done()
 }
 
 // Decode parses an artifact held fully in memory and returns the
-// image plus its verified content hash. Pre-rendered bodies are
-// returned as zero-copy subslices of data, so the caller keeps data
-// alive for the image's lifetime — exactly the behaviour a loaded
-// snapshot wants, one backing array instead of a million small ones.
-// When data is a memory-mapped file, the bodies serve straight off the
-// page cache and decoding allocates only the index-sized sections.
+// image plus its verified content hash. Bodies are returned as
+// zero-copy subslices of data, so the caller keeps data alive for the
+// image's lifetime. It is the decoder behind the memory mapping, where
+// the bodies serve straight off the page cache and decoding allocates
+// only the index-sized sections; buffered loads stream instead (see
+// Read), keeping the org-bodies payload and nothing else.
 func Decode(data []byte) (*Image, string, error) {
 	if len(data) < headerSize {
 		return nil, "", fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), headerSize)
@@ -663,11 +649,8 @@ func Decode(data []byte) (*Image, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	if size > uint64(len(data)) {
-		return nil, "", fmt.Errorf("%w: header declares %d bytes, file has %d", ErrTruncated, size, len(data))
-	}
-	if size < uint64(len(data)) {
-		return nil, "", fmt.Errorf("%w: %d bytes beyond the declared size %d", ErrCorrupt, uint64(len(data))-size, size)
+	if err := checkSize(size, uint64(len(data))); err != nil {
+		return nil, "", err
 	}
 	tableEnd := uint64(headerSize) + uint64(sectionEntrySize)*uint64(count)
 	if tableEnd > size {
@@ -689,11 +672,29 @@ func Decode(data []byte) (*Image, string, error) {
 		return nil, "", ErrHashMismatch
 	}
 
-	img, err := decodeSections(spans, data)
-	if err != nil {
+	img := &Image{}
+	for _, sp := range spans {
+		end := sp.off + sp.length
+		if err := decodeSection(sp.id, data[sp.off:end:end], img); err != nil {
+			return nil, "", err
+		}
+	}
+	if err := crossCheck(img); err != nil {
 		return nil, "", err
 	}
 	return img, hex.EncodeToString(sum), nil
+}
+
+// checkSize compares the header's declared size with the bytes
+// available.
+func checkSize(declared, actual uint64) error {
+	if declared > actual {
+		return fmt.Errorf("%w: header declares %d bytes, file has %d", ErrTruncated, declared, actual)
+	}
+	if declared < actual {
+		return fmt.Errorf("%w: %d bytes beyond the declared size %d", ErrCorrupt, actual-declared, declared)
+	}
+	return nil
 }
 
 func readProvenance(r *reader, img *Image) error {
@@ -861,52 +862,98 @@ func readTokens(r *reader, img *Image) error {
 			return r.fail("tokens not strictly ascending at %d", i)
 		}
 	}
-	img.Postings = make([][]int32, n)
-	for i := range img.Postings {
+	// Every posting list shares one slab: a first pass validates the
+	// counts and sizes it, the second fills it.
+	start, total := r.pos, 0
+	for i := 0; i < n; i++ {
 		c, err := r.count(4)
 		if err != nil {
 			return err
 		}
-		raw, err := r.bytes(4 * c)
-		if err != nil {
+		if _, err := r.bytes(4 * c); err != nil {
 			return err
 		}
-		ids := make([]int32, c)
+		total += c
+	}
+	r.pos = start
+	slab := make([]int32, total)
+	img.Postings = make([][]int32, n)
+	for i := range img.Postings {
+		c, _ := r.count(4)
+		raw, _ := r.bytes(4 * c)
+		ids := slab[:c:c]
 		for j := range ids {
 			ids[j] = int32(binary.LittleEndian.Uint32(raw[4*j:]))
 		}
-		img.Postings[i] = ids
+		img.Postings[i], slab = ids, slab[c:]
 	}
 	return nil
 }
 
-func readBlobs(r *reader) ([][]byte, error) {
+// readBodies splits every /v1/org body into its ID-free Body, aliasing
+// the payload, and requires body i to carry ID i: the writers splice
+// the index back in, so any other ID would make the artifact hash
+// differently once re-encoded.
+func readBodies(r *reader) ([]Body, error) {
 	n, err := r.count(4)
 	if err != nil {
 		return nil, err
 	}
-	lens := make([]uint32, n)
+	lens, err := r.bytes(4 * n)
+	if err != nil {
+		return nil, err
+	}
 	var total uint64
-	for i := range lens {
-		l, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		lens[i] = l
-		total += uint64(l)
+	for i := 0; i < n; i++ {
+		total += uint64(binary.LittleEndian.Uint32(lens[4*i:]))
 	}
 	if total > uint64(r.remaining()) {
 		return nil, r.fail("blobs need %d bytes, %d remain", total, r.remaining())
 	}
-	out := make([][]byte, n)
-	for i, l := range lens {
-		b, err := r.bytes(int(l))
+	out := make([]Body, n)
+	for i := range out {
+		blob, err := r.bytes(int(binary.LittleEndian.Uint32(lens[4*i:])))
 		if err != nil {
 			return nil, err
+		}
+		id, b, ok := SplitBody(blob)
+		if !ok || id != i {
+			return nil, r.fail("org body %d is not a /v1/org body for organization %d", i, i)
 		}
 		out[i] = b
 	}
 	return out, nil
+}
+
+// checkTails verifies an in-memory AS-tails section against the
+// decoded bodies, blob by blob, where the tails lie (the streaming
+// decoder's tails does the same as the bytes arrive).
+func checkTails(r *reader, bodies []Body) error {
+	n, err := r.count(4)
+	if err != nil {
+		return err
+	}
+	if n != len(bodies) {
+		return r.fail("%d tails for %d bodies", n, len(bodies))
+	}
+	lens, err := r.bytes(4 * n)
+	if err != nil {
+		return err
+	}
+	for i := range bodies {
+		l := bodies[i].tailLen(i)
+		if int(binary.LittleEndian.Uint32(lens[4*i:])) != l {
+			return r.fail("AS tail %d disagrees with its org body", i)
+		}
+		tail, err := r.bytes(l)
+		if err != nil {
+			return err
+		}
+		if !bodies[i].matchTail(tail, i) {
+			return r.fail("AS tail %d disagrees with its org body", i)
+		}
+	}
+	return nil
 }
 
 // crossCheck validates the relationships between sections that no
@@ -926,9 +973,9 @@ func crossCheck(img *Image) error {
 	if len(img.Vals) != len(img.Keys) {
 		return fmt.Errorf("%w: %d index keys but %d vals", ErrCorrupt, len(img.Keys), len(img.Vals))
 	}
-	if len(img.LowerNames) != n || len(img.OrgBodies) != n || len(img.ASTails) != n {
-		return fmt.Errorf("%w: per-cluster arrays disagree: %d clusters, %d names, %d bodies, %d tails",
-			ErrCorrupt, n, len(img.LowerNames), len(img.OrgBodies), len(img.ASTails))
+	if len(img.LowerNames) != n || len(img.Bodies) != n {
+		return fmt.Errorf("%w: per-cluster arrays disagree: %d clusters, %d names, %d bodies",
+			ErrCorrupt, n, len(img.LowerNames), len(img.Bodies))
 	}
 	for i, v := range img.Vals {
 		if v < 0 || int(v) >= n {
@@ -948,93 +995,33 @@ func crossCheck(img *Image) error {
 	return nil
 }
 
-// ReadFile loads and decodes an artifact. The file is read once into
-// memory; the returned image's byte slices alias that buffer.
+// ReadFile loads and decodes an artifact through the streaming decoder
+// (see Read). The returned image's bodies alias the org-bodies payload.
 func ReadFile(path string) (*Image, string, error) {
 	return ReadFileFS(vfs.OS, path)
 }
 
 // ReadFileFS is ReadFile against an explicit filesystem, so scrubbers
 // and chaos tests observe exactly the bytes that filesystem serves.
-// The verify pass is folded into the read: each section is hashed as
-// its bytes arrive (while they are cache-hot) instead of re-walking
-// the full buffer after the read, so the file is traversed once.
+// The file's size is checked against the header before any section is
+// read, so section buffers are sized exactly.
 func ReadFileFS(fsys vfs.FS, path string) (*Image, string, error) {
 	f, err := vfs.Or(fsys).Open(path)
 	if err != nil {
 		return nil, "", err
 	}
 	defer f.Close()
-	return readFrom(f)
-}
-
-// readFrom streams one artifact off an open file: header, table, then
-// each section payload read and digested in turn, followed by a single
-// decode pass over the assembled buffer.
-func readFrom(f vfs.File) (*Image, string, error) {
-	var head [headerSize]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, "", fmt.Errorf("%w: file shorter than the %d-byte header", ErrTruncated, headerSize)
-		}
-		return nil, "", err
-	}
-	count, size, wantSum, err := parseHeader(head[:])
-	if err != nil {
-		return nil, "", err
-	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, "", err
 	}
-	// Validate the declared size against the real file before trusting
-	// it for an allocation: an adversarial header cannot make us
-	// allocate more than the bytes actually present.
-	actual := uint64(st.Size())
-	if size > actual {
-		return nil, "", fmt.Errorf("%w: header declares %d bytes, file has %d", ErrTruncated, size, actual)
-	}
-	if size < actual {
-		return nil, "", fmt.Errorf("%w: %d bytes beyond the declared size %d", ErrCorrupt, actual-size, size)
-	}
-	tableEnd := uint64(headerSize) + uint64(sectionEntrySize)*uint64(count)
-	if tableEnd > size {
-		return nil, "", fmt.Errorf("%w: section table overruns file", ErrTruncated)
-	}
-	data := make([]byte, size)
-	copy(data, head[:])
-	if _, err := io.ReadFull(f, data[headerSize:tableEnd]); err != nil {
-		return nil, "", fmt.Errorf("%w: section table: %v", ErrTruncated, err)
-	}
-	spans, err := parseTable(data[headerSize:tableEnd], count, size)
-	if err != nil {
-		return nil, "", err
-	}
-	digest := sha256.New()
-	for _, sp := range spans {
-		payload := data[sp.off : sp.off+sp.length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return nil, "", fmt.Errorf("%w: section %d: %v", ErrTruncated, sp.id, err)
-		}
-		if sp.id != secProvenance {
-			digest.Write(payload)
-		}
-	}
-	sum := digest.Sum(nil)
-	if string(sum) != string(wantSum) {
-		return nil, "", ErrHashMismatch
-	}
-	img, err := decodeSections(spans, data)
-	if err != nil {
-		return nil, "", err
-	}
-	return img, hex.EncodeToString(sum), nil
+	return decodeStream(f, st.Size())
 }
 
 // ReadFileMapped loads an artifact through a read-only memory mapping:
-// the decode is the same verified path as ReadFile, but the
-// pre-rendered bodies alias the mapping, so the heap holds only the
-// index-sized sections and the kernel pages body bytes in on demand.
+// the decode is verified exactly like ReadFile, but the pre-rendered
+// bodies alias the mapping, so the heap holds only the index-sized
+// sections and the kernel pages body bytes in on demand.
 // The returned release function unmaps the file and MUST NOT be called
 // while any byte slice of the image is still reachable; it is nil
 // whenever the image is heap-backed instead (platforms without mmap,

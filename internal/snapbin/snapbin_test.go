@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,12 +46,26 @@ func testImage() *Image {
 		LowerNames:   []string{"lumen", "tiny net"},
 		Tokens:       []string{"lumen", "net", "tiny"},
 		Postings:     [][]int32{{0}, {1}, {1}},
-		OrgBodies:    [][]byte{[]byte("{\"org\":0}\n"), []byte("{\"org\":1}\n")},
-		ASTails:      [][]byte{[]byte(",\"org\":{}}\n"), []byte(",\"org\":{}}\n")},
-		statOrgs:     2,
-		statASNs:     4,
+		Bodies: []Body{
+			mustSplit(testBody0),
+			mustSplit(`{"org":1,"name":"Tiny Net","size":1,"asns":[65000],"features":["F"]}` + "\n"),
+		},
+		statOrgs: 2,
+		statASNs: 4,
 	}
 	return img
+}
+
+// testBody0 is cluster 0's complete /v1/org body in testImage.
+const testBody0 = `{"org":0,"name":"Lumen","size":3,"asns":[209,3356,3549],"features":["OID_W","R&R"]}` + "\n"
+
+// mustSplit parses a rendered /v1/org body into its Body.
+func mustSplit(full string) Body {
+	_, b, ok := SplitBody([]byte(full))
+	if !ok {
+		panic("malformed test body " + full)
+	}
+	return b
 }
 
 func encode(t *testing.T, img *Image) ([]byte, string) {
@@ -62,21 +78,98 @@ func encode(t *testing.T, img *Image) ([]byte, string) {
 	return buf.Bytes(), hash
 }
 
+// opaque hides a reader's Len, so Read must grow its buffers with the
+// bytes that actually arrive instead of trusting a known size.
+type opaque struct{ r io.Reader }
+
+func (o opaque) Read(p []byte) (int, error) { return o.r.Read(p) }
+
+// decoders are the in-memory decoder and the streaming one, over a
+// reader with and without a known length.
+var decoders = []struct {
+	name   string
+	decode func([]byte) (*Image, string, error)
+}{
+	{"decode", Decode},
+	{"stream", func(d []byte) (*Image, string, error) { return Read(bytes.NewReader(d)) }},
+	{"stream-opaque", func(d []byte) (*Image, string, error) { return Read(opaque{bytes.NewReader(d)}) }},
+}
+
 func TestRoundTrip(t *testing.T) {
 	img := testImage()
 	data, hash := encode(t, img)
-	got, gotHash, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHash != hash {
-		t.Fatalf("Decode hash %s, Encode returned %s", gotHash, hash)
-	}
 	if want := HashImage(img); want != hash {
 		t.Fatalf("HashImage %s disagrees with Encode %s", want, hash)
 	}
-	if !reflect.DeepEqual(got, img) {
-		t.Fatalf("round trip drift:\n got %+v\nwant %+v", got, img)
+	for _, dec := range decoders {
+		got, gotHash, err := dec.decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", dec.name, err)
+		}
+		if gotHash != hash {
+			t.Fatalf("%s hash %s, Encode returned %s", dec.name, gotHash, hash)
+		}
+		if !reflect.DeepEqual(got, img) {
+			t.Fatalf("%s round trip drift:\n got %+v\nwant %+v", dec.name, got, img)
+		}
+	}
+}
+
+// TestSplitBody: bodies split into their ID and an ID-free Body whose
+// sibling span is the "asns" array, whatever the name holds; anything
+// not laid out as a rendered body is refused.
+func TestSplitBody(t *testing.T) {
+	for _, tc := range []struct {
+		full, asns string
+		id         int
+	}{
+		{testBody0, "[209,3356,3549]", 0},
+		{`{"org":42,"size":1,"asns":[7]}` + "\n", "[7]", 42},
+		{`{"org":3,"name":"[1] \"asns\":[2],\"features\":[\"F\"]","size":2,"asns":[5,6],"features":["F"]}` + "\n", "[5,6]", 3},
+	} {
+		id, b, ok := SplitBody([]byte(tc.full))
+		if !ok || id != tc.id || string(b.Rest[b.Lo:b.Hi]) != tc.asns {
+			t.Fatalf("SplitBody(%s) = %d %q %v, want %d %s", tc.full, id, b.Rest[b.Lo:b.Hi], ok, tc.id, tc.asns)
+		}
+		if got := string(b.AppendOrg(nil, id)); got != tc.full {
+			t.Fatalf("AppendOrg = %s, want %s", got, tc.full)
+		}
+		want := `,"org":` + tc.full[:len(tc.full)-1] + `,"siblings":` + tc.asns + "}\n"
+		if tail := b.AppendTail(nil, id); string(tail) != want || !b.matchTail(tail, id) || b.tailLen(id) != len(want) {
+			t.Fatalf("AppendTail = %s, want %s", tail, want)
+		}
+	}
+	for _, bad := range []string{
+		"",
+		`{"org":01,"size":1,"asns":[7]}` + "\n",
+		`{"org":,"size":1,"asns":[7]}` + "\n",
+		`{"org":12345678901,"size":1,"asns":[7]}` + "\n",
+		`{"org":1,"size":1,"asns":[7]}`,
+		`{"org":1,"size":1,"members":[7]}` + "\n",
+		`{"org":1,"size":1,"asns":[7],"features":"F"}` + "\n",
+	} {
+		if _, _, ok := SplitBody([]byte(bad)); ok {
+			t.Fatalf("SplitBody accepted %q", bad)
+		}
+	}
+}
+
+// TestHashImageAllocs: the section writers build every section in one
+// reused buffer, so hashing allocates the same handful of objects (the
+// digest and the hex string) however large the image is.
+func TestHashImageAllocs(t *testing.T) {
+	small := testImage()
+	large := testImage()
+	for i := 0; i < 2000; i++ {
+		large.LowerNames = append(large.LowerNames, "org")
+		large.Tokens = append(large.Tokens, fmt.Sprintf("tok%05d", i))
+		large.Postings = append(large.Postings, []int32{0, 1})
+		large.Bodies = append(large.Bodies, large.Bodies[1])
+	}
+	HashImage(large) // warm the buffer pool
+	want := testing.AllocsPerRun(20, func() { HashImage(small) })
+	if got := testing.AllocsPerRun(20, func() { HashImage(large) }); got > want || got > 8 {
+		t.Fatalf("HashImage allocates %v times on a large image, %v on a small one", got, want)
 	}
 }
 
@@ -123,27 +216,61 @@ func TestTypedErrors(t *testing.T) {
 		{"shifted section offset", mut(func(d []byte) []byte { d[headerSize+4]++; return d }), ErrCorrupt},
 		{"bad section count", mut(func(d []byte) []byte { d[12] = 2; return d }), ErrCorrupt},
 	}
+	// A re-signed artifact whose last AS tail disagrees with its body
+	// passes the hash check and must still be refused.
+	tailMismatch := mut(func(d []byte) []byte {
+		d[len(d)-4] = '0' + (d[len(d)-4]-'0'+1)%10 // the last sibling digit
+		resign(d)
+		return d
+	})
+	cases = append(cases, struct {
+		name string
+		data []byte
+		want error
+	}{"tail disagrees with body", tailMismatch, ErrCorrupt})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := Decode(tc.data)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("Decode = %v, want %v", err, tc.want)
+			for _, dec := range decoders {
+				_, _, err := dec.decode(tc.data)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("%s = %v, want %v", dec.name, err, tc.want)
+				}
 			}
 		})
 	}
 }
 
+// resign recomputes the content hash of an edited artifact: it covers
+// sections 2..7, which sit contiguously from the stats section (table
+// entry 1) to EOF.
+func resign(data []byte) {
+	off := binary.LittleEndian.Uint64(data[headerSize+sectionEntrySize+4:])
+	sum := sha256.Sum256(data[off:])
+	copy(data[24:56], sum[:])
+}
+
 // TestEveryTruncationRejected decodes every strict prefix of a valid
-// artifact: all must fail with a typed error, none may panic.
+// artifact, in memory and streamed (from a reader with and without a
+// known length, and from a file): all must fail with a typed error,
+// none may panic.
 func TestEveryTruncationRejected(t *testing.T) {
 	valid, _ := encode(t, testImage())
+	path := filepath.Join(t.TempDir(), "prefix.bin")
 	for i := 0; i < len(valid); i++ {
-		_, _, err := Decode(valid[:i])
-		if err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded successfully", i, len(valid))
+		if err := os.WriteFile(path, valid[:i], 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrHashMismatch) {
-			t.Fatalf("prefix %d: untyped error %v", i, err)
+		for _, dec := range append(decoders[:len(decoders):len(decoders)], struct {
+			name   string
+			decode func([]byte) (*Image, string, error)
+		}{"file", func([]byte) (*Image, string, error) { return ReadFile(path) }}) {
+			_, _, err := dec.decode(valid[:i])
+			if err == nil {
+				t.Fatalf("%s: prefix of %d/%d bytes decoded successfully", dec.name, i, len(valid))
+			}
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrHashMismatch) {
+				t.Fatalf("%s: prefix %d: untyped error %v", dec.name, i, err)
+			}
 		}
 	}
 }
@@ -161,13 +288,11 @@ func TestCountValidation(t *testing.T) {
 	// key count. Claim 2^31-1 keys in a handful of bytes.
 	off := entry(3, 4)
 	binary.LittleEndian.PutUint32(data[off:], 1<<31-1)
-	// Re-sign: the content hash covers sections 2..7, which sit
-	// contiguously from the stats section (table entry 1) to EOF.
-	sum := sha256.Sum256(data[entry(1, 4):])
-	copy(data[24:56], sum[:])
-	_, _, err := Decode(data)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("huge count: %v, want %v", err, ErrCorrupt)
+	resign(data)
+	for _, dec := range decoders {
+		if _, _, err := dec.decode(data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s huge count: %v, want %v", dec.name, err, ErrCorrupt)
+		}
 	}
 }
 

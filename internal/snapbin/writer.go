@@ -1,8 +1,8 @@
 // Streaming artifact writer: sections are produced one at a time into
 // a seekable file, hashed as they stream, and the header is patched in
 // place at the end. Unlike Encode — which serializes every section
-// twice (once to size the table, once through the digest) before the
-// output pass — the Writer serializes each byte exactly once, and a
+// once through the digest (to size the table and learn the hash) before
+// the output pass — the Writer serializes each byte exactly once, and a
 // producer can emit a section incrementally without materializing the
 // full Image first.
 package snapbin
@@ -10,7 +10,6 @@ package snapbin
 import (
 	"bufio"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
@@ -105,32 +104,13 @@ func (w *Writer) Finish() (string, error) {
 		w.err = err
 		return "", err
 	}
-	tableSize := uint64(sectionEntrySize * len(sectionIDs))
-	offset := uint64(headerSize) + tableSize
-	total := offset
-	for _, n := range w.lengths {
-		total += n
-	}
-	header := make([]byte, headerSize, headerSize+tableSize)
-	copy(header, Magic)
-	binary.LittleEndian.PutUint32(header[8:], Version)
-	binary.LittleEndian.PutUint32(header[12:], uint32(len(sectionIDs)))
-	binary.LittleEndian.PutUint64(header[16:], total)
 	sum := w.digest.Sum(nil)
-	copy(header[24:56], sum)
-	for i, id := range sectionIDs {
-		var entry [sectionEntrySize]byte
-		binary.LittleEndian.PutUint32(entry[0:], id)
-		binary.LittleEndian.PutUint64(entry[4:], offset)
-		binary.LittleEndian.PutUint64(entry[12:], w.lengths[i])
-		header = append(header, entry[:]...)
-		offset += w.lengths[i]
-	}
+	head := header(w.lengths, sum)
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		w.err = err
 		return "", err
 	}
-	if _, err := w.f.Write(header); err != nil {
+	if _, err := w.f.Write(head); err != nil {
 		w.err = err
 		return "", err
 	}
@@ -139,16 +119,19 @@ func (w *Writer) Finish() (string, error) {
 }
 
 // EncodeToFile streams an image into a seekable file through the
-// section Writer: one serialization pass total, versus Encode's three
-// (sizing, digest, output).
+// section Writer: one serialization pass total, versus Encode's two
+// (digest, output). Sections are built in the same reused buffer
+// HashImage uses, so the pass allocates nothing per field.
 func EncodeToFile(f vfs.File, img *Image) (string, error) {
 	w := NewWriter(f)
+	s := newSink(nil)
+	defer s.release()
 	for _, id := range sectionIDs {
 		sec, err := w.Section(id)
 		if err != nil {
 			return "", err
 		}
-		if err := sectionWriters[id](&countingWriter{w: sec}, img); err != nil {
+		if _, err := s.section(sec, id, img); err != nil {
 			return "", err
 		}
 	}

@@ -85,7 +85,7 @@ func TestReadFileMapped(t *testing.T) {
 		if err := os.Remove(path); err != nil {
 			t.Fatal(err)
 		}
-		if string(got.OrgBodies[0]) != "{\"org\":0}\n" {
+		if string(got.Bodies[0].AppendOrg(nil, 0)) != testBody0 {
 			t.Fatal("mapped body unreadable after unlink")
 		}
 		release()
