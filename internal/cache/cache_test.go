@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/nu-aqualab/borges/internal/llm"
 )
@@ -84,9 +86,16 @@ func TestSingleflight(t *testing.T) {
 		}(i)
 	}
 	close(start)
-	// Let the leader enter the fill, then release it. A short busy
-	// wait on the calls counter avoids a timing-dependent sleep.
-	for calls.Load() == 0 {
+	// Hold the fill open until every follower has joined the flight (a
+	// follower is counted in Dedups as it joins), so none can arrive
+	// after the fill and count as a hit instead.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Dedups < workers-1 {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("followers joined = %d, want %d", c.Stats().Dedups, workers-1)
+		}
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
@@ -98,8 +107,8 @@ func TestSingleflight(t *testing.T) {
 			t.Errorf("worker %d got %q", i, v)
 		}
 	}
-	if st := c.Stats(); st.Dedups == 0 {
-		t.Errorf("expected dedups > 0, stats = %+v", st)
+	if st := c.Stats(); st.Dedups != workers-1 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want %d dedups and no hits", st, workers-1)
 	}
 }
 

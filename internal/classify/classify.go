@@ -23,6 +23,7 @@ import (
 
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
+	"github.com/nu-aqualab/borges/internal/fanout"
 	"github.com/nu-aqualab/borges/internal/favicon"
 	"github.com/nu-aqualab/borges/internal/llm"
 	"github.com/nu-aqualab/borges/internal/simllm"
@@ -184,33 +185,23 @@ func (c *Classifier) Classify(ctx context.Context, g favicon.Group) Outcome {
 	return out
 }
 
-// ClassifyAll runs every group with bounded concurrency, preserving
-// input order. When ctx is cancelled mid-batch, groups still waiting
-// for a worker slot are marked Unknown with ctx.Err() instead of
-// issuing further model calls.
+// ClassifyAll runs every group on Concurrency workers, preserving
+// input order. When ctx is cancelled mid-batch, groups no worker has
+// claimed yet are marked Unknown with ctx.Err() instead of issuing
+// further model calls.
 func (c *Classifier) ClassifyAll(ctx context.Context, groups []favicon.Group) []Outcome {
 	conc := c.Concurrency
 	if conc <= 0 {
 		conc = 8
 	}
 	out := make([]Outcome, len(groups))
-	sem := make(chan struct{}, conc)
-	done := make(chan struct{})
-	for i, g := range groups {
-		go func(i int, g favicon.Group) {
-			select {
-			case sem <- struct{}{}:
-				out[i] = c.Classify(ctx, g)
-				<-sem
-			case <-ctx.Done():
-				out[i] = Outcome{Group: g, Decision: DecisionUnknown, Err: ctx.Err()}
-			}
-			done <- struct{}{}
-		}(i, g)
-	}
-	for range groups {
-		<-done
-	}
+	fanout.Each(len(groups), conc, func(i int) {
+		if err := ctx.Err(); err != nil {
+			out[i] = Outcome{Group: groups[i], Decision: DecisionUnknown, Err: err}
+			return
+		}
+		out[i] = c.Classify(ctx, groups[i])
+	})
 	return out
 }
 

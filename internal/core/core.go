@@ -405,47 +405,38 @@ func Run(ctx context.Context, in Inputs, opts Options) (*Result, error) {
 		webOut         webOutput
 		nerErr, webErr error
 		nerLog, webLog stageLog
+		wg             sync.WaitGroup
 	)
-	if opts.FailFast {
-		g, gctx := startGroup(ctx)
-		if feats.NotesAka {
-			g.Go(func() error {
-				nerOut, nerErr = runNER(gctx, in, opts, provider, &nerLog)
-				return nerErr
-			})
-		}
-		if feats.RR || feats.Favicons {
-			g.Go(func() error {
-				webOut, webErr = runWeb(gctx, in, opts, feats, provider, &webLog)
-				return webErr
-			})
-		}
-		if err := g.Wait(); err != nil {
-			return nil, err
-		}
-	} else {
-		var wg sync.WaitGroup
-		if feats.NotesAka {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				nerOut, nerErr = runNER(ctx, in, opts, provider, &nerLog)
-			}()
-		}
-		if feats.RR || feats.Favicons {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				webOut, webErr = runWeb(ctx, in, opts, feats, provider, &webLog)
-			}()
-		}
-		wg.Wait()
-		// Cancellation of the run's own context is fatal either way; a
-		// stage's private failure is not — it lands in the report and
-		// consolidation proceeds with the surviving chains.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	stageCtx, abort := context.WithCancelCause(ctx)
+	defer abort(nil)
+	stage := func(run func(context.Context) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := run(stageCtx); err != nil && opts.FailFast {
+				abort(err)
+			}
+		}()
+	}
+	if feats.NotesAka {
+		stage(func(ctx context.Context) error {
+			nerOut, nerErr = runNER(ctx, in, opts, provider, &nerLog)
+			return nerErr
+		})
+	}
+	if feats.RR || feats.Favicons {
+		stage(func(ctx context.Context) error {
+			webOut, webErr = runWeb(ctx, in, opts, feats, provider, &webLog)
+			return webErr
+		})
+	}
+	wg.Wait()
+	// Cancellation of the run's own context is fatal either way, and so
+	// is the first stage failure under FailFast. By default a stage's
+	// private failure is not — it lands in the report and consolidation
+	// proceeds with the surviving chains.
+	if err := context.Cause(stageCtx); err != nil {
+		return nil, err
 	}
 	res.Stats.merge(nerOut.stats)
 	res.Stats.merge(webOut.stats)

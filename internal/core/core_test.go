@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -268,7 +269,9 @@ func TestRunCancelled(t *testing.T) {
 	_, in := testInputs(t, 0.01)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := core.Run(ctx, in, core.Options{}); err == nil {
-		t.Error("cancelled context should abort the run")
+	for _, failFast := range []bool{false, true} {
+		if _, err := core.Run(ctx, in, core.Options{FailFast: failFast}); !errors.Is(err, context.Canceled) {
+			t.Errorf("FailFast=%v: err = %v, want context.Canceled", failFast, err)
+		}
 	}
 }

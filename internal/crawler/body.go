@@ -3,36 +3,25 @@ package crawler
 import (
 	"context"
 	"io"
-	"sync"
 )
 
 // ctxBody makes a response body's reads abort promptly when the
 // request context is cancelled. net/http only checks the context
 // between reads it controls; a body served by a slow-loris peer (or
 // any transport that isn't context-aware) can otherwise pin a reader
-// until the transport's own timeout. A watcher goroutine closes the
+// until the transport's own timeout. A context.AfterFunc closes the
 // underlying body on cancellation, which unblocks any in-flight Read;
-// the watcher itself exits on Close, so a fully read body leaks
-// nothing.
+// Close deregisters it, so a body holds no goroutine while it is read
+// and leaks nothing once closed.
 type ctxBody struct {
-	ctx context.Context
-	rc  io.ReadCloser
-
-	stop chan struct{}
-	once sync.Once
+	ctx  context.Context
+	rc   io.ReadCloser
+	stop func() bool
 }
 
 // newCtxBody wraps rc so reads abort when ctx is cancelled.
 func newCtxBody(ctx context.Context, rc io.ReadCloser) io.ReadCloser {
-	b := &ctxBody{ctx: ctx, rc: rc, stop: make(chan struct{})}
-	go func() {
-		select {
-		case <-ctx.Done():
-			rc.Close()
-		case <-b.stop:
-		}
-	}()
-	return b
+	return &ctxBody{ctx: ctx, rc: rc, stop: context.AfterFunc(ctx, func() { rc.Close() })}
 }
 
 // Read implements io.Reader. After cancellation the context's error is
@@ -46,8 +35,8 @@ func (b *ctxBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Close implements io.Closer and releases the watcher.
+// Close implements io.Closer and deregisters the cancellation hook.
 func (b *ctxBody) Close() error {
-	b.once.Do(func() { close(b.stop) })
+	b.stop()
 	return b.rc.Close()
 }

@@ -31,6 +31,7 @@ import (
 
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cache"
+	"github.com/nu-aqualab/borges/internal/fanout"
 	"github.com/nu-aqualab/borges/internal/resilience"
 	"github.com/nu-aqualab/borges/internal/urlmatch"
 )
@@ -76,7 +77,10 @@ type Options struct {
 	// PerHostDelay is the minimum interval between two requests to the
 	// same host (default 0; set >0 when crawling real sites).
 	PerHostDelay time.Duration
-	// Timeout bounds each individual HTTP request (default 15s).
+	// Timeout bounds each individual HTTP request, body read included
+	// (default 15s). It is the request context's deadline rather than
+	// http.Client.Timeout, which costs a goroutine per request on any
+	// transport but net/http's own.
 	Timeout time.Duration
 	// SkipFavicons disables retrieval of the final site's favicon
 	// (favicons are fetched by default; skip for R&R-only crawls).
@@ -112,8 +116,9 @@ type Crawler struct {
 
 	mu        sync.Mutex
 	lastHit   map[string]time.Time
-	favCache  map[string]string // final host -> favicon hash
-	iconBytes map[string][]byte // favicon hash -> icon payload
+	favCache  map[string]string        // final host -> favicon hash
+	favBusy   map[string]chan struct{} // final host -> closed when its favicon fetch ends
+	iconBytes map[string][]byte        // favicon hash -> icon payload
 }
 
 // New returns a Crawler with defaults applied.
@@ -146,10 +151,10 @@ func New(opts Options) *Crawler {
 			CheckRedirect: func(*http.Request, []*http.Request) error {
 				return http.ErrUseLastResponse
 			},
-			Timeout: opts.Timeout,
 		},
 		lastHit:   make(map[string]time.Time),
 		favCache:  make(map[string]string),
+		favBusy:   make(map[string]chan struct{}),
 		iconBytes: make(map[string][]byte),
 	}
 }
@@ -340,6 +345,8 @@ func (c *Crawler) fetch(ctx context.Context, cur string) (next string, status in
 		if terr := c.throttle(ctx, host); terr != nil {
 			return terr
 		}
+		ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
+		defer cancel()
 		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, cur, nil)
 		if rerr != nil {
 			return fmt.Errorf("crawler: build request: %w", rerr)
@@ -490,15 +497,34 @@ func FaviconLink(page string) string {
 // Durable outcomes ("" = the site serves no icon) are memoized per
 // host; a transient transport fault returns an error instead, leaving
 // the memo unset so a later attempt — or a healthy warm run — can
-// still recover the icon.
+// still recover the icon. Crawls that reach a host while its favicon
+// is being fetched wait for that fetch instead of repeating it, so the
+// number of icon requests does not depend on scheduling.
 func (c *Crawler) favicon(ctx context.Context, finalURL, page string) (string, error) {
 	host := urlmatch.Host(finalURL)
 	c.mu.Lock()
+	for busy := c.favBusy[host]; busy != nil; busy = c.favBusy[host] {
+		c.mu.Unlock()
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
+		c.mu.Lock()
+	}
 	if h, ok := c.favCache[host]; ok {
 		c.mu.Unlock()
 		return h, nil
 	}
+	done := make(chan struct{})
+	c.favBusy[host] = done
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.favBusy, host)
+		c.mu.Unlock()
+		close(done)
+	}()
 
 	var candidates []string
 	if link := FaviconLink(page); link != "" {
@@ -548,6 +574,8 @@ func (c *Crawler) fetchIcon(ctx context.Context, cand string) (string, error) {
 		if terr := c.throttle(ctx, host); terr != nil {
 			return terr
 		}
+		ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
+		defer cancel()
 		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, cand, nil)
 		if rerr != nil {
 			return fmt.Errorf("crawler: build icon request: %w", rerr)
@@ -613,14 +641,15 @@ func (c *Crawler) IconBytes(hash string) []byte {
 	return c.iconBytes[hash]
 }
 
-// CrawlAll resolves all tasks with bounded concurrency. Tasks whose
+// CrawlAll resolves all tasks on Concurrency workers. Tasks whose
 // reported URLs canonicalize identically are deduplicated: each unique
 // canonical URL is fetched exactly once and the outcome is fanned back
 // out to every task that shares it (different networks routinely
 // report the same website — "https://corp.example" vs
 // "corp.example/"). Results are returned in task order regardless of
-// completion order. The context cancels outstanding work; cancelled
-// tasks carry ctx.Err().
+// completion order. The context cancels outstanding work: a URL no
+// worker has claimed by then is not fetched, and its tasks carry
+// ctx.Err().
 func (c *Crawler) CrawlAll(ctx context.Context, tasks []Task) []Result {
 	results := make([]Result, len(tasks))
 	groups := make(map[string][]int, len(tasks))
@@ -636,30 +665,19 @@ func (c *Crawler) CrawlAll(ctx context.Context, tasks []Task) []Result {
 		}
 		groups[canon] = append(groups[canon], i)
 	}
-	sem := make(chan struct{}, c.opts.Concurrency)
-	var wg sync.WaitGroup
-	for _, canon := range order {
-		idxs := groups[canon]
-		wg.Add(1)
-		go func(canon string, idxs []int) {
-			defer wg.Done()
-			var r Result
-			select {
-			case sem <- struct{}{}:
-				r = c.Crawl(ctx, tasks[idxs[0]])
-				<-sem
-			case <-ctx.Done():
-				r = Result{Err: ctx.Err()}
-			}
-			// Fan the shared outcome back out; the Chain slice is
-			// shared read-only across the group's results.
-			for _, i := range idxs {
-				r.Task = tasks[i]
-				results[i] = r
-			}
-		}(canon, idxs)
-	}
-	wg.Wait()
+	fanout.Each(len(order), c.opts.Concurrency, func(g int) {
+		idxs := groups[order[g]]
+		r := Result{Err: ctx.Err()}
+		if r.Err == nil {
+			r = c.Crawl(ctx, tasks[idxs[0]])
+		}
+		// Fan the shared outcome back out; the Chain slice is shared
+		// read-only across the group's results.
+		for _, i := range idxs {
+			r.Task = tasks[i]
+			results[i] = r
+		}
+	})
 	return results
 }
 

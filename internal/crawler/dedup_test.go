@@ -2,9 +2,12 @@ package crawler
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cache"
+	"github.com/nu-aqualab/borges/internal/websim"
 )
 
 // TestCrawlAllDeduplicatesCanonicalURLs is the acceptance check for
@@ -44,6 +47,30 @@ func TestCrawlAllDeduplicatesCanonicalURLs(t *testing.T) {
 	}
 	if results[5].Err == nil {
 		t.Error("uncanonicalizable task should carry an error")
+	}
+}
+
+// TestFaviconFetchedOncePerHost: concurrent crawls that end on one
+// host share a single favicon fetch, however they are scheduled.
+func TestFaviconFetchedOncePerHost(t *testing.T) {
+	const n = 64
+	u := websim.New()
+	u.AddSite("www.edg.io", "edgio")
+	tasks := make([]Task, n)
+	for i := range tasks {
+		host := fmt.Sprintf("r%d.test", i)
+		u.RedirectHost(host, "https://www.edg.io/")
+		tasks[i] = Task{ASN: asnum.ASN(i + 1), URL: "https://" + host + "/"}
+	}
+	c := New(Options{Transport: u, Concurrency: 16})
+	for i, r := range c.CrawlAll(context.Background(), tasks) {
+		if !r.OK || r.FaviconHash == "" {
+			t.Fatalf("result %d = %+v", i, r)
+		}
+	}
+	// Per task the redirect and the final page; one favicon for all.
+	if got, want := u.Requests(), int64(2*n+1); got != want {
+		t.Errorf("transport requests = %d, want %d", got, want)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
+	"github.com/nu-aqualab/borges/internal/fanout"
 	"github.com/nu-aqualab/borges/internal/llm"
 	"github.com/nu-aqualab/borges/internal/peeringdb"
 )
@@ -222,34 +223,24 @@ func (e *Extractor) Extract(ctx context.Context, r Record) Extraction {
 	return out
 }
 
-// ExtractAll runs every record with bounded concurrency, preserving
+// ExtractAll runs every record on Concurrency workers, preserving
 // input order in the result slice. When ctx is cancelled mid-batch,
-// records still waiting for a worker slot are marked with ctx.Err()
-// instead of issuing further model calls, so a failing sibling
-// pipeline stage stops the LLM fan-out promptly.
+// records no worker has claimed yet are marked with ctx.Err() instead
+// of issuing further model calls, so a failing sibling pipeline stage
+// stops the LLM fan-out promptly.
 func (e *Extractor) ExtractAll(ctx context.Context, records []Record) []Extraction {
 	conc := e.Concurrency
 	if conc <= 0 {
 		conc = 8
 	}
 	results := make([]Extraction, len(records))
-	sem := make(chan struct{}, conc)
-	done := make(chan int)
-	for i, r := range records {
-		go func(i int, r Record) {
-			select {
-			case sem <- struct{}{}:
-				results[i] = e.Extract(ctx, r)
-				<-sem
-			case <-ctx.Done():
-				results[i] = Extraction{Record: r, Err: ctx.Err()}
-			}
-			done <- i
-		}(i, r)
-	}
-	for range records {
-		<-done
-	}
+	fanout.Each(len(records), conc, func(i int) {
+		if err := ctx.Err(); err != nil {
+			results[i] = Extraction{Record: records[i], Err: err}
+			return
+		}
+		results[i] = e.Extract(ctx, records[i])
+	})
 	return results
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -13,17 +14,22 @@ import (
 	"github.com/nu-aqualab/borges/internal/peeringdb"
 )
 
-// canned is a test provider replying with fixed content.
+// canned is a test provider replying with fixed content. ExtractAll
+// calls it from several workers at once, so its counters are guarded.
 type canned struct {
 	content string
 	err     error
+
+	mu      sync.Mutex
 	calls   int
 	prompts []string
 }
 
 func (c *canned) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	c.mu.Lock()
 	c.calls++
 	c.prompts = append(c.prompts, req.Messages[len(req.Messages)-1].Content)
+	c.mu.Unlock()
 	if c.err != nil {
 		return llm.Response{}, c.err
 	}
