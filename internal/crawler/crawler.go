@@ -606,7 +606,11 @@ func (c *Crawler) fetchIcon(ctx context.Context, cand string) (string, error) {
 		hash = hex.EncodeToString(sum[:])
 		c.mu.Lock()
 		if _, ok := c.iconBytes[hash]; !ok && len(raw) <= maxRetainedIcon {
-			c.iconBytes[hash] = raw
+			// Copy out of io.ReadAll's buffer: its capacity, at least
+			// 512 bytes, would stay alive in the map for the whole run.
+			icon := make([]byte, len(raw))
+			copy(icon, raw)
+			c.iconBytes[hash] = icon
 		}
 		c.mu.Unlock()
 		return nil

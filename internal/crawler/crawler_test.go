@@ -110,6 +110,27 @@ func TestSharedFavicons(t *testing.T) {
 	}
 }
 
+// TestRetainedIconsExactSize: the icons kept for the classifier hold
+// only their own bytes, not the spare capacity of the read buffer
+// (io.ReadAll starts at 512 bytes; websim icons are a few dozen).
+func TestRetainedIconsExactSize(t *testing.T) {
+	c := newTestCrawler(buildUniverse())
+	res := c.CrawlAll(context.Background(), []Task{
+		{ASN: 1, URL: "www.clarochile.cl"},
+		{ASN: 2, URL: "www.edg.io"},
+		{ASN: 3, URL: "http://www.clearwire.com"},
+	})
+	for _, r := range res {
+		if r.FaviconHash == "" {
+			t.Fatalf("%s: no favicon hash", r.Task.URL)
+		}
+		icon := c.IconBytes(r.FaviconHash)
+		if len(icon) == 0 || cap(icon) != len(icon) {
+			t.Errorf("%s: retained icon len %d cap %d, want equal and non-zero", r.Task.URL, len(icon), cap(icon))
+		}
+	}
+}
+
 func TestCrawlFailures(t *testing.T) {
 	c := newTestCrawler(buildUniverse())
 	ctx := context.Background()

@@ -149,6 +149,7 @@ type gen struct {
 
 	hostUsed  map[string]bool
 	rankTaken map[int]bool
+	rankNext  int // every rank below rankNext is taken
 
 	// Bookkeeping toward quotas.
 	countSibling, countHardFN, countHardFP int
@@ -216,6 +217,7 @@ func newGen(cfg Config) (*gen, error) {
 		nextPDBN:  1,
 		hostUsed:  make(map[string]bool),
 		rankTaken: make(map[int]bool),
+		rankNext:  1,
 	}, nil
 }
 
@@ -397,15 +399,21 @@ func (g *gen) host(proposal string) string {
 	return h
 }
 
-// rank assigns the closest free rank at or after want (1-based).
+// rank assigns the closest free rank at or after want (1-based). Every
+// rank below rankNext is taken, so the probe starts no lower than it;
+// rankNext only moves forward, so a run of rank(1) calls costs
+// amortized O(1) per call.
 func (g *gen) rank(want int) int {
-	if want < 1 {
-		want = 1
+	if want < g.rankNext {
+		want = g.rankNext
 	}
 	for g.rankTaken[want] {
 		want++
 	}
 	g.rankTaken[want] = true
+	for g.rankTaken[g.rankNext] {
+		g.rankNext++
+	}
 	return want
 }
 
