@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -176,6 +177,39 @@ func faultyClient(path string, cfg faultinject.Config) *http.Client {
 		fault: faultinject.NewTransport(http.DefaultTransport, cfg),
 		path:  path,
 	}}
+}
+
+// flipNameByte corrupts every response to path by inverting the first
+// byte of its first "name" value. A name is covered by the snapshot's
+// content hash, and the inverted byte is invalid UTF-8 that the JSON
+// decoder turns into U+FFFD, so a corrupted mapping delta still parses
+// and applies, and only the patched snapshot's hash check refuses it.
+// (faultinject's KindFlipByte picks its offset from the host:port, and
+// on some httptest ports it lands in the "features" key of an OID_W
+// org: ReadDelta ignores the unknown key, defaults to OID_W, and the
+// patched snapshot is correctly accepted.)
+type flipNameByte struct {
+	inner http.RoundTripper
+	path  string
+}
+
+func (f *flipNameByte) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := f.inner.RoundTrip(req)
+	if err != nil || req.URL.Path != f.path || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	at := bytes.Index(body, []byte(`"name":"`))
+	if at < 0 {
+		return nil, fmt.Errorf("flipNameByte: no name in the %s response", f.path)
+	}
+	body[at+len(`"name":"`)] ^= 0xFF
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
 }
 
 // countingTransport counts round trips, so a test can prove a cold
@@ -446,9 +480,7 @@ func TestReplicaCorruptDeltaFallsBackToFull(t *testing.T) {
 	// swapping a bad snapshot in, then fall back to the full artifact.
 	opts := replicaOpts("r1", td.ts.URL, dir)
 	opts.MaxAttempts = 2
-	opts.HTTPClient = faultyClient(PathDelta, faultinject.Config{
-		Seed: 7, Rate: 1, PersistentRate: 1, Kinds: []faultinject.Kind{faultinject.KindFlipByte},
-	})
+	opts.HTTPClient = &http.Client{Transport: &flipNameByte{inner: http.DefaultTransport, path: PathDelta}}
 	rep, err := NewReplica(ctx, opts)
 	if err != nil {
 		t.Fatalf("NewReplica: %v", err)
@@ -462,6 +494,9 @@ func TestReplicaCorruptDeltaFallsBackToFull(t *testing.T) {
 	}
 	if rep.deltaFallbacks.Load() != 1 {
 		t.Fatalf("deltaFallbacks = %d, want 1", rep.deltaFallbacks.Load())
+	}
+	if rep.corruptRejected.Load() == 0 {
+		t.Fatal("the corrupt delta was not refused by the content-hash check")
 	}
 	if rep.deltaFetches.Load() != 0 || rep.fullFetches.Load() != 2 {
 		t.Fatalf("deltaFetches = %d fullFetches = %d, want 0 and 2",

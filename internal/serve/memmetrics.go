@@ -11,7 +11,8 @@ import (
 // make the mega-scale memory model observable in production: how much
 // heap the process actually holds (for a mapped artifact this stays
 // O(index), not O(file)), how much address space the runtime has
-// mapped, and how hard the collector is working.
+// mapped, how hard the collector is working, and how far the heap
+// goal sits above the live heap.
 var memSeries = []struct {
 	sample string
 	name   string
@@ -26,8 +27,12 @@ var memSeries = []struct {
 		"Heap bytes returned to the operating system."},
 	{"/gc/heap/goal:bytes", "borgesd_mem_gc_goal_bytes", "gauge",
 		"Heap size target of the next garbage collection cycle."},
+	{"/gc/heap/live:bytes", "borgesd_mem_gc_live_bytes", "gauge",
+		"Heap bytes the last garbage collection cycle marked live; the goal is about twice this."},
 	{"/gc/cycles/total:gc-cycles", "borgesd_mem_gc_cycles_total", "counter",
 		"Completed garbage collection cycles."},
+	{"/gc/cycles/forced:gc-cycles", "borgesd_mem_gc_forced_cycles_total", "counter",
+		"Completed garbage collection cycles forced by the application; borgesd starts one after each snapshot swap."},
 }
 
 // writeMemMetrics emits the borgesd_mem_* series. Reading a handful of

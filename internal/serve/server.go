@@ -385,6 +385,7 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 		// reject, late cancellation) releases its mapping now.
 		if next != nil && next != old {
 			next.retire()
+			collectRetired()
 		}
 		s.metrics.ObserveReload(false)
 		s.logf(`{"event":"reload","ok":false,"error":%q}`, err.Error())
@@ -417,9 +418,23 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 	// in-flight pinned requests to drain.
 	if old != next {
 		old.retire()
+		collectRetired()
 	}
 	return next, nil
 }
+
+// collectRetired starts one garbage collection cycle once a swap has
+// dropped a snapshot: the one it replaced, or a candidate it refused.
+// Go sets each heap goal to twice the heap its last cycle marked. A
+// cycle that lands mid-reload marks the outgoing snapshot, the
+// incoming one and everything allocated during the mark, and serving
+// traffic then fills the heap to that inflated goal, so each reload
+// would peak higher than the last. A cycle started after the retire
+// marks only what is still reachable, and the next goal is twice the
+// snapshot now serving. The cycle runs on its own goroutine, which
+// ends with it and which nothing waits for, so a reload's caller never
+// pays for it; calls that arrive before a cycle starts share it.
+func collectRetired() { go runtime.GC() }
 
 // persistSwap records the freshly published snapshot into the
 // generation ring and the SnapshotOut artifact. Both are durability,
