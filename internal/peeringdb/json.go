@@ -44,13 +44,17 @@ func Parse(r io.Reader, date string) (*Snapshot, error) {
 		if n.ASN == 0 {
 			return nil, fmt.Errorf("peeringdb: net %d has no ASN", n.ID)
 		}
+		// A stub org with this ID would not parse back.
+		if n.OrgID <= 0 {
+			return nil, fmt.Errorf("peeringdb: net %d has non-positive org_id %d", n.ID, n.OrgID)
+		}
 		s.AddNet(n)
 	}
 	return s, nil
 }
 
 // Write serializes the snapshot in PeeringDB API dump form with
-// deterministic ordering (orgs by ID, nets by ASN).
+// deterministic ordering (orgs by ID, nets by ASN, then by ID).
 func Write(w io.Writer, s *Snapshot) error {
 	d := dump{Meta: &meta{Generated: s.Date}}
 	for _, o := range s.Orgs() {

@@ -76,7 +76,10 @@ func (s *Snapshot) AddOrg(o Org) {
 // registering org membership. A stub org is created if unknown.
 func (s *Snapshot) AddNet(n Net) {
 	if prev, ok := s.nets[n.ID]; ok {
-		delete(s.byASN, prev.ASN)
+		// Another net may share prev's ASN; its index entry stays.
+		if s.byASN[prev.ASN] == prev {
+			delete(s.byASN, prev.ASN)
+		}
 		old := s.members[prev.OrgID]
 		for i, a := range old {
 			if a == prev.ASN {
@@ -125,13 +128,19 @@ func (s *Snapshot) Members(id int) []asnum.ASN {
 	return m
 }
 
-// Nets returns all network objects ordered by ASN.
+// Nets returns all network objects ordered by ASN, nets sharing an ASN
+// by ID.
 func (s *Snapshot) Nets() []*Net {
 	out := make([]*Net, 0, len(s.nets))
 	for _, n := range s.nets {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].ASN != out[j].ASN {
+			return out[i].ASN < out[j].ASN
+		}
+		return out[i].ID < out[j].ID
+	})
 	return out
 }
 

@@ -59,6 +59,8 @@ func TestParseErrors(t *testing.T) {
 		`{"net":{"data":[{"id":0,"asn":1,"org_id":1}]}}`,
 		`{"net":{"data":[{"id":1,"asn":0,"org_id":1}]}}`,
 		`{"org":{"data":[{"id":-5}]}}`,
+		`{"net":{"data":[{"id":1,"asn":1}]}}`,
+		`{"net":{"data":[{"id":1,"asn":1,"org_id":-2}]}}`,
 	}
 	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c), "x"); err == nil {
@@ -142,6 +144,63 @@ func TestAddNetReplace(t *testing.T) {
 	}
 	if s.Org(5) == nil || s.Org(6) == nil {
 		t.Error("stub orgs should exist")
+	}
+}
+
+// Two nets may share an ASN. Nets, and so Write, orders them by ID,
+// whatever the map's iteration order.
+func TestNetsSharedASNOrderedByID(t *testing.T) {
+	s, err := Parse(strings.NewReader(`{"net": {"data": [
+		{"id": 2, "org_id": 6, "asn": 100, "name": "Second"},
+		{"id": 1, "org_id": 5, "asn": 100, "name": "First"},
+		{"id": 3, "org_id": 5, "asn": 50, "name": "Lowest ASN"}
+	]}}`), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	if err := Write(&first, s); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		var ids []int
+		for _, n := range s.Nets() {
+			ids = append(ids, n.ID)
+		}
+		if ids[0] != 3 || ids[1] != 1 || ids[2] != 2 {
+			t.Fatalf("Nets() IDs = %v, want [3 1 2]", ids)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+			t.Fatalf("write %d differs from the first:\n%s\n%s", i, buf.String(), first.String())
+		}
+	}
+}
+
+// Moving one of two nets sharing an ASN to another ASN leaves the ASN
+// indexed to the net that still holds it.
+func TestAddNetMoveKeepsSharedASN(t *testing.T) {
+	s := NewSnapshot("x")
+	s.AddNet(Net{ID: 1, OrgID: 5, ASN: 100})
+	s.AddNet(Net{ID: 2, OrgID: 6, ASN: 100})
+	s.AddNet(Net{ID: 1, OrgID: 5, ASN: 200})
+	if n := s.NetByASN(100); n == nil || n.ID != 2 {
+		t.Fatalf("NetByASN(100) = %+v, want net 2", n)
+	}
+	if o := s.OrgOf(100); o == nil || o.ID != 6 {
+		t.Fatalf("OrgOf(100) = %+v, want org 6", o)
+	}
+	if n := s.NetByASN(200); n == nil || n.ID != 1 {
+		t.Fatalf("NetByASN(200) = %+v, want net 1", n)
+	}
+	if got := s.Members(5); len(got) != 1 || got[0] != 200 {
+		t.Errorf("Members(5) = %v, want [AS200]", got)
+	}
+	if got := s.Members(6); len(got) != 1 || got[0] != 100 {
+		t.Errorf("Members(6) = %v, want [AS100]", got)
 	}
 }
 

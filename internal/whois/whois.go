@@ -7,6 +7,10 @@
 // provides an AS-to-Organization mapping for all allocated networks; the
 // paper uses this universe as the vertex set for the Organization Factor
 // (§5.4).
+//
+// The pointers Org, AS and OrgOf return point into the snapshot's own
+// storage: they are read-only views. Change a record through AddOrg or
+// AddAS; a view taken before a later call may show the record as it was.
 package whois
 
 import (
@@ -43,87 +47,154 @@ type ASRecord struct {
 	Source string
 }
 
-// Snapshot is a parsed AS2Org snapshot.
+// Snapshot is a parsed AS2Org snapshot. Its records are values in two
+// slices linked by int32 indexes, so a paper-scale snapshot is a few
+// hundred heap objects beside its strings, not one per record: each
+// organization holds the head and tail of its AS records' member list,
+// and each AS record holds its organization and the next member.
 type Snapshot struct {
 	// Date is the snapshot date in YYYYMMDD form (e.g. "20240701").
 	Date string
 
-	orgs    map[string]*Org
-	asns    map[asnum.ASN]*ASRecord
-	members map[string][]asnum.ASN
+	orgs   []orgEntry
+	recs   []asEntry
+	orgIdx map[string]int32
+	asnIdx map[asnum.ASN]int32
+}
+
+// none ends a member list.
+const none int32 = -1
+
+type orgEntry struct {
+	Org
+	head, tail int32 // first and last member in Snapshot.recs, or none
+}
+
+type asEntry struct {
+	ASRecord
+	org  int32 // owner in Snapshot.orgs
+	next int32 // next member of the same organization, or none
 }
 
 // NewSnapshot returns an empty snapshot for the given date.
 func NewSnapshot(date string) *Snapshot {
 	return &Snapshot{
-		Date:    date,
-		orgs:    make(map[string]*Org),
-		asns:    make(map[asnum.ASN]*ASRecord),
-		members: make(map[string][]asnum.ASN),
+		Date:   date,
+		orgIdx: make(map[string]int32),
+		asnIdx: make(map[asnum.ASN]int32),
 	}
 }
 
 // AddOrg inserts or replaces an organization record.
 func (s *Snapshot) AddOrg(o Org) {
-	cp := o
-	s.orgs[o.ID] = &cp
+	if i, ok := s.orgIdx[o.ID]; ok {
+		s.orgs[i].Org = o
+		return
+	}
+	s.appendOrg(o)
+}
+
+func (s *Snapshot) appendOrg(o Org) int32 {
+	i := int32(len(s.orgs))
+	s.orgIdx[o.ID] = i
+	s.orgs = append(s.orgs, orgEntry{Org: o, head: none, tail: none})
+	return i
 }
 
 // AddAS inserts or replaces an AS record. If the record's organization is
 // unknown a stub Org is created, mirroring CAIDA's behaviour of keeping
 // every allocated ASN mapped.
 func (s *Snapshot) AddAS(r ASRecord) {
-	if prev, ok := s.asns[r.ASN]; ok {
-		// Replacement: remove from old membership list.
-		old := s.members[prev.OrgID]
-		for i, a := range old {
-			if a == r.ASN {
-				s.members[prev.OrgID] = append(old[:i], old[i+1:]...)
-				break
-			}
-		}
+	oi, ok := s.orgIdx[r.OrgID]
+	if !ok {
+		oi = s.appendOrg(Org{ID: r.OrgID, Source: r.Source})
 	}
-	cp := r
-	s.asns[r.ASN] = &cp
-	if _, ok := s.orgs[r.OrgID]; !ok {
-		s.orgs[r.OrgID] = &Org{ID: r.OrgID, Source: r.Source}
+	e := asEntry{ASRecord: r, org: oi, next: none}
+	ri, ok := s.asnIdx[r.ASN]
+	if ok {
+		s.unlink(ri)
+		s.recs[ri] = e
+	} else {
+		ri = int32(len(s.recs))
+		s.asnIdx[r.ASN] = ri
+		s.recs = append(s.recs, e)
 	}
-	s.members[r.OrgID] = append(s.members[r.OrgID], r.ASN)
+	// Append ri to its organization's member list.
+	o := &s.orgs[oi]
+	if o.tail == none {
+		o.head = ri
+	} else {
+		s.recs[o.tail].next = ri
+	}
+	o.tail = ri
+}
+
+// unlink removes record ri from its organization's member list.
+func (s *Snapshot) unlink(ri int32) {
+	o := &s.orgs[s.recs[ri].org]
+	prev := none
+	for i := o.head; i != ri; i = s.recs[i].next {
+		prev = i
+	}
+	if prev == none {
+		o.head = s.recs[ri].next
+	} else {
+		s.recs[prev].next = s.recs[ri].next
+	}
+	if o.tail == ri {
+		o.tail = prev
+	}
 }
 
 // NumOrgs returns the number of organization records.
 func (s *Snapshot) NumOrgs() int { return len(s.orgs) }
 
 // NumASNs returns the number of AS records.
-func (s *Snapshot) NumASNs() int { return len(s.asns) }
+func (s *Snapshot) NumASNs() int { return len(s.recs) }
 
 // Org returns the organization record for id, or nil.
-func (s *Snapshot) Org(id string) *Org { return s.orgs[id] }
+func (s *Snapshot) Org(id string) *Org {
+	if i, ok := s.orgIdx[id]; ok {
+		return &s.orgs[i].Org
+	}
+	return nil
+}
 
 // AS returns the AS record for a, or nil.
-func (s *Snapshot) AS(a asnum.ASN) *ASRecord { return s.asns[a] }
+func (s *Snapshot) AS(a asnum.ASN) *ASRecord {
+	if i, ok := s.asnIdx[a]; ok {
+		return &s.recs[i].ASRecord
+	}
+	return nil
+}
 
 // OrgOf returns the organization record owning a, or nil if a is unknown.
 func (s *Snapshot) OrgOf(a asnum.ASN) *Org {
-	r := s.asns[a]
-	if r == nil {
-		return nil
+	if i, ok := s.asnIdx[a]; ok {
+		return &s.orgs[s.recs[i].org].Org
 	}
-	return s.orgs[r.OrgID]
+	return nil
 }
 
 // Members returns the sorted ASNs registered under org id.
 func (s *Snapshot) Members(id string) []asnum.ASN {
-	m := append([]asnum.ASN(nil), s.members[id]...)
+	i, ok := s.orgIdx[id]
+	if !ok {
+		return nil
+	}
+	var m []asnum.ASN
+	for r := s.orgs[i].head; r != none; r = s.recs[r].next {
+		m = append(m, s.recs[r].ASN)
+	}
 	asnum.Sort(m)
 	return m
 }
 
 // ASNs returns all ASNs in the snapshot, sorted.
 func (s *Snapshot) ASNs() []asnum.ASN {
-	out := make([]asnum.ASN, 0, len(s.asns))
-	for a := range s.asns {
-		out = append(out, a)
+	out := make([]asnum.ASN, len(s.recs))
+	for i := range s.recs {
+		out[i] = s.recs[i].ASN
 	}
 	asnum.Sort(out)
 	return out
@@ -131,9 +202,9 @@ func (s *Snapshot) ASNs() []asnum.ASN {
 
 // OrgIDs returns all organization IDs, sorted.
 func (s *Snapshot) OrgIDs() []string {
-	out := make([]string, 0, len(s.orgs))
-	for id := range s.orgs {
-		out = append(out, id)
+	out := make([]string, len(s.orgs))
+	for i := range s.orgs {
+		out[i] = s.orgs[i].ID
 	}
 	sort.Strings(out)
 	return out
