@@ -11,6 +11,7 @@
 package peeringdb
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -53,6 +54,10 @@ type Snapshot struct {
 	nets    map[int]*Net
 	byASN   map[asnum.ASN]*Net
 	members map[int][]asnum.ASN // org ID -> ASNs
+	// shared lists the IDs of the nets holding each ASN that more than
+	// one net holds, so the index can move to another holder when the
+	// indexed net leaves. An ASN held by one net has no entry.
+	shared map[asnum.ASN][]int
 }
 
 // NewSnapshot returns an empty snapshot for the given date.
@@ -63,6 +68,7 @@ func NewSnapshot(date string) *Snapshot {
 		nets:    make(map[int]*Net),
 		byASN:   make(map[asnum.ASN]*Net),
 		members: make(map[int][]asnum.ASN),
+		shared:  make(map[asnum.ASN][]int),
 	}
 }
 
@@ -73,13 +79,13 @@ func (s *Snapshot) AddOrg(o Org) {
 }
 
 // AddNet inserts or replaces a network object, indexing it by ASN and
-// registering org membership. A stub org is created if unknown.
+// registering org membership. A stub org is created if unknown. The
+// ASN index points at the net added last; when a replacement moves the
+// indexed net off an ASN other nets still hold, the index moves to the
+// highest-ID holder, the net a Write→Parse round trip indexes.
 func (s *Snapshot) AddNet(n Net) {
 	if prev, ok := s.nets[n.ID]; ok {
-		// Another net may share prev's ASN; its index entry stays.
-		if s.byASN[prev.ASN] == prev {
-			delete(s.byASN, prev.ASN)
-		}
+		s.dropHolder(prev)
 		old := s.members[prev.OrgID]
 		for i, a := range old {
 			if a == prev.ASN {
@@ -90,11 +96,36 @@ func (s *Snapshot) AddNet(n Net) {
 	}
 	cp := n
 	s.nets[n.ID] = &cp
+	if held := s.byASN[n.ASN]; held != nil {
+		if s.shared[n.ASN] == nil {
+			s.shared[n.ASN] = []int{held.ID}
+		}
+		s.shared[n.ASN] = append(s.shared[n.ASN], n.ID)
+	}
 	s.byASN[n.ASN] = &cp
 	if _, ok := s.orgs[n.OrgID]; !ok {
 		s.orgs[n.OrgID] = &Org{ID: n.OrgID}
 	}
 	s.members[n.OrgID] = append(s.members[n.OrgID], n.ASN)
+}
+
+// dropHolder removes net prev from its ASN's holders before prev is
+// replaced.
+func (s *Snapshot) dropHolder(prev *Net) {
+	holders := s.shared[prev.ASN]
+	if holders == nil {
+		delete(s.byASN, prev.ASN)
+		return
+	}
+	holders = slices.DeleteFunc(holders, func(id int) bool { return id == prev.ID })
+	if s.byASN[prev.ASN] == prev {
+		s.byASN[prev.ASN] = s.nets[slices.Max(holders)]
+	}
+	if len(holders) == 1 {
+		delete(s.shared, prev.ASN)
+	} else {
+		s.shared[prev.ASN] = holders
+	}
 }
 
 // NumOrgs returns the number of organization objects.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
@@ -201,6 +202,61 @@ func TestAddNetMoveKeepsSharedASN(t *testing.T) {
 	}
 	if got := s.Members(6); len(got) != 1 || got[0] != 100 {
 		t.Errorf("Members(6) = %v, want [AS100]", got)
+	}
+}
+
+// Moving the net the ASN index points at off an ASN other nets still
+// hold re-points the index at the highest-ID remaining holder, the net
+// a Write→Parse round trip indexes.
+func TestAddNetMoveIndexedSharedASN(t *testing.T) {
+	s := NewSnapshot("x")
+	s.AddNet(Net{ID: 1, OrgID: 5, ASN: 100})
+	s.AddNet(Net{ID: 2, OrgID: 6, ASN: 100})
+	if n := s.NetByASN(100); n == nil || n.ID != 2 {
+		t.Fatalf("NetByASN(100) = %+v, want net 2", n)
+	}
+	s.AddNet(Net{ID: 2, OrgID: 6, ASN: 300})
+	if n := s.NetByASN(100); n == nil || n.ID != 1 {
+		t.Fatalf("NetByASN(100) = %+v, want net 1", n)
+	}
+	if o := s.OrgOf(100); o == nil || o.ID != 5 {
+		t.Fatalf("OrgOf(100) = %+v, want org 5", o)
+	}
+	if got := s.Members(5); len(got) != 1 || got[0] != 100 {
+		t.Errorf("Members(5) = %v, want [AS100]", got)
+	}
+	if n := s.NetByASN(300); n == nil || n.ID != 2 {
+		t.Fatalf("NetByASN(300) = %+v, want net 2", n)
+	}
+
+	// Three holders, added out of ID order: the index follows the last
+	// add, then the highest ID left.
+	s.AddNet(Net{ID: 7, OrgID: 6, ASN: 100})
+	s.AddNet(Net{ID: 4, OrgID: 5, ASN: 100})
+	s.AddNet(Net{ID: 4, OrgID: 5, ASN: 400})
+	if n := s.NetByASN(100); n == nil || n.ID != 7 {
+		t.Fatalf("NetByASN(100) = %+v, want net 7", n)
+	}
+	s.AddNet(Net{ID: 7, OrgID: 6, ASN: 500})
+	s.AddNet(Net{ID: 1, OrgID: 5, ASN: 600})
+	if n := s.NetByASN(100); n != nil {
+		t.Fatalf("NetByASN(100) = %+v after its last holder moved, want nil", n)
+	}
+
+	// Every index entry matches the one a round trip builds.
+	var buf bytes.Buffer
+	if err := Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(&buf, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []asnum.ASN{100, 300, 400, 500, 600} {
+		got, want := s.NetByASN(a), back.NetByASN(a)
+		if (got == nil) != (want == nil) || got != nil && got.ID != want.ID {
+			t.Errorf("NetByASN(%d) = %+v, round trip indexes %+v", a, got, want)
+		}
 	}
 }
 

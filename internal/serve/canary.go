@@ -144,15 +144,15 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 // back to id through the token index — the postings a /v1/search for
 // that organization's name would merge.
 func canaryCheckTokens(s *Snapshot, id int) error {
-	if id < 0 || id >= len(s.lowerNames) {
+	if id < 0 || id >= s.lowerNames.Len() {
 		return fmt.Errorf("%w: cluster %d outside name table", ErrCanaryRejected, id)
 	}
-	for _, tok := range tokenize(s.lowerNames[id]) {
-		ti, ok := slices.BinarySearch(s.tokenList, tok)
-		if !ok {
+	for _, tok := range tokenize(s.lowerNames.At(id)) {
+		ti := s.findToken(tok)
+		if ti == s.tokens.Len() || s.tokens.At(ti) != tok {
 			return fmt.Errorf("%w: org %d name token %q missing from search index", ErrCanaryRejected, id, tok)
 		}
-		if _, ok := slices.BinarySearch(s.postings[ti], int32(id)); !ok {
+		if _, ok := slices.BinarySearch(s.postings.At(ti), int32(id)); !ok {
 			return fmt.Errorf("%w: org %d missing from postings of its own name token %q", ErrCanaryRejected, id, tok)
 		}
 	}
@@ -164,12 +164,12 @@ func canaryCheckTokens(s *Snapshot, id int) error {
 // (scratch pool, posting merge, materialization), bounded so the
 // canary stays cheap on large snapshots.
 func canaryCheckSearch(s *Snapshot, id int) error {
-	toks := tokenize(s.lowerNames[id])
-	if len(toks) == 0 {
+	tok, _ := nextToken(s.lowerNames.At(id))
+	if tok == "" {
 		return nil // unnamed cluster; nothing searchable
 	}
-	if hits := s.Search(toks[0], 8); len(hits) == 0 {
-		return fmt.Errorf("%w: search for %q (org %d name token) returned nothing", ErrCanaryRejected, toks[0], id)
+	if hits := s.Search(tok, 8); len(hits) == 0 {
+		return fmt.Errorf("%w: search for %q (org %d name token) returned nothing", ErrCanaryRejected, tok, id)
 	}
 	return nil
 }

@@ -118,12 +118,22 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	})
 
 	// Assemble the patched cluster slice and per-cluster serving
-	// artifacts. A survivor keeps its base body bytes whatever its new
-	// ID; an addition renders from scratch through the same code as a
-	// full build.
+	// artifacts. A survivor keeps its base body bytes and display name
+	// whatever its new ID; an addition renders from scratch through the
+	// same code as a full build. The lowercase names go straight into a
+	// table sized for the base's names plus the additions'.
 	n := len(entries)
+	addLower := make([]string, len(d.Added))
+	nameBytes := len(s.lowerNames.Text)
+	for i := range d.Added {
+		addLower[i] = strings.ToLower(d.Added[i].Name)
+		nameBytes += len(addLower[i])
+	}
+	var names snapbin.StringsBuilder
+	if err := growNames(&names, n, nameBytes); err != nil {
+		return nil, err
+	}
 	clusters := make([]cluster.Cluster, n)
-	lowerNames := make([]string, n)
 	bodies := make([]snapbin.Body, n)
 	remap := make([]int32, nOld) // base ID → patched ID, -1 if deleted
 	for i := range remap {
@@ -134,14 +144,14 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		if e.oldID >= 0 {
 			clusters[i] = s.mapping.Clusters[e.oldID]
 			clusters[i].ID = i
-			lowerNames[i] = s.lowerNames[e.oldID]
+			names.Add(s.lowerNames.At(e.oldID))
 			bodies[i] = s.bodies[e.oldID]
 			remap[e.oldID] = int32(i)
 			continue
 		}
 		clusters[i] = d.Added[e.addIdx]
 		clusters[i].ID = i
-		lowerNames[i] = strings.ToLower(clusters[i].Name)
+		names.Add(addLower[e.addIdx])
 		if err := arena.render(&clusters[i], &bodies[i]); err != nil {
 			return nil, fmt.Errorf("serve: rendering added organization: %w", err)
 		}
@@ -189,46 +199,72 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		return nil, fmt.Errorf("serve: patched mapping fails validation: %w", err)
 	}
 
-	// Patch the token index. One pass remaps every surviving posting
-	// list into a single slab (deletions drop out, survivors renumber,
-	// order is preserved because survivor remapping is monotonic), and
-	// tokens keep the base list's sorted order. Additions then insert
-	// their IDs — into a surviving token's postings, found by binary
-	// search, or under a fresh token — and the (few) fresh tokens merge
-	// into the list, so nothing is re-sorted.
-	total := 0
-	for _, ids := range s.postings {
-		total += len(ids)
-	}
-	slab := make([]int32, 0, total)
-	tokenList := make([]string, 0, len(s.tokenList))
-	postings := make([][]int32, 0, len(s.tokenList))
-	for ti, ids := range s.postings {
-		start := len(slab)
-		for _, id := range ids {
-			if v := remap[id]; v >= 0 {
-				slab = append(slab, v)
-			}
-		}
-		if end := len(slab); end > start {
-			tokenList = append(tokenList, s.tokenList[ti])
-			postings = append(postings, slab[start:end:end])
-		}
-	}
-	fresh := map[string][]int32{}
+	// Patch the token index straight into new tables. The additions'
+	// ids gather per token, ascending because entries are visited in ID
+	// order. One merge then walks the base's sorted tokens beside the
+	// additions' sorted tokens and writes each token's surviving ids,
+	// remapped (deletions drop out; survivor remapping is monotonic, so
+	// order holds), merged with its additions' ids. A token left with
+	// no ids drops out; nothing is re-sorted but the additions' tokens.
+	added := map[string][]int32{}
 	for i := range entries {
 		if entries[i].addIdx < 0 {
 			continue
 		}
-		for _, tok := range tokenize(lowerNames[i]) {
-			if ti, ok := slices.BinarySearch(tokenList, tok); ok {
-				postings[ti] = insertID(postings[ti], int32(i))
-			} else {
-				fresh[tok] = insertID(fresh[tok], int32(i))
+		for _, tok := range tokenize(addLower[entries[i].addIdx]) {
+			if ids := added[tok]; len(ids) == 0 || ids[len(ids)-1] != int32(i) {
+				added[tok] = append(ids, int32(i))
 			}
 		}
 	}
-	tokenList, postings = mergeTokens(tokenList, postings, fresh)
+	addToks := make([]string, 0, len(added))
+	addBytes, addIDs := 0, 0
+	for tok, ids := range added {
+		addToks = append(addToks, tok)
+		addBytes += len(tok)
+		addIDs += len(ids)
+	}
+	sort.Strings(addToks)
+	var tokens snapbin.StringsBuilder
+	tokens.Grow(s.tokens.Len()+len(addToks), len(s.tokens.Text)+addBytes)
+	postings := snapbin.Postings{
+		IDs: make([]int32, 0, len(s.postings.IDs)+addIDs),
+		Off: make([]uint32, 1, s.tokens.Len()+len(addToks)+1),
+	}
+	emit := func(tok string, base, add []int32) {
+		start := len(postings.IDs)
+		for _, id := range base {
+			v := remap[id]
+			if v < 0 {
+				continue
+			}
+			for len(add) > 0 && add[0] < v {
+				postings.IDs, add = append(postings.IDs, add[0]), add[1:]
+			}
+			postings.IDs = append(postings.IDs, v)
+		}
+		postings.IDs = append(postings.IDs, add...)
+		if len(postings.IDs) > start {
+			tokens.Add(tok)
+			postings.Off = append(postings.Off, uint32(len(postings.IDs)))
+		}
+	}
+	fi := 0
+	for ti := range s.tokens.Len() {
+		tok := s.tokens.At(ti)
+		for ; fi < len(addToks) && addToks[fi] < tok; fi++ {
+			emit(addToks[fi], nil, added[addToks[fi]])
+		}
+		var add []int32
+		if fi < len(addToks) && addToks[fi] == tok {
+			add = added[tok]
+			fi++
+		}
+		emit(tok, s.postings.At(ti), add)
+	}
+	for ; fi < len(addToks); fi++ {
+		emit(addToks[fi], nil, added[addToks[fi]])
+	}
 
 	// Recompute corpus statistics from the patched descending size
 	// slice — the same inputs and arithmetic as a full build, so θ is
@@ -241,9 +277,9 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 
 	ns := &Snapshot{
 		mapping:    m,
-		tokenList:  tokenList,
+		tokens:     tokens.Table(),
 		postings:   postings,
-		lowerNames: lowerNames,
+		lowerNames: names.Table(),
 		bodies:     bodies,
 		source:     s.source,
 		loadedAt:   now,
@@ -271,42 +307,4 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		SizeHistogram: sizeHistogram(sizes),
 	}
 	return ns, nil
-}
-
-// insertID adds id to an ascending posting list, keeping it ascending
-// and duplicate-free. A list at capacity (every slab-backed one) is
-// copied rather than grown in place, so its slab neighbours are never
-// overwritten.
-func insertID(ids []int32, id int32) []int32 {
-	pos, found := slices.BinarySearch(ids, id)
-	if found {
-		return ids
-	}
-	return slices.Insert(ids, pos, id)
-}
-
-// mergeTokens merges fresh tokens, none already in the ascending list,
-// into list and its parallel postings.
-func mergeTokens(list []string, postings [][]int32, fresh map[string][]int32) ([]string, [][]int32) {
-	if len(fresh) == 0 {
-		return list, postings
-	}
-	keys := make([]string, 0, len(fresh))
-	for tok := range fresh {
-		keys = append(keys, tok)
-	}
-	sort.Strings(keys)
-	outList := make([]string, 0, len(list)+len(keys))
-	outPost := make([][]int32, 0, len(list)+len(keys))
-	i := 0
-	for _, tok := range keys {
-		for ; i < len(list) && list[i] < tok; i++ {
-			outList = append(outList, list[i])
-			outPost = append(outPost, postings[i])
-		}
-		outList = append(outList, tok)
-		outPost = append(outPost, fresh[tok])
-	}
-	outList = append(outList, list[i:]...)
-	return outList, append(outPost, postings[i:]...)
 }

@@ -31,7 +31,7 @@ func TestParallelSnapshotBuildEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(seq.stats, par.stats) {
 			t.Fatalf("workers=%d: stats diverge: %+v vs %+v", workers, seq.stats, par.stats)
 		}
-		if !reflect.DeepEqual(seq.tokenList, par.tokenList) {
+		if !reflect.DeepEqual(seq.tokens, par.tokens) {
 			t.Fatalf("workers=%d: token lists diverge", workers)
 		}
 		if !reflect.DeepEqual(seq.postings, par.postings) {

@@ -37,7 +37,7 @@ func (s *Snapshot) image() *snapbin.Image {
 		Keys:         keys,
 		Vals:         vals,
 		LowerNames:   s.lowerNames,
-		Tokens:       s.tokenList,
+		Tokens:       s.tokens,
 		Postings:     s.postings,
 		Bodies:       s.bodies,
 	}
@@ -83,7 +83,7 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	s.scratchPool.New = func() any {
 		return &searchScratch{bits: make([]uint64, (n+63)/64)}
 	}
-	s.tokenList, s.postings = img.Tokens, img.Postings
+	s.tokens, s.postings = img.Tokens, img.Postings
 	s.stats = Stats{
 		Orgs:        m.NumOrgs(),
 		ASNs:        m.NumASNs(),

@@ -35,7 +35,7 @@ func snapEqual(t *testing.T, want, got *Snapshot) {
 	if !reflect.DeepEqual(want.lowerNames, got.lowerNames) {
 		t.Fatal("lowercase names diverged")
 	}
-	if !reflect.DeepEqual(want.tokenList, got.tokenList) {
+	if !reflect.DeepEqual(want.tokens, got.tokens) {
 		t.Fatal("token list diverged")
 	}
 	if !reflect.DeepEqual(want.postings, got.postings) {

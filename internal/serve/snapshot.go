@@ -25,7 +25,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,16 +108,17 @@ type Snapshot struct {
 	mapping *cluster.Mapping
 	stats   Stats
 
-	// tokenList holds every lowercase name token, sorted, for
+	// tokens holds every lowercase name token, sorted, for
 	// deterministic substring scans and prefix binary searches;
-	// postings[i] lists, ascending, the cluster IDs whose display name
-	// contains tokenList[i]. These are the token section's own layout,
-	// so a binary load adopts them without conversion.
-	tokenList []string
-	postings  [][]int32
-	// lowerNames[i] is the lowercase display name of cluster i, for
-	// multi-word substring queries that cross token boundaries.
-	lowerNames []string
+	// postings.At(i) lists, ascending, the cluster IDs whose display
+	// name contains token i. lowerNames.At(i) is the lowercase display
+	// name of cluster i, for queries that are not one token. All three
+	// are flat tables in the token section's own layout: a binary load
+	// adopts them without conversion, and they cost six heap objects
+	// however many organizations the snapshot holds.
+	tokens     snapbin.Strings
+	postings   snapbin.Postings
+	lowerNames snapbin.Strings
 
 	// bodies[i] is cluster i's pre-rendered /v1/org response, stored
 	// once and without its ID (see snapbin.Body). /v1/org and /v1/as
@@ -207,14 +211,14 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	if workers > n {
 		workers = n
 	}
+	lower := make([]string, n)
 	s := &Snapshot{
-		mapping:    m,
-		lowerNames: make([]string, n),
-		bodies:     make([]snapbin.Body, n),
-		source:     source,
-		loadedAt:   now,
-		health:     health,
-		loadMode:   LoadModeFull,
+		mapping:  m,
+		bodies:   make([]snapbin.Body, n),
+		source:   source,
+		loadedAt: now,
+		health:   health,
+		loadMode: LoadModeFull,
 	}
 	s.scratchPool.New = func() any {
 		return &searchScratch{bits: make([]uint64, (n+63)/64)}
@@ -248,7 +252,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	chunk := (n + workers - 1) / workers
 	if workers == 1 {
 		stats()
-		s.buildRange(&shards[0], 0, n)
+		s.buildRange(&shards[0], lower, 0, n)
 	} else {
 		go stats()
 		var wg sync.WaitGroup
@@ -262,7 +266,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 			wg.Add(1)
 			go func(sh *indexShard, lo, hi int) {
 				defer wg.Done()
-				s.buildRange(sh, lo, hi)
+				s.buildRange(sh, lower, lo, hi)
 			}(&shards[w], lo, hi)
 		}
 		wg.Wait()
@@ -287,38 +291,66 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 			merged[tok] = append(merged[tok], ids...)
 		}
 	}
-	s.tokenList = make([]string, 0, len(merged))
-	for tok := range merged {
-		s.tokenList = append(s.tokenList, tok)
+	// Pair each token with its postings so that packing walks them in
+	// order without a map lookup per token.
+	type posting struct {
+		tok string
+		ids []int32
 	}
-	sort.Strings(s.tokenList)
-	// Copy the postings into one exact-size slab, the layout a binary
-	// load and a delta patch produce.
-	total := 0
-	for _, ids := range merged {
-		total += len(ids)
+	toks := make([]posting, 0, len(merged))
+	tokBytes, ids := 0, 0
+	for tok, l := range merged {
+		toks = append(toks, posting{tok, l})
+		tokBytes += len(tok)
+		ids += len(l)
 	}
-	slab := make([]int32, 0, total)
-	s.postings = make([][]int32, len(s.tokenList))
-	for i, tok := range s.tokenList {
-		start := len(slab)
-		slab = append(slab, merged[tok]...)
-		s.postings[i] = slab[start:len(slab):len(slab)]
+	slices.SortFunc(toks, func(a, b posting) int { return strings.Compare(a.tok, b.tok) })
+
+	// Pack the names, tokens and postings into exact-size flat tables,
+	// the layout a binary load and a delta patch produce. There are
+	// never more tokens' bytes or posting entries than names' bytes, so
+	// the names' check keeps every uint32 offset in range.
+	var names, tokens snapbin.StringsBuilder
+	nameBytes := 0
+	for _, name := range lower {
+		nameBytes += len(name)
 	}
+	if err := growNames(&names, n, nameBytes); err != nil {
+		return nil, err
+	}
+	for _, name := range lower {
+		names.Add(name)
+	}
+	tokens.Grow(len(toks), tokBytes)
+	s.postings = snapbin.Postings{IDs: make([]int32, 0, ids), Off: make([]uint32, 1, len(toks)+1)}
+	for _, t := range toks {
+		tokens.Add(t.tok)
+		s.postings.Append(t.ids...)
+	}
+	s.lowerNames, s.tokens = names.Table(), tokens.Table()
 	return s, nil
+}
+
+// growNames sizes a names table for n names of total bytes, refusing
+// names that overflow the table's uint32 offsets.
+func growNames(b *snapbin.StringsBuilder, n, total int) error {
+	if uint64(total) > math.MaxUint32 {
+		return fmt.Errorf("serve: %d bytes of names exceed the search index's 4 GiB", total)
+	}
+	b.Grow(n, total)
+	return nil
 }
 
 // buildRange indexes and pre-renders clusters [lo, hi): lowercase
 // names, token postings, and the /v1/org bodies. Workers write disjoint
-// index ranges of the shared slices.
-func (s *Snapshot) buildRange(sh *indexShard, lo, hi int) {
+// index ranges of lower and the shared bodies.
+func (s *Snapshot) buildRange(sh *indexShard, lower []string, lo, hi int) {
 	sh.tokens = make(map[string][]int32, (hi-lo)/2+1)
 	arena := newBodyArena()
 	for i := lo; i < hi; i++ {
 		c := &s.mapping.Clusters[i]
-		lower := strings.ToLower(c.Name)
-		s.lowerNames[i] = lower
-		for _, tok := range tokenize(lower) {
+		lower[i] = strings.ToLower(c.Name)
+		for _, tok := range tokenize(lower[i]) {
 			ids := sh.tokens[tok]
 			if len(ids) == 0 || ids[len(ids)-1] != int32(i) {
 				sh.tokens[tok] = append(ids, int32(i))
@@ -394,25 +426,50 @@ func multiCount(sizes []int) int {
 	return len(sizes)
 }
 
-// tokenize splits an already-lowercased name into indexable tokens
-// (maximal runs of letters and digits).
+// tokenRune reports whether r belongs in a token of a lowercased
+// name: an ASCII letter or digit, or any non-ASCII rune.
+func tokenRune(r rune) bool {
+	return r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r >= 0x80
+}
+
+// nextToken returns the first token of an already-lowercased string (a
+// maximal run of token runes) and what follows it; tok is "" when s
+// holds none.
+func nextToken(s string) (tok, rest string) {
+	start := -1
+	for i, r := range s {
+		if tokenRune(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			return s[start:i], s[i:]
+		}
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
+}
+
+// tokenize splits an already-lowercased name into indexable tokens.
 func tokenize(lower string) []string {
 	var out []string
-	start := -1
-	for i, r := range lower {
-		alnum := r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r >= 0x80
-		if alnum && start < 0 {
-			start = i
-		}
-		if !alnum && start >= 0 {
-			out = append(out, lower[start:i])
-			start = -1
-		}
-	}
-	if start >= 0 {
-		out = append(out, lower[start:])
+	for tok, rest := nextToken(lower); tok != ""; tok, rest = nextToken(rest) {
+		out = append(out, tok)
 	}
 	return out
+}
+
+// isToken reports whether q is made only of token runes, so that every
+// name containing q holds it inside one token.
+func isToken(q string) bool {
+	for _, r := range q {
+		if !tokenRune(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // sizeHistogram buckets descending cluster sizes into power-of-two
@@ -528,13 +585,12 @@ func (s *Snapshot) AppendASBody(dst []byte, a asnum.ASN) ([]byte, bool) {
 }
 
 // searchScratch is the reusable per-query state behind Search and
-// SearchBrownout: a cluster-ID dedup bitset plus posting-list cursors
-// and a result buffer, recycled through the snapshot's pool so the
-// query path performs no steady-state allocation.
+// SearchBrownout: a cluster-ID dedup bitset plus the matched posting
+// lists and a result buffer, recycled through the snapshot's pool so
+// the query path performs no steady-state allocation.
 type searchScratch struct {
 	bits  []uint64
 	lists [][]int32
-	heads []int
 	ids   []int
 }
 
@@ -547,25 +603,24 @@ func (sc *searchScratch) mark(id int) bool {
 	return true
 }
 
-// release clears every bit set during the query (exactly the emitted
-// ids) and returns the scratch to the pool.
+// release clears every bit still set for the emitted ids and returns
+// the scratch to the pool.
 func (s *Snapshot) release(sc *searchScratch) {
 	for _, id := range sc.ids {
 		sc.bits[id>>6] = 0
 	}
 	sc.ids = sc.ids[:0]
 	sc.lists = sc.lists[:0]
-	sc.heads = sc.heads[:0]
 	s.scratchPool.Put(sc)
 }
 
 // Search returns up to limit organizations whose display name contains
-// the query (case-insensitive), in ascending cluster-ID order. A
-// single-word query scans the token index and merges the matching
-// sorted posting lists (bitset-deduplicated, stopping as soon as limit
-// ids are gathered); a multi-word query falls back to whole-name
-// substring matching with the same early exit. limit <= 0 means no
-// limit.
+// the query (case-insensitive), in ascending cluster-ID order. A query
+// made only of token runes lies inside one token of any name holding
+// it, so it scans the token index and merges the matching sorted
+// posting lists; any other query (spaces, punctuation) can span tokens
+// and is matched against whole lowercase names. Both stop as soon as
+// limit ids are gathered. limit <= 0 means no limit.
 func (s *Snapshot) Search(query string, limit int) []*cluster.Cluster {
 	q := strings.ToLower(strings.TrimSpace(query))
 	if q == "" {
@@ -574,40 +629,42 @@ func (s *Snapshot) Search(query string, limit int) []*cluster.Cluster {
 	if limit <= 0 || limit > len(s.mapping.Clusters) {
 		limit = len(s.mapping.Clusters)
 	}
-	if strings.ContainsAny(q, " \t") {
-		var ids []int
-		for i, name := range s.lowerNames {
-			if strings.Contains(name, q) {
-				ids = append(ids, i)
-				if len(ids) == limit {
+	sc := s.scratchPool.Get().(*searchScratch)
+	if isToken(q) {
+		// Walk the offsets with a running start: an At call per token
+		// costs a measurable share of the scan.
+		text, start := s.tokens.Text, uint32(0)
+		for i, end := range s.tokens.Off[1:] {
+			if strings.Contains(text[start:end], q) {
+				sc.lists = append(sc.lists, s.postings.At(i))
+			}
+			start = end
+		}
+		s.mergePostings(sc, limit)
+	} else {
+		text, start := s.lowerNames.Text, uint32(0)
+		for i, end := range s.lowerNames.Off[1:] {
+			if strings.Contains(text[start:end], q) {
+				if sc.ids = append(sc.ids, i); len(sc.ids) == limit {
 					break
 				}
 			}
-		}
-		return s.materialize(ids)
-	}
-	sc := s.scratchPool.Get().(*searchScratch)
-	for i, tok := range s.tokenList {
-		if strings.Contains(tok, q) {
-			sc.lists = append(sc.lists, s.postings[i])
+			start = end
 		}
 	}
-	s.mergePostings(sc, limit)
 	out := s.materialize(sc.ids)
 	s.release(sc)
 	return out
 }
 
-// mergePostings k-way-merges the sorted posting lists in sc.lists into
-// sc.ids (ascending, deduplicated via the bitset), stopping once limit
-// ids are collected. Collecting in merge order makes the limit an
-// early exit instead of a post-sort truncation: only the smallest
-// limit ids are ever visited.
+// mergePostings gathers into sc.ids the smallest limit distinct ids of
+// the sorted posting lists in sc.lists, ascending. A single list is
+// already sorted and unique, so its prefix is the answer. Several are
+// marked into the bitset, whose set bits are then read in ascending
+// order and cleared word by word: the cost is the lists' total length
+// plus the words they span, however many lists there are.
 func (s *Snapshot) mergePostings(sc *searchScratch, limit int) {
 	if len(sc.lists) == 1 {
-		// Single token: its posting list is already sorted and unique,
-		// so no bitset or cursors are needed (release tolerates clear
-		// bits).
 		ids := sc.lists[0]
 		if len(ids) > limit {
 			ids = ids[:limit]
@@ -617,27 +674,21 @@ func (s *Snapshot) mergePostings(sc *searchScratch, limit int) {
 		}
 		return
 	}
-	for range sc.lists {
-		sc.heads = append(sc.heads, 0)
+	lo, hi := len(sc.bits), 0 // the words marked
+	for _, l := range sc.lists {
+		if len(l) == 0 {
+			continue
+		}
+		lo, hi = min(lo, int(l[0]>>6)), max(hi, int(l[len(l)-1]>>6)+1)
+		for _, id := range l {
+			sc.bits[id>>6] |= 1 << (id & 63)
+		}
 	}
-	for len(sc.ids) < limit {
-		best := -1
-		for li, l := range sc.lists {
-			if h := sc.heads[li]; h < len(l) && (best < 0 || int(l[h]) < best) {
-				best = int(l[h])
-			}
+	for w := lo; w < hi; w++ {
+		for b := sc.bits[w]; b != 0 && len(sc.ids) < limit; b &= b - 1 {
+			sc.ids = append(sc.ids, w<<6|bits.TrailingZeros64(b))
 		}
-		if best < 0 {
-			return
-		}
-		for li, l := range sc.lists {
-			if h := sc.heads[li]; h < len(l) && int(l[h]) == best {
-				sc.heads[li] = h + 1
-			}
-		}
-		if sc.mark(best) {
-			sc.ids = append(sc.ids, best)
-		}
+		sc.bits[w] = 0
 	}
 }
 
@@ -653,29 +704,35 @@ func (s *Snapshot) materialize(ids []int) []*cluster.Cluster {
 	return out
 }
 
+// findToken returns the position of the first token not below tok.
+func (s *Snapshot) findToken(tok string) int {
+	return sort.Search(s.tokens.Len(), func(i int) bool { return s.tokens.At(i) >= tok })
+}
+
 // SearchBrownout is the degraded-mode variant of Search used under
 // admission pressure: instead of ranking the whole token index by
-// substring containment (a full scan of tokenList), it binary-searches
-// the sorted token list and walks only tokens that have the query as a
+// substring containment (a full scan of the tokens), it binary-searches
+// the sorted tokens and walks only those that have the query as a
 // prefix, stopping as soon as limit organizations are collected.
-// Recall is reduced by design — mid-token matches and cross-token
-// multi-word queries are missed — mirroring how PR 3's degraded
-// snapshots trade completeness for availability. limit must be > 0.
+// Recall is reduced by design — mid-token matches and queries spanning
+// tokens are missed — mirroring how degraded snapshots trade
+// completeness for availability. limit must be > 0.
 func (s *Snapshot) SearchBrownout(query string, limit int) []*cluster.Cluster {
-	q := strings.ToLower(strings.TrimSpace(query))
-	if q == "" || limit <= 0 {
+	if limit <= 0 {
 		return nil
 	}
-	// Multi-word queries degrade to their first token's prefix scan.
-	if i := strings.IndexAny(q, " \t"); i > 0 {
-		q = q[:i]
+	// A query of several tokens degrades to its first token's prefix
+	// scan.
+	q, _ := nextToken(strings.ToLower(strings.TrimSpace(query)))
+	if q == "" {
+		return nil
 	}
 	sc := s.scratchPool.Get().(*searchScratch)
-	for i := sort.SearchStrings(s.tokenList, q); i < len(s.tokenList); i++ {
-		if !strings.HasPrefix(s.tokenList[i], q) {
+	for i := s.findToken(q); i < s.tokens.Len(); i++ {
+		if !strings.HasPrefix(s.tokens.At(i), q) {
 			break
 		}
-		for _, id := range s.postings[i] {
+		for _, id := range s.postings.At(i) {
 			if sc.mark(int(id)) {
 				sc.ids = append(sc.ids, int(id))
 			}

@@ -65,6 +65,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -152,11 +153,13 @@ type Image struct {
 	Keys     []asnum.ASN
 	Vals     []int32
 
-	// Search index: LowerNames[i] is the lowercase display name of
-	// cluster i; Tokens is sorted ascending with Postings parallel.
-	LowerNames []string
-	Tokens     []string
-	Postings   [][]int32
+	// Search index: LowerNames.At(i) is the lowercase display name of
+	// cluster i; Tokens is sorted ascending with Postings parallel. Each
+	// is one flat table, so the index costs a handful of heap objects
+	// however many organizations it covers.
+	LowerNames Strings
+	Tokens     Strings
+	Postings   Postings
 
 	// Bodies[i] is cluster i's pre-rendered response, held once; both
 	// the org-bodies and the AS-tails sections derive from it.
@@ -225,6 +228,15 @@ func (s *sink) str(v string) {
 	s.spill()
 }
 
+// strs writes every string of a table, each length-prefixed.
+func (s *sink) strs(t Strings) {
+	start := uint32(0)
+	for _, end := range t.Off[min(len(t.Off), 1):] {
+		s.str(t.Text[start:end])
+		start = end
+	}
+}
+
 // section serializes one section's payload to w and reports its length.
 func (s *sink) section(w io.Writer, id uint32, img *Image) (uint64, error) {
 	s.w, s.n = w, 0
@@ -290,9 +302,7 @@ func writeClusters(s *sink, img *Image) {
 	for i := range img.Clusters {
 		s.str(img.Clusters[i].Name)
 	}
-	for _, name := range img.LowerNames {
-		s.str(name)
-	}
+	s.strs(img.LowerNames)
 	for i := range img.Clusters {
 		for _, a := range img.Clusters[i].ASNs {
 			s.u32(uint32(a))
@@ -314,11 +324,10 @@ func writeIndex(s *sink, img *Image) {
 }
 
 func writeTokens(s *sink, img *Image) {
-	s.u32(uint32(len(img.Tokens)))
-	for _, tok := range img.Tokens {
-		s.str(tok)
-	}
-	for _, ids := range img.Postings {
+	s.u32(uint32(img.Tokens.Len()))
+	s.strs(img.Tokens)
+	for i := range img.Postings.Len() {
+		ids := img.Postings.At(i)
 		s.u32(uint32(len(ids)))
 		for _, id := range ids {
 			s.u32(uint32(id))
@@ -547,6 +556,36 @@ func (r *reader) str() (string, error) {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// strings reads a run of n length-prefixed strings into one table: a
+// first pass validates every length and sizes the text, the second
+// copies the bytes once, so the run costs two allocations whatever n
+// is. n must already be validated against the payload.
+func (r *reader) strings(n int) (Strings, error) {
+	start, total := r.pos, 0
+	for i := 0; i < n; i++ {
+		l, err := r.count(1)
+		if err != nil {
+			return Strings{}, err
+		}
+		r.pos += l
+		total += l
+	}
+	if uint64(total) > math.MaxUint32 {
+		return Strings{}, r.fail("string run of %d bytes exceeds the table's 4 GiB", total)
+	}
+	r.pos = start
+	var text strings.Builder
+	text.Grow(total)
+	off := make([]uint32, n+1)
+	for i := 1; i <= n; i++ {
+		l := int(binary.LittleEndian.Uint32(r.buf[r.pos:]))
+		text.Write(r.buf[r.pos+4 : r.pos+4+l])
+		r.pos += 4 + l
+		off[i] = uint32(text.Len())
+	}
+	return Strings{Text: text.String(), Off: off}, nil
 }
 
 func (r *reader) done() error {
@@ -796,16 +835,16 @@ func readClusters(r *reader, img *Image) error {
 			img.Clusters[i].Features[f] = featBytes[i]&(1<<f) != 0
 		}
 	}
-	for i := range img.Clusters {
-		if img.Clusters[i].Name, err = r.str(); err != nil {
-			return err
-		}
+	// The display names are substrings of one names table.
+	names, err := r.strings(n)
+	if err != nil {
+		return err
 	}
-	img.LowerNames = make([]string, n)
-	for i := range img.LowerNames {
-		if img.LowerNames[i], err = r.str(); err != nil {
-			return err
-		}
+	for i := range img.Clusters {
+		img.Clusters[i].Name = names.At(i)
+	}
+	if img.LowerNames, err = r.strings(n); err != nil {
+		return err
 	}
 	if total > r.remaining()/4 {
 		return r.fail("ASN pool needs %d entries, %d bytes remain", total, r.remaining())
@@ -853,17 +892,17 @@ func readTokens(r *reader, img *Image) error {
 	if err != nil {
 		return err
 	}
-	img.Tokens = make([]string, n)
-	for i := range img.Tokens {
-		if img.Tokens[i], err = r.str(); err != nil {
-			return err
-		}
-		if i > 0 && img.Tokens[i-1] >= img.Tokens[i] {
-			return r.fail("tokens not strictly ascending at %d", i)
+	if img.Tokens, err = r.strings(n); err != nil {
+		return err
+	}
+	text, off := img.Tokens.Text, img.Tokens.Off
+	for i := 2; i <= n; i++ {
+		if text[off[i-2]:off[i-1]] >= text[off[i-1]:off[i]] {
+			return r.fail("tokens not strictly ascending at %d", i-1)
 		}
 	}
-	// Every posting list shares one slab: a first pass validates the
-	// counts and sizes it, the second fills it.
+	// The posting lists fill one table the same way: a first pass
+	// validates the counts and sizes the slab, the second fills it.
 	start, total := r.pos, 0
 	for i := 0; i < n; i++ {
 		c, err := r.count(4)
@@ -876,17 +915,18 @@ func readTokens(r *reader, img *Image) error {
 		total += c
 	}
 	r.pos = start
-	slab := make([]int32, total)
-	img.Postings = make([][]int32, n)
-	for i := range img.Postings {
+	p := Postings{IDs: make([]int32, total), Off: make([]uint32, n+1)}
+	at := 0
+	for i := 1; i <= n; i++ {
 		c, _ := r.count(4)
 		raw, _ := r.bytes(4 * c)
-		ids := slab[:c:c]
-		for j := range ids {
-			ids[j] = int32(binary.LittleEndian.Uint32(raw[4*j:]))
+		for j := range c {
+			p.IDs[at+j] = int32(binary.LittleEndian.Uint32(raw[4*j:]))
 		}
-		img.Postings[i], slab = ids, slab[c:]
+		at += c
+		p.Off[i] = uint32(at)
 	}
+	img.Postings = p
 	return nil
 }
 
@@ -973,22 +1013,23 @@ func crossCheck(img *Image) error {
 	if len(img.Vals) != len(img.Keys) {
 		return fmt.Errorf("%w: %d index keys but %d vals", ErrCorrupt, len(img.Keys), len(img.Vals))
 	}
-	if len(img.LowerNames) != n || len(img.Bodies) != n {
+	if img.LowerNames.Len() != n || len(img.Bodies) != n {
 		return fmt.Errorf("%w: per-cluster arrays disagree: %d clusters, %d names, %d bodies",
-			ErrCorrupt, n, len(img.LowerNames), len(img.Bodies))
+			ErrCorrupt, n, img.LowerNames.Len(), len(img.Bodies))
 	}
 	for i, v := range img.Vals {
 		if v < 0 || int(v) >= n {
 			return fmt.Errorf("%w: index val %d out of range at %d", ErrCorrupt, v, i)
 		}
 	}
-	for ti, ids := range img.Postings {
+	for ti := range img.Postings.Len() {
+		ids := img.Postings.At(ti)
 		for j, id := range ids {
 			if id < 0 || int(id) >= n {
-				return fmt.Errorf("%w: token %q posting %d out of range", ErrCorrupt, img.Tokens[ti], id)
+				return fmt.Errorf("%w: token %q posting %d out of range", ErrCorrupt, img.Tokens.At(ti), id)
 			}
 			if j > 0 && ids[j-1] >= id {
-				return fmt.Errorf("%w: token %q postings not strictly ascending", ErrCorrupt, img.Tokens[ti])
+				return fmt.Errorf("%w: token %q postings not strictly ascending", ErrCorrupt, img.Tokens.At(ti))
 			}
 		}
 	}

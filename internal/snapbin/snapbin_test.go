@@ -43,9 +43,9 @@ func testImage() *Image {
 		Clusters:     clusters,
 		Keys:         []asnum.ASN{209, 3356, 3549, 65000},
 		Vals:         []int32{0, 0, 0, 1},
-		LowerNames:   []string{"lumen", "tiny net"},
-		Tokens:       []string{"lumen", "net", "tiny"},
-		Postings:     [][]int32{{0}, {1}, {1}},
+		LowerNames:   stringsOf("lumen", "tiny net"),
+		Tokens:       stringsOf("lumen", "net", "tiny"),
+		Postings:     postingsOf([]int32{0}, []int32{1}, []int32{1}),
 		Bodies: []Body{
 			mustSplit(testBody0),
 			mustSplit(`{"org":1,"name":"Tiny Net","size":1,"asns":[65000],"features":["F"]}` + "\n"),
@@ -54,6 +54,24 @@ func testImage() *Image {
 		statASNs: 4,
 	}
 	return img
+}
+
+// stringsOf packs ss into a table.
+func stringsOf(ss ...string) Strings {
+	var b StringsBuilder
+	for _, str := range ss {
+		b.Add(str)
+	}
+	return b.Table()
+}
+
+// postingsOf packs lists into a table.
+func postingsOf(lists ...[]int32) Postings {
+	var p Postings
+	for _, ids := range lists {
+		p.Append(ids...)
+	}
+	return p
 }
 
 // testBody0 is cluster 0's complete /v1/org body in testImage.
@@ -160,12 +178,14 @@ func TestSplitBody(t *testing.T) {
 func TestHashImageAllocs(t *testing.T) {
 	small := testImage()
 	large := testImage()
+	var lower, tokens StringsBuilder
 	for i := 0; i < 2000; i++ {
-		large.LowerNames = append(large.LowerNames, "org")
-		large.Tokens = append(large.Tokens, fmt.Sprintf("tok%05d", i))
-		large.Postings = append(large.Postings, []int32{0, 1})
+		lower.Add("org")
+		tokens.Add(fmt.Sprintf("tok%05d", i))
+		large.Postings.Append(0, 1)
 		large.Bodies = append(large.Bodies, large.Bodies[1])
 	}
+	large.LowerNames, large.Tokens = lower.Table(), tokens.Table()
 	HashImage(large) // warm the buffer pool
 	want := testing.AllocsPerRun(20, func() { HashImage(small) })
 	if got := testing.AllocsPerRun(20, func() { HashImage(large) }); got > want || got > 8 {
