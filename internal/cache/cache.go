@@ -406,17 +406,19 @@ func (c *Cache) Stats() Stats {
 // spaces of different request kinds ("llm", "crawl") disjoint even
 // when their payloads collide.
 func Key(namespace string, parts ...string) string {
-	h := sha256.New()
-	writePart(h, namespace)
+	// One preimage, hashed at once, in a stack buffer when it fits.
+	var buf [512]byte
+	pre := appendPart(buf[:0], namespace)
 	for _, p := range parts {
-		writePart(h, p)
+		pre = appendPart(pre, p)
 	}
-	return namespace + ":" + hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(pre)
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return namespace + ":" + string(hexSum[:])
 }
 
-func writePart(h io.Writer, s string) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(s)))
-	h.Write(n[:])
-	h.Write([]byte(s))
+func appendPart(pre []byte, s string) []byte {
+	pre = binary.BigEndian.AppendUint64(pre, uint64(len(s)))
+	return append(pre, s...)
 }

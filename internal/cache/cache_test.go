@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,6 +218,37 @@ func TestKeyNamespacesAndSensitivity(t *testing.T) {
 	}
 	if Key("llm", "x") != Key("llm", "x") {
 		t.Error("keys must be deterministic")
+	}
+}
+
+// TestCacheKeyGolden pins keys computed by the original streaming
+// implementation (sha256.New fed one length prefix and one part at a
+// time): a disk-tier log written by an earlier version must still hit.
+// Key allocates only the key it returns.
+func TestCacheKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		ns    string
+		parts []string
+		want  string
+	}{
+		{"crawl", []string{"https://www.example.com/", "10", "262144", "false", "borges-crawler/1.0 (AS-to-Org research)"},
+			"crawl:47d98efcda2273df51743fba81874a7fd8842024e79ab1b466f9371025c75bdf"},
+		{"crawl", []string{"https://x.test/?q=%FF", "3", "1024", "true", "ua"},
+			"crawl:90d5eaa7890db604c20da6338f5c273efbbcf5346ca0cf1d7838663baa25a44d"},
+		{"llm", nil, "llm:89bd5d0a94e80f10d71b5a609b7105c2756ca6e82b4ceed450e79eb972f55340"},
+		{"", nil, ":af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
+		{"ns", []string{""}, "ns:1d6021db462a4a3a5dd5d0d8e93383b94fb7ddd5bf72392f99c5dcce71a01511"},
+		{"ns", []string{"", ""}, "ns:25f590fbc06d1f16c4bca59cd988e69fe49c54ec9f6bfc5f95318f950753c827"},
+		{"a", []string{"b\x00c", "é"}, "a:5c53da0c9582005498ec251774d7be0467baa24e5cb16ede09b13adbc3b290a2"},
+		// A preimage longer than Key's stack buffer.
+		{"crawl", []string{strings.Repeat("x", 600)}, "crawl:fc0598461c987866f4540596cb907582ebe52f6e201829e59c0f07e9439489a2"},
+	} {
+		if got := Key(tc.ns, tc.parts...); got != tc.want {
+			t.Errorf("Key(%q, %q) = %s, want %s", tc.ns, tc.parts, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Key("crawl", "https://www.example.com/", "10", "262144") }); n > 1 {
+		t.Errorf("Key allocates %.0f times, want 1 (the key itself)", n)
 	}
 }
 

@@ -568,12 +568,13 @@ func runWeb(ctx context.Context, in Inputs, opts Options, feats Features, provid
 	tasks := make([]crawler.Task, 0, len(nets))
 	uniqueReported := make(map[string]bool, len(nets))
 	for _, n := range nets {
-		canon, err := urlmatch.Canonicalize(n.Website)
+		t, err := crawler.NewTask(n.ASN, n.Website)
 		if err != nil {
 			out.stats.BadURLs++
 			continue
 		}
-		tasks = append(tasks, crawler.Task{ASN: n.ASN, URL: n.Website})
+		tasks = append(tasks, t)
+		canon, _ := t.Canonical() // computed by NewTask, which succeeded
 		uniqueReported[canon] = true
 	}
 	out.stats.UniqueURLs = len(uniqueReported)

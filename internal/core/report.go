@@ -8,7 +8,6 @@ import (
 
 	"github.com/nu-aqualab/borges/internal/llm"
 	"github.com/nu-aqualab/borges/internal/resilience"
-	"github.com/nu-aqualab/borges/internal/urlmatch"
 )
 
 // Source names used in RunReport entries, in canonical stage order.
@@ -164,9 +163,9 @@ func buildReport(feats Features, nerOut nerOutput, webOut webOutput, nerErr, web
 		if !Quarantinable(r.Err) {
 			continue
 		}
-		key := r.Task.URL
-		if canon, err := urlmatch.Canonicalize(r.Task.URL); err == nil {
-			key = canon
+		key, err := r.Task.Canonical()
+		if err != nil {
+			key = r.Task.URL
 		}
 		if seen[key] {
 			continue

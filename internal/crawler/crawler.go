@@ -14,8 +14,10 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"crypto/tls"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -24,10 +26,12 @@ import (
 	"net/http"
 	"net/url"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cache"
@@ -40,6 +44,35 @@ import (
 type Task struct {
 	ASN asnum.ASN
 	URL string
+
+	// canon is URL canonicalized, set by NewTask so that the crawl
+	// does not canonicalize it again; "" in a Task literal.
+	canon string
+}
+
+// NewTask returns the task for a network's reported website, its URL
+// canonicalized once, here: CrawlAll and Crawl reuse the canonical form
+// instead of computing it again. It fails for a URL that
+// urlmatch.Canonicalize rejects.
+func NewTask(asn asnum.ASN, rawURL string) (Task, error) {
+	canon, err := urlmatch.Canonicalize(rawURL)
+	if err != nil {
+		return Task{}, err
+	}
+	return Task{ASN: asn, URL: rawURL, canon: canon}, nil
+}
+
+// Canonical returns the task's canonical URL: the one NewTask
+// computed, or for a Task literal its URL canonicalized now.
+func (t Task) Canonical() (string, error) {
+	if t.canon != "" {
+		return t.canon, nil
+	}
+	canon, err := urlmatch.Canonicalize(t.URL)
+	if err != nil {
+		return "", fmt.Errorf("crawler: %w", err)
+	}
+	return canon, nil
 }
 
 // Result is the outcome of crawling one task.
@@ -110,9 +143,12 @@ type Options struct {
 
 // Crawler resolves reported URLs to final URLs and favicons.
 type Crawler struct {
-	opts   Options
-	client *http.Client
-	exec   *resilience.Executor
+	opts Options
+	exec *resilience.Executor
+	// header is the one request header every request shares, read-only.
+	header http.Header
+	// keyOpts are the option parts of every cache key, formatted once.
+	keyOpts [4]string
 
 	mu        sync.Mutex
 	lastHit   map[string]time.Time
@@ -142,15 +178,14 @@ func New(opts Options) *Crawler {
 		opts.UserAgent = "borges-crawler/1.0 (AS-to-Org research)"
 	}
 	return &Crawler{
-		opts: opts,
-		exec: &resilience.Executor{Policy: opts.Retry, Breakers: opts.Breakers},
-		client: &http.Client{
-			Transport: opts.Transport,
-			// Redirects are followed manually so the chain is recorded
-			// and meta refreshes are handled uniformly.
-			CheckRedirect: func(*http.Request, []*http.Request) error {
-				return http.ErrUseLastResponse
-			},
+		opts:   opts,
+		exec:   &resilience.Executor{Policy: opts.Retry, Breakers: opts.Breakers},
+		header: http.Header{"User-Agent": {opts.UserAgent}},
+		keyOpts: [4]string{
+			strconv.Itoa(opts.MaxHops),
+			strconv.FormatInt(opts.MaxBody, 10),
+			strconv.FormatBool(opts.SkipFavicons),
+			opts.UserAgent,
 		},
 		lastHit:   make(map[string]time.Time),
 		favCache:  make(map[string]string),
@@ -164,13 +199,20 @@ func (o Options) faviconsEnabled() bool { return !o.SkipFavicons }
 // Crawl resolves one task, consulting the result cache when one is
 // configured.
 func (c *Crawler) Crawl(ctx context.Context, t Task) Result {
-	canon, err := urlmatch.Canonicalize(t.URL)
+	canon, err := t.Canonical()
 	if err != nil {
-		return Result{Task: t, Err: fmt.Errorf("crawler: %w", err)}
+		return Result{Task: t, Err: err}
 	}
+	return c.crawl(ctx, t, canon)
+}
+
+// crawl is Crawl for a task whose URL is already canonicalized.
+func (c *Crawler) crawl(ctx context.Context, t Task, canon string) Result {
 	if c.opts.Cache == nil {
 		return c.resolve(ctx, t, canon)
 	}
+	var fresh Result
+	filled := false
 	raw, err := c.opts.Cache.GetOrFill(ctx, c.cacheKey(canon), func(ctx context.Context) ([]byte, error) {
 		r := c.resolve(ctx, t, canon)
 		if r.Err != nil {
@@ -190,6 +232,7 @@ func (c *Crawler) Crawl(ctx context.Context, t Task) Result {
 				return nil, &transientResult{res: r}
 			}
 		}
+		fresh, filled = r, true
 		return json.Marshal(c.toCached(r))
 	})
 	if err != nil {
@@ -201,6 +244,15 @@ func (c *Crawler) Crawl(ctx context.Context, t Task) Result {
 		}
 		return Result{Task: t, Err: err}
 	}
+	if filled {
+		// The fill ran here: return the Result it built rather than
+		// decode the bytes it just encoded, when that Result is what
+		// decoding would give back. Cache hits and singleflight
+		// followers decode.
+		if r, ok := decoded(fresh); ok {
+			return r
+		}
+	}
 	var ce cachedCrawl
 	if err := json.Unmarshal(raw, &ce); err != nil {
 		return Result{Task: t, Err: fmt.Errorf("crawler: decode cached crawl: %w", err)}
@@ -209,16 +261,13 @@ func (c *Crawler) Crawl(ctx context.Context, t Task) Result {
 }
 
 // cacheKey fingerprints a canonical URL together with every option
-// that shapes the outcome. Transport identity is deliberately
-// excluded: a cache directory belongs to one web (live or one
-// simulated universe), which the caller controls.
+// that shapes the outcome (MaxHops, MaxBody, SkipFavicons, UserAgent).
+// Transport identity is deliberately excluded: a cache directory
+// belongs to one web (live or one simulated universe), which the
+// caller controls.
 func (c *Crawler) cacheKey(canon string) string {
-	return cache.Key("crawl", canon,
-		strconv.Itoa(c.opts.MaxHops),
-		strconv.FormatInt(c.opts.MaxBody, 10),
-		strconv.FormatBool(c.opts.SkipFavicons),
-		c.opts.UserAgent,
-	)
+	o := &c.keyOpts
+	return cache.Key("crawl", canon, o[0], o[1], o[2], o[3])
 }
 
 // transientResult carries an uncacheable outcome out of a GetOrFill
@@ -264,10 +313,7 @@ func (c *Crawler) toCached(r Result) cachedCrawl {
 func (c *Crawler) fromCached(t Task, ce cachedCrawl) Result {
 	r := Result{
 		Task: t, OK: ce.OK, FinalURL: ce.FinalURL, Chain: ce.Chain,
-		Hops: ce.Hops, FaviconHash: ce.FaviconHash,
-	}
-	if ce.Err != "" {
-		r.Err = errors.New(ce.Err)
+		Hops: ce.Hops, FaviconHash: ce.FaviconHash, Err: decodedErr(ce.Err),
 	}
 	if ce.FaviconHash != "" {
 		c.mu.Lock()
@@ -280,37 +326,72 @@ func (c *Crawler) fromCached(t Task, ce cachedCrawl) Result {
 	return r
 }
 
+// decodedErr is the error a cached crawl's text decodes to.
+func decodedErr(text string) error {
+	if text == "" {
+		return nil
+	}
+	return errors.New(text)
+}
+
+// decoded returns r as decoding its cache entry would give it back:
+// the error reduced to its text. ok is false when a string in r is not
+// valid UTF-8, which JSON would rewrite.
+func decoded(r Result) (Result, bool) {
+	text := ""
+	if r.Err != nil {
+		text = r.Err.Error()
+	}
+	if !utf8.ValidString(text) || !utf8.ValidString(r.FinalURL) || !utf8.ValidString(r.FaviconHash) {
+		return r, false
+	}
+	for _, u := range r.Chain {
+		if !utf8.ValidString(u) {
+			return r, false
+		}
+	}
+	r.Err = decodedErr(text)
+	return r, true
+}
+
 // resolve follows the redirect chain from a canonicalized URL — the
-// actual network work behind Crawl.
+// actual network work behind Crawl. Each hop's URL is parsed once and
+// carried to the next hop as a *url.URL.
 func (c *Crawler) resolve(ctx context.Context, t Task, cur string) Result {
 	res := Result{Task: t}
-	seen := make(map[string]bool)
+	u, err := url.Parse(cur)
+	if err != nil {
+		res.Err = fmt.Errorf("crawler: %w", err)
+		return res
+	}
 	for {
 		if ctx.Err() != nil {
 			res.Err = ctx.Err()
 			return res
 		}
+		// The chain holds at most MaxHops+1 URLs: scanning it is
+		// cheaper than a set.
+		loop := slices.Contains(res.Chain, cur)
 		res.Chain = append(res.Chain, cur)
-		if seen[cur] {
+		if loop {
 			res.Err = fmt.Errorf("crawler: redirect loop at %s", cur)
 			res.FinalURL = cur
 			return res
 		}
-		seen[cur] = true
 
-		next, status, body, err := c.fetch(ctx, cur)
+		nextURL, next, status, body, err := c.fetch(ctx, u, cur)
 		if err != nil {
 			res.Err = err
 			res.FinalURL = cur
 			return res
 		}
-		if next == "" {
+		if nextURL == nil {
 			res.FinalURL = cur
 			res.OK = status == http.StatusOK
 			if !res.OK {
 				res.Err = fmt.Errorf("crawler: %s returned status %d", cur, status)
 			} else if c.opts.faviconsEnabled() {
-				hash, ferr := c.favicon(ctx, cur, body)
+				hash, ferr := c.favicon(ctx, u, cur, body)
 				res.FaviconHash = hash
 				if ferr != nil {
 					// The page resolved but a transport fault hid its
@@ -328,31 +409,27 @@ func (c *Crawler) resolve(ctx context.Context, t Task, cur string) Result {
 			res.FinalURL = cur
 			return res
 		}
-		cur = next
+		u, cur = nextURL, next
 	}
 }
 
 // fetch GETs a URL under the crawler's fault-tolerance executor,
-// keyed per host. It returns the next URL to follow ("" when cur is
-// final), the HTTP status, and the page body when the page is final.
-// Transient faults (timeouts, resets, 429/5xx, torn bodies) are
-// retried per the configured policy and feed the host's breaker;
+// keyed per host. It returns the next URL to follow, parsed and
+// printed (nil and "" when cur is final), the HTTP status, and the
+// page body when the page is final and its body is scanned for a
+// favicon. Transient faults (timeouts, resets, 429/5xx, torn bodies)
+// are retried per the configured policy and feed the host's breaker;
 // durable answers (404, redirect to nowhere) pass through untouched.
-func (c *Crawler) fetch(ctx context.Context, cur string) (next string, status int, body string, err error) {
-	host := urlmatch.Host(cur)
+func (c *Crawler) fetch(ctx context.Context, u *url.URL, cur string) (nextURL *url.URL, next string, status int, body string, err error) {
+	host := u.Hostname()
 	err = c.exec.Do(ctx, "crawl:"+host, func(ctx context.Context) error {
-		next, status, body = "", 0, ""
+		nextURL, next, status, body = nil, "", 0, ""
 		if terr := c.throttle(ctx, host); terr != nil {
 			return terr
 		}
 		ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 		defer cancel()
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, cur, nil)
-		if rerr != nil {
-			return fmt.Errorf("crawler: build request: %w", rerr)
-		}
-		req.Header.Set("User-Agent", c.opts.UserAgent)
-		resp, derr := c.client.Do(req)
+		resp, derr := c.get(ctx, u)
 		if derr != nil {
 			return fmt.Errorf("crawler: get %s: %w", cur, derr)
 		}
@@ -371,50 +448,126 @@ func (c *Crawler) fetch(ctx context.Context, cur string) (next string, status in
 			if loc == "" {
 				return fmt.Errorf("crawler: %s: redirect without Location", cur)
 			}
-			abs, aerr := resolveRef(cur, loc)
-			if aerr != nil {
-				return aerr
-			}
-			next = abs
-			return nil
+			var aerr error
+			nextURL, next, aerr = resolveRef(u, loc)
+			return aerr
 		}
 
-		raw, rerr := io.ReadAll(io.LimitReader(resp.Body, c.opts.MaxBody))
+		buf := bodyBufs.Get().(*bodyBuf)
+		defer bodyBufs.Put(buf)
+		raw, rerr := buf.read(resp.Body, c.opts.MaxBody)
 		if rerr != nil {
 			return fmt.Errorf("crawler: read %s: %w", cur, rerr)
 		}
+		if resp.StatusCode != http.StatusOK {
+			return nil // the body of a failed page is read but not scanned
+		}
+		html := isHTML(resp.Header.Get("Content-Type"))
+		if !html && !c.opts.faviconsEnabled() {
+			return nil
+		}
 		page := string(raw)
-		if resp.StatusCode == http.StatusOK && isHTML(resp.Header.Get("Content-Type")) {
+		if html {
 			if target := MetaRefreshTarget(page); target != "" {
-				if abs, aerr := resolveRef(cur, target); aerr == nil {
-					next = abs
+				var aerr error
+				if nextURL, next, aerr = resolveRef(u, target); aerr == nil {
 					return nil
 				}
+				nextURL, next = nil, ""
 			}
 		}
 		body = page
 		return nil
 	})
 	if err != nil {
-		return "", 0, "", err
+		return nil, "", 0, "", err
 	}
-	return next, status, body, nil
+	return nextURL, next, status, body, nil
+}
+
+// get sends one GET for u straight to the transport. http.Client.Do
+// would clone the request header and, for each redirect, build the
+// next request only to discard it (the crawler follows redirects
+// itself, to record the chain), so get keeps only what Do adds to a
+// bare RoundTrip: its guards against a nil response or body, its
+// refusal of a redirect whose Location does not parse, and its
+// *url.Error wrapping, which keep error text and
+// resilience.IsTransient as they were.
+func (c *Crawler) get(ctx context.Context, u *url.URL) (*http.Response, error) {
+	req := (&http.Request{
+		Method: http.MethodGet, URL: u, Host: u.Host, Header: c.header,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}).WithContext(ctx)
+	resp, err := c.opts.Transport.RoundTrip(req)
+	if err != nil {
+		if tlsErr, ok := err.(tls.RecordHeaderError); ok && string(tlsErr.RecordHeader[:]) == "HTTP/" {
+			err = http.ErrSchemeMismatch
+		}
+		return nil, getError(u, err)
+	}
+	if resp == nil {
+		return nil, getError(u, fmt.Errorf("http: RoundTripper implementation (%T) returned a nil *Response with a nil error", c.opts.Transport))
+	}
+	if resp.Body == nil {
+		if resp.ContentLength > 0 {
+			return nil, getError(u, fmt.Errorf("http: RoundTripper implementation (%T) returned a *Response with content length %d but a nil Body", c.opts.Transport, resp.ContentLength))
+		}
+		resp.Body = http.NoBody
+	}
+	switch resp.StatusCode {
+	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
+		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		if loc := resp.Header.Get("Location"); loc != "" {
+			if _, err := url.Parse(loc); err != nil {
+				resp.Body.Close()
+				return nil, getError(u, fmt.Errorf("failed to parse Location header %q: %v", loc, err))
+			}
+		}
+	}
+	return resp, nil
+}
+
+// getError wraps a failed GET of u as http.Client.Do does.
+func getError(u *url.URL, err error) error {
+	return &url.Error{Op: "Get", URL: u.String(), Err: err}
+}
+
+// bodyBufs recycles the buffers pages and icons are read into: a crawl
+// keeps a page only as the string its scanners read, and an icon only
+// when it is retained, so the buffer itself is never kept.
+var bodyBufs = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// bodyBuf is a read buffer and the limit reader it reads through,
+// pooled together so that reading a body allocates nothing once the
+// buffer has grown.
+type bodyBuf struct {
+	bytes.Buffer
+	lim io.LimitedReader
+}
+
+// read reads r until EOF or max bytes, as io.ReadAll over
+// io.LimitReader(r, max) does. The bytes are valid until the buffer
+// returns to the pool.
+func (b *bodyBuf) read(r io.Reader, max int64) ([]byte, error) {
+	b.Reset()
+	b.lim = io.LimitedReader{R: r, N: max}
+	_, err := b.ReadFrom(&b.lim)
+	b.lim.R = nil
+	return b.Bytes(), err
 }
 
 func isHTML(contentType string) bool {
 	return strings.Contains(strings.ToLower(contentType), "text/html")
 }
 
-func resolveRef(base, ref string) (string, error) {
-	b, err := url.Parse(base)
-	if err != nil {
-		return "", fmt.Errorf("crawler: parse base %q: %w", base, err)
-	}
+// resolveRef resolves a redirect target or favicon link against the
+// page it was found on and canonicalizes the result.
+func resolveRef(base *url.URL, ref string) (*url.URL, string, error) {
 	r, err := url.Parse(strings.TrimSpace(ref))
 	if err != nil {
-		return "", fmt.Errorf("crawler: parse redirect target %q: %w", ref, err)
+		return nil, "", fmt.Errorf("crawler: parse redirect target %q: %w", ref, err)
 	}
-	return urlmatch.Canonicalize(b.ResolveReference(r).String())
+	return urlmatch.Resolve(base, r)
 }
 
 func (c *Crawler) throttle(ctx context.Context, host string) error {
@@ -500,8 +653,8 @@ func FaviconLink(page string) string {
 // still recover the icon. Crawls that reach a host while its favicon
 // is being fetched wait for that fetch instead of repeating it, so the
 // number of icon requests does not depend on scheduling.
-func (c *Crawler) favicon(ctx context.Context, finalURL, page string) (string, error) {
-	host := urlmatch.Host(finalURL)
+func (c *Crawler) favicon(ctx context.Context, final *url.URL, finalURL, page string) (string, error) {
+	host := final.Hostname()
 	c.mu.Lock()
 	for busy := c.favBusy[host]; busy != nil; busy = c.favBusy[host] {
 		c.mu.Unlock()
@@ -526,21 +679,24 @@ func (c *Crawler) favicon(ctx context.Context, finalURL, page string) (string, e
 		close(done)
 	}()
 
-	var candidates []string
-	if link := FaviconLink(page); link != "" {
-		if abs, err := resolveRef(finalURL, link); err == nil {
-			candidates = append(candidates, abs)
-		}
-	}
-	if u, err := url.Parse(finalURL); err == nil {
-		u.Path = "/favicon.ico"
-		u.RawQuery = ""
-		candidates = append(candidates, u.String())
-	}
-
 	hash := ""
 	var transient error
-	for _, cand := range candidates {
+	for i := 0; i < 2 && hash == ""; i++ {
+		var cand *url.URL
+		if i == 0 {
+			link := FaviconLink(page)
+			if link == "" {
+				continue
+			}
+			var err error
+			if cand, _, err = resolveRef(final, link); err != nil {
+				continue
+			}
+		} else {
+			ico := *final
+			ico.Path, ico.RawPath, ico.RawQuery = "/favicon.ico", "", ""
+			cand = &ico
+		}
 		h, err := c.fetchIcon(ctx, cand)
 		if err != nil {
 			if resilience.IsTransient(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -548,10 +704,7 @@ func (c *Crawler) favicon(ctx context.Context, finalURL, page string) (string, e
 			}
 			continue
 		}
-		if h != "" {
-			hash = h
-			break
-		}
+		hash = h
 	}
 	if hash == "" && transient != nil {
 		return "", transient
@@ -566,8 +719,8 @@ func (c *Crawler) favicon(ctx context.Context, finalURL, page string) (string, e
 // executor. It returns "" with a nil error when the site answers but
 // serves no usable icon (a durable observation), and an error for
 // transport-level faults including torn payloads.
-func (c *Crawler) fetchIcon(ctx context.Context, cand string) (string, error) {
-	host := urlmatch.Host(cand)
+func (c *Crawler) fetchIcon(ctx context.Context, cand *url.URL) (string, error) {
+	host := cand.Hostname()
 	var hash string
 	err := c.exec.Do(ctx, "crawl:"+host, func(ctx context.Context) error {
 		hash = ""
@@ -576,12 +729,7 @@ func (c *Crawler) fetchIcon(ctx context.Context, cand string) (string, error) {
 		}
 		ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 		defer cancel()
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, cand, nil)
-		if rerr != nil {
-			return fmt.Errorf("crawler: build icon request: %w", rerr)
-		}
-		req.Header.Set("User-Agent", c.opts.UserAgent)
-		resp, derr := c.client.Do(req)
+		resp, derr := c.get(ctx, cand)
 		if derr != nil {
 			return fmt.Errorf("crawler: get icon %s: %w", cand, derr)
 		}
@@ -593,7 +741,9 @@ func (c *Crawler) fetchIcon(ctx context.Context, cand string) (string, error) {
 				RetryAfter: resilience.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now()),
 			})
 		}
-		raw, rerr := io.ReadAll(io.LimitReader(resp.Body, c.opts.MaxBody))
+		buf := bodyBufs.Get().(*bodyBuf)
+		defer bodyBufs.Put(buf)
+		raw, rerr := buf.read(resp.Body, c.opts.MaxBody)
 		if rerr != nil {
 			// A torn icon body: the hash of a partial payload would be
 			// wrong, and "" would wrongly claim the site serves none.
@@ -606,8 +756,7 @@ func (c *Crawler) fetchIcon(ctx context.Context, cand string) (string, error) {
 		hash = hex.EncodeToString(sum[:])
 		c.mu.Lock()
 		if _, ok := c.iconBytes[hash]; !ok && len(raw) <= maxRetainedIcon {
-			// Copy out of io.ReadAll's buffer: its capacity, at least
-			// 512 bytes, would stay alive in the map for the whole run.
+			// Copy out of the pooled read buffer, which is reused.
 			icon := make([]byte, len(raw))
 			copy(icon, raw)
 			c.iconBytes[hash] = icon
@@ -656,32 +805,46 @@ func (c *Crawler) IconBytes(hash string) []byte {
 // ctx.Err().
 func (c *Crawler) CrawlAll(ctx context.Context, tasks []Task) []Result {
 	results := make([]Result, len(tasks))
-	groups := make(map[string][]int, len(tasks))
-	order := make([]string, 0, len(tasks))
+	// group[i] is task i's group of tasks sharing a canonical URL (-1
+	// when its URL does not canonicalize), and first[g] the task group
+	// g is crawled for.
+	group := make([]int32, len(tasks))
+	index := make(map[string]int32, len(tasks))
+	var first []int32
+	var canons []string
 	for i, t := range tasks {
-		canon, err := urlmatch.Canonicalize(t.URL)
+		canon, err := t.Canonical()
 		if err != nil {
-			results[i] = Result{Task: t, Err: fmt.Errorf("crawler: %w", err)}
+			results[i] = Result{Task: t, Err: err}
+			group[i] = -1
 			continue
 		}
-		if _, ok := groups[canon]; !ok {
-			order = append(order, canon)
+		g, ok := index[canon]
+		if !ok {
+			g = int32(len(first))
+			index[canon] = g
+			first = append(first, int32(i))
+			canons = append(canons, canon)
 		}
-		groups[canon] = append(groups[canon], i)
+		group[i] = g
 	}
-	fanout.Each(len(order), c.opts.Concurrency, func(g int) {
-		idxs := groups[order[g]]
-		r := Result{Err: ctx.Err()}
+	fanout.Each(len(first), c.opts.Concurrency, func(g int) {
+		t := tasks[first[g]]
+		r := Result{Task: t, Err: ctx.Err()}
 		if r.Err == nil {
-			r = c.Crawl(ctx, tasks[idxs[0]])
+			r = c.crawl(ctx, t, canons[g])
 		}
-		// Fan the shared outcome back out; the Chain slice is shared
-		// read-only across the group's results.
-		for _, i := range idxs {
+		results[first[g]] = r
+	})
+	// Fan each shared outcome back out; the Chain slice is shared
+	// read-only across the group's results.
+	for i, g := range group {
+		if g >= 0 && int(first[g]) != i {
+			r := results[first[g]]
 			r.Task = tasks[i]
 			results[i] = r
 		}
-	})
+	}
 	return results
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // cannedTransport serves scripted responses keyed by host, for edge
@@ -67,6 +68,34 @@ func TestMaxBodyTruncatesScan(t *testing.T) {
 	res := c.Crawl(context.Background(), Task{ASN: 1, URL: "https://big.test/"})
 	if !res.OK || res.Hops != 0 {
 		t.Errorf("res = %+v", res)
+	}
+}
+
+// TestScannersLinearOnHostilePages: pages come from outside the
+// program, so the HTML scans must stay linear in a page's size. Each
+// page fills the default MaxBody (256 KiB) with a pattern on which a
+// scan that retries every '<' up to the next '>' is quadratic: a run
+// of '<' closed by one '>' (about a second per scanner), and "<link "
+// repeated with no rel=icon (minutes for FaviconLink). A linear scan
+// reads each in tens of milliseconds, ten times that under -race.
+func TestScannersLinearOnHostilePages(t *testing.T) {
+	const size = 256 << 10
+	bound := time.Second
+	if raceEnabled {
+		bound *= 10
+	}
+	pages := map[string]string{
+		"lt":   strings.Repeat("<", size-1) + ">",
+		"link": strings.Repeat("<link ", size/6) + ">",
+		"meta": strings.Repeat("<meta ", size/6) + ">",
+	}
+	for name, page := range pages {
+		start := time.Now()
+		MetaRefreshTarget(page)
+		FaviconLink(page)
+		if d := time.Since(start); d > bound {
+			t.Errorf("scanning the %q page (%d bytes) took %v, want under %v", name, len(page), d, bound)
+		}
 	}
 }
 

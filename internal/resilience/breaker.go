@@ -141,9 +141,11 @@ func (b *Breaker) Trips() int64 {
 }
 
 // BreakerSet is a registry of per-key breakers — one per crawl host,
-// one per LLM provider/model — created on first use with shared
-// settings. Keys follow the cache-key convention of a namespaced
-// identity ("crawl:example.com", "llm:gpt-4o-mini").
+// one per LLM provider/model — with shared settings. Keys follow the
+// cache-key convention of a namespaced identity ("crawl:example.com",
+// "llm:gpt-4o-mini"). A key with no entry behaves as a closed breaker
+// with no failures, so the Executor creates a key's entry on its first
+// failure: a crawl of 24k healthy hosts keeps no state for them.
 type BreakerSet struct {
 	// Threshold and Cooldown configure breakers created by Get; zero
 	// values select NewBreaker's defaults.
@@ -152,12 +154,15 @@ type BreakerSet struct {
 	// Now overrides the clock in tests.
 	Now func() time.Time
 
-	mu sync.Mutex
+	mu sync.RWMutex
 	m  map[string]*Breaker
 }
 
 // Get returns the breaker for key, creating it if needed.
 func (s *BreakerSet) Get(key string) *Breaker {
+	if b := s.lookup(key); b != nil {
+		return b
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
@@ -174,10 +179,17 @@ func (s *BreakerSet) Get(key string) *Breaker {
 	return b
 }
 
+// lookup returns the breaker for key, or nil if the key has none yet.
+func (s *BreakerSet) lookup(key string) *Breaker {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.m[key]
+}
+
 // Trips sums trips across every breaker in the set.
 func (s *BreakerSet) Trips() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var total int64
 	for _, b := range s.m {
 		total += b.Trips()
@@ -188,8 +200,8 @@ func (s *BreakerSet) Trips() int64 {
 // Open returns the keys whose breakers are not closed, sorted — the
 // degradation report's "which backends are we avoiding right now".
 func (s *BreakerSet) Open() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var out []string
 	for key, b := range s.m {
 		if b.State() != StateClosed {

@@ -60,20 +60,30 @@ func (e *Executor) retryable(err error) bool {
 // shed. Otherwise the operation runs under the retry policy; every
 // attempt's outcome feeds the breaker, with only retryable failures
 // counting against it (a 404 is the backend answering, not failing).
+//
+// A key gets a breaker on its first counted failure. Until then it
+// behaves as a closed breaker with no failures, which admits every
+// call and has nothing for a success to reset.
 func (e *Executor) Do(ctx context.Context, key string, op func(ctx context.Context) error) error {
-	var br *Breaker
-	if e.Breakers != nil {
-		br = e.Breakers.Get(key)
-	}
 	attempt := func(ctx context.Context) error {
+		var br *Breaker
+		if e.Breakers != nil {
+			br = e.Breakers.lookup(key)
+		}
 		if br != nil && !br.Allow() {
 			e.denials.Add(1)
 			return &BreakerOpenError{Key: key}
 		}
 		e.attempts.Add(1)
 		err := op(ctx)
-		if br != nil {
-			br.Record(err == nil || !e.retryable(err))
+		if e.Breakers != nil {
+			ok := err == nil || !e.retryable(err)
+			if br == nil && !ok {
+				br = e.Breakers.Get(key)
+			}
+			if br != nil {
+				br.Record(ok)
+			}
 		}
 		return err
 	}

@@ -283,6 +283,37 @@ func TestExecutorHalfOpenProbeHeals(t *testing.T) {
 	}
 }
 
+// TestBreakerSetKeepsOnlyFailedKeys: successes and durable failures
+// leave no entry behind; the first counted failure creates one.
+func TestBreakerSetKeepsOnlyFailedKeys(t *testing.T) {
+	e := &Executor{Breakers: &BreakerSet{Threshold: 2}}
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("crawl:h%d.example", i)
+		if err := e.Do(context.Background(), key, func(ctx context.Context) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		durable := errors.New("404")
+		if err := e.Do(context.Background(), key, func(ctx context.Context) error { return durable }); err != durable {
+			t.Fatalf("err = %v, want the durable error", err)
+		}
+	}
+	if n := len(e.Breakers.m); n != 0 {
+		t.Fatalf("set holds %d entries after only successes and durable failures, want 0", n)
+	}
+	_ = e.Do(context.Background(), "crawl:bad.example", func(ctx context.Context) error {
+		return MarkTransient(errors.New("down"))
+	})
+	if n := len(e.Breakers.m); n != 1 {
+		t.Fatalf("set holds %d entries after one failing key, want 1", n)
+	}
+	if st := e.Breakers.Get("crawl:bad.example").State(); st != StateClosed {
+		t.Errorf("state after one of two failures = %v, want closed", st)
+	}
+	if open := e.Breakers.Open(); len(open) != 0 {
+		t.Errorf("Open() = %v, want none", open)
+	}
+}
+
 func TestIsTransientTaxonomy(t *testing.T) {
 	cases := []struct {
 		name string

@@ -12,6 +12,8 @@ import (
 	"net"
 	"net/url"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Canonicalize normalizes a reported or final website URL so that
@@ -24,19 +26,57 @@ import (
 //   - an empty path becomes "/" and trailing slashes are collapsed
 //
 // Query strings are preserved: some operators report distinct
-// language-selection queries on a shared host.
+// language-selection queries on a shared host. Their bytes that are not
+// valid UTF-8, and any whitespace ending the query, are percent-encoded,
+// so the canonical form is valid UTF-8 (it survives a JSON round trip
+// unchanged) and a fixed point (Canonicalize trims the whitespace it
+// would otherwise end with).
 func Canonicalize(raw string) (string, error) {
+	_, canon, err := canonicalURL(raw)
+	return canon, err
+}
+
+// canonicalURL is Canonicalize, also returning the canonical URL
+// parsed.
+func canonicalURL(raw string) (*url.URL, string, error) {
 	s := strings.TrimSpace(raw)
 	if s == "" {
-		return "", fmt.Errorf("urlmatch: empty URL")
+		return nil, "", fmt.Errorf("urlmatch: empty URL")
 	}
 	if !strings.Contains(s, "://") {
 		s = "https://" + s
 	}
 	u, err := url.Parse(s)
 	if err != nil {
-		return "", fmt.Errorf("urlmatch: parse %q: %w", raw, err)
+		return nil, "", fmt.Errorf("urlmatch: parse %q: %w", raw, err)
 	}
+	host, err := checkURL(u, raw)
+	if err != nil {
+		return nil, "", err
+	}
+	return u, normalize(u, host), nil
+}
+
+// Resolve resolves ref against base and canonicalizes the result: it
+// returns what Canonicalize returns for base.ResolveReference(ref).String(),
+// and the canonical form parsed. When printing the resolved URL and
+// parsing it back would give the same URL (it has a host, is not
+// opaque, and canonicalization leaves its query alone), Resolve
+// normalizes it in place instead, which spares a crawl a printed string
+// and a parsed URL per redirect target and favicon link.
+func Resolve(base, ref *url.URL) (*url.URL, string, error) {
+	u := base.ResolveReference(ref)
+	if u.Opaque == "" && u.Host != "" && canonicalQuery(u.RawQuery) == u.RawQuery {
+		if host, err := checkURL(u, ""); err == nil {
+			return u, normalize(u, host), nil
+		}
+	}
+	return canonicalURL(u.String())
+}
+
+// checkURL returns u's lowercased host, or an error naming raw when u's
+// scheme is not http or https or its host is not valid.
+func checkURL(u *url.URL, raw string) (string, error) {
 	if u.Scheme != "http" && u.Scheme != "https" {
 		return "", fmt.Errorf("urlmatch: unsupported scheme %q in %q", u.Scheme, raw)
 	}
@@ -44,6 +84,13 @@ func Canonicalize(raw string) (string, error) {
 	if !validHostname(host) {
 		return "", fmt.Errorf("urlmatch: invalid host %q in %q", host, raw)
 	}
+	return host, nil
+}
+
+// normalize rewrites a URL that checkURL accepted, host being its
+// lowercased host, into its canonical form in place, and returns that
+// form printed.
+func normalize(u *url.URL, host string) string {
 	if strings.Contains(host, ":") {
 		// IPv6 literals travel bracketed in the authority.
 		host = "[" + host + "]"
@@ -56,7 +103,7 @@ func Canonicalize(raw string) (string, error) {
 		host = host + ":" + port
 	}
 	u.Host = host
-	u.Fragment = ""
+	u.Fragment, u.RawFragment = "", ""
 	u.User = nil
 	// Normalize on the decoded path; String() re-encodes it canonically
 	// (clearing RawPath drops any non-canonical original escaping).
@@ -72,7 +119,41 @@ func Canonicalize(raw string) (string, error) {
 	}
 	u.RawPath = ""
 	u.Path = path
-	return u.String(), nil
+	u.RawQuery = canonicalQuery(u.RawQuery)
+	return u.String()
+}
+
+// canonicalQuery percent-encodes the bytes of a raw query that would
+// not survive the canonical form's round trips: bytes that are not
+// valid UTF-8 (JSON rewrites them to U+FFFD) and whitespace ending the
+// query (Canonicalize trims it). Valid UTF-8 elsewhere and existing
+// escapes are left alone.
+func canonicalQuery(q string) string {
+	end := len(q)
+	for end > 0 {
+		r, size := utf8.DecodeLastRuneInString(q[:end])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		end -= size
+	}
+	if end == len(q) && utf8.ValidString(q) {
+		return q
+	}
+	const hexDigits = "0123456789ABCDEF"
+	b := make([]byte, 0, len(q)+8)
+	for i := 0; i < len(q); {
+		r, size := utf8.DecodeRuneInString(q[i:])
+		if i < end && (r != utf8.RuneError || size > 1) {
+			b = append(b, q[i:i+size]...)
+		} else {
+			for _, c := range []byte(q[i : i+size]) {
+				b = append(b, '%', hexDigits[c>>4], hexDigits[c&15])
+			}
+		}
+		i += size
+	}
+	return string(b)
 }
 
 // validHostname accepts DNS-style names (letters, digits, dots, dashes,
