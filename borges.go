@@ -218,11 +218,10 @@ func NewSimulatedLLMWithProfile(p LLMProfile) *SimulatedLLM {
 
 // NewOpenAIProvider returns a chat-completions client for an
 // OpenAI-compatible endpoint. An empty baseURL selects the public
-// OpenAI API.
+// OpenAI API. The client does not retry: Run retries every completion
+// under Options.MaxRetries, its retry budget and its breakers.
 func NewOpenAIProvider(baseURL, apiKey string, httpClient *http.Client) LLMProvider {
-	return &llm.Retrying{Inner: &openai.Client{
-		BaseURL: baseURL, APIKey: apiKey, HTTPClient: httpClient,
-	}}
+	return &openai.Client{BaseURL: baseURL, APIKey: apiKey, HTTPClient: httpClient}
 }
 
 // NewCachingProvider memoizes a provider's completions: identical
@@ -293,10 +292,10 @@ func Theta(m *Mapping) (float64, error) { return orgfactor.Theta(m) }
 // Serving layer.
 type (
 	// Snapshot is an immutable, pre-indexed view of a Mapping (ASN
-	// lookup, name search, θ, size histogram, pre-rendered lookup
-	// response bytes) safe for lock-free concurrent reads. Construction
-	// fans out across GOMAXPROCS workers and is deterministic at any
-	// worker count.
+	// lookup, name search, θ, size histogram) safe for lock-free
+	// concurrent reads; lookup responses are rendered from it per
+	// request. Construction fans out across GOMAXPROCS workers and is
+	// deterministic at any worker count.
 	Snapshot = serve.Snapshot
 	// SnapshotStats are a snapshot's precomputed corpus statistics.
 	SnapshotStats = serve.Stats
@@ -320,7 +319,7 @@ type (
 	// ServeOptions tune a lookup server (reload source, per-request
 	// timeout, structured logging, overload protection, and
 	// BuildWorkers — the parallelism of each reloaded snapshot's
-	// index/pre-render build).
+	// index build).
 	ServeOptions = serve.Options
 	// LookupServer serves a Snapshot over HTTP with atomic hot reload.
 	LookupServer = serve.Server
@@ -402,15 +401,6 @@ func MappingFileSource(path string) SnapshotSource { return serve.FileSource(pat
 // milliseconds) or a JSONL mapping (parsed and indexed from scratch).
 func SnapshotFileSource(path string) PreparedSnapshotSource { return serve.SnapshotFileSource(path) }
 
-// SnapshotFileSourceMapped is SnapshotFileSource with binary artifacts
-// loaded through a read-only memory mapping (borgesd -mmap): bodies
-// serve off the page cache and the heap holds only the index-sized
-// sections. Platforms or filesystems that cannot map fall back to the
-// buffered load.
-func SnapshotFileSourceMapped(path string) PreparedSnapshotSource {
-	return serve.SnapshotFileSourceMapped(path)
-}
-
 // MappingDeltaFileSource reloads mapping deltas from a JSONL delta
 // file written with WriteMappingDelta (borges-diff -delta).
 func MappingDeltaFileSource(path string) MappingDeltaSource { return serve.DeltaFileSource(path) }
@@ -429,21 +419,11 @@ func WriteSnapshotFile(path string, s *Snapshot) (string, error) {
 
 // LoadSnapshot decodes a binary snapshot artifact into a serving
 // snapshot — a few large reads plus verification, no JSONL parse, no
-// union-find replay, no re-rendering.
+// union-find replay.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) { return serve.LoadSnapshot(r) }
 
 // LoadSnapshotFile decodes the binary snapshot artifact at path.
 func LoadSnapshotFile(path string) (*Snapshot, error) { return serve.LoadSnapshotFile(path) }
-
-// LoadSnapshotFileMapped decodes the binary snapshot artifact at path
-// through a read-only memory mapping. The content hash is verified
-// exactly as in LoadSnapshotFile, but pre-rendered response bodies
-// alias the mapping, so cold-start heap growth is O(index), not
-// O(file). The server unmaps only after the snapshot is swapped out
-// and every in-flight request that pinned it has finished.
-func LoadSnapshotFileMapped(path string) (*Snapshot, error) {
-	return serve.LoadSnapshotFileMapped(path)
-}
 
 // Storage integrity layer: generation ring, canary-gated swaps, and
 // background scrubbing.

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	borges "github.com/nu-aqualab/borges"
 )
@@ -152,6 +155,45 @@ func TestPublicEvaluation(t *testing.T) {
 	}
 	if _, err := ev.ByID("nope"); err == nil {
 		t.Error("ByID should reject unknown ids")
+	}
+}
+
+// TestOpenAIProviderRetriedOnlyByRun drives the CLI's provider wiring —
+// NewOpenAIProvider under Run with two retries and no breakers —
+// against an endpoint that answers every request with 429: each
+// completion is sent exactly MaxRetries+1 times, because Run's
+// executor is the only retry layer.
+func TestOpenAIProviderRetriedOnlyByRun(t *testing.T) {
+	var mu sync.Mutex
+	sent := map[string]int{} // request body → times sent
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		sent[string(body)]++
+		mu.Unlock()
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer srv.Close()
+	ds, err := borges.GenerateDataset(borges.DatasetConfig{Seed: 7, Scale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = borges.Run(context.Background(), borges.Inputs{
+		WHOIS:     ds.WHOIS,
+		PDB:       ds.PDB,
+		Transport: ds.Web,
+		Provider:  borges.NewOpenAIProvider(srv.URL, "sk-test", srv.Client()),
+	}, borges.Options{MaxRetries: 2, RetryBaseDelay: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sent) == 0 {
+		t.Fatal("the run sent no completions")
+	}
+	for body, n := range sent {
+		if n != 3 {
+			t.Fatalf("a completion was sent %d times, want 3: %.120s", n, body)
+		}
 	}
 }
 

@@ -49,7 +49,6 @@ func main() {
 	verbose := flag.Bool("v", false, "log pipeline stage progress to stderr")
 	maxRetries := flag.Int("max-retries", 2, "retries per transient fault before quarantining the item (0 = no retries)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures before a host/model circuit opens (0 = no breakers)")
-	failFast := flag.Bool("fail-fast", false, "abort the run on the first error instead of quarantining and degrading")
 	reportPath := flag.String("report", "", "write the run's fault report (JSON) to this file ('-' = stderr)")
 	consolidateWorkers := flag.Int("consolidate-workers", 0, "workers for the sharded sibling-set consolidation (0 = GOMAXPROCS); output is identical at any count")
 	spillDir := flag.String("spill-dir", "", "spool sibling sets to shard files under this directory during consolidation, bounding peak memory at mega-scale corpora; output is identical to the in-memory build")
@@ -129,7 +128,6 @@ func main() {
 		Features:           &feats,
 		MaxRetries:         *maxRetries,
 		BreakerThreshold:   *breakerThreshold,
-		FailFast:           *failFast,
 		ConsolidateWorkers: *consolidateWorkers,
 		SpillDir:           *spillDir,
 	}
@@ -153,7 +151,7 @@ func main() {
 
 	if *format == "binary" {
 		// The binary artifact is a fully-indexed serving snapshot, so
-		// the pre-render cost is paid once here and never again at any
+		// the indexing cost is paid once here and never again at any
 		// borgesd cold start.
 		snap, err := borges.NewSnapshot(res.Mapping, "pipeline")
 		if err != nil {

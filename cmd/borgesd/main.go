@@ -92,7 +92,6 @@ func main() {
 	mapping := flag.String("mapping", "", "mapping JSONL file (from borges -format jsonl); reload re-reads it")
 	snapshotIn := flag.String("snapshot-in", "", "snapshot file to serve: a binary artifact (borges -format binary, borgesd -snapshot-out) or mapping JSONL, sniffed by magic; reload re-reads it")
 	snapshotOut := flag.String("snapshot-out", "", "write the initial snapshot as a binary artifact to this path, then keep serving")
-	mmapIn := flag.Bool("mmap", false, "memory-map binary -snapshot-in artifacts instead of buffering them: bodies serve off the page cache and cold-start heap stays O(index), not O(file); falls back to buffered loads where mapping is unavailable")
 	deltaIn := flag.String("delta-in", "", "mapping delta JSONL (borges-diff -delta); POST /admin/reload?mode=delta applies it to the serving snapshot")
 	seed := flag.Int64("seed", 1, "synthetic corpus seed (when -mapping is unset)")
 	scale := flag.Float64("scale", 0.05, "synthetic corpus scale (when -mapping is unset)")
@@ -101,13 +100,12 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress structured request logging")
 	maxRetries := flag.Int("max-retries", 2, "retries per transient pipeline fault (0 = fail on first error)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures before a host/model circuit opens (0 = no breakers)")
-	failFast := flag.Bool("fail-fast", false, "abort pipeline runs on the first error instead of quarantining and serving a degraded mapping")
 	maxInflight := flag.Int("max-inflight", 256, "adaptive concurrency ceiling for lookup endpoints (0 disables admission control)")
 	rate := flag.Float64("rate", 50, "per-client sustained requests/sec, keyed by X-Api-Key or client IP (0 disables per-client rate limiting)")
 	burst := flag.Int("burst", 100, "per-client burst capacity for -rate")
 	targetLatency := flag.Duration("target-latency", 150*time.Millisecond, "latency target steering the adaptive concurrency limit")
 	shedSearchFirst := flag.Bool("shed-search-first", true, "shed /v1/search before point lookups under overload (search also browns out under pressure)")
-	buildWorkers := flag.Int("build-workers", 0, "workers indexing and pre-rendering each reloaded snapshot (0 = GOMAXPROCS); lower to reduce CPU contention with serving traffic during reloads")
+	buildWorkers := flag.Int("build-workers", 0, "workers indexing each reloaded snapshot (0 = GOMAXPROCS); lower to reduce CPU contention with serving traffic during reloads")
 	bulkMaxLines := flag.Int("bulk-max-lines", 0, "max input lines per /v1/bulk request (0 = default 1048576)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "max request body bytes on body-reading endpoints (0 = default 64 MiB)")
 	watchBuffer := flag.Int("watch-buffer", 0, "per-subscriber /v1/watch event queue depth; a subscriber this many reloads behind is evicted (0 = default 64)")
@@ -230,9 +228,6 @@ func main() {
 			log.Fatal("-snapshot-in and -mapping are mutually exclusive")
 		}
 		source := borges.SnapshotFileSource(*snapshotIn)
-		if *mmapIn {
-			source = borges.SnapshotFileSourceMapped(*snapshotIn)
-		}
 		label = *snapshotIn
 		opts.Prepared = source
 		log.Printf("loading snapshot from %s", label)
@@ -265,7 +260,6 @@ func main() {
 		source := pipelineSource(*seed, *scale, store, borges.Options{
 			MaxRetries:       *maxRetries,
 			BreakerThreshold: *breakerThreshold,
-			FailFast:         *failFast,
 		})
 		label = "synthetic pipeline"
 		opts.HealthSource = source

@@ -153,12 +153,6 @@ type Options struct {
 	// BreakerCooldown is how long an open circuit rejects calls before
 	// admitting a probe (default 30s).
 	BreakerCooldown time.Duration
-	// FailFast restores abort-on-first-stage-error: a stage failure
-	// cancels the sibling stage and fails the run. The default is
-	// graceful degradation — the NER and web chains fail
-	// independently, per-item failures are quarantined in the
-	// RunReport, and consolidation proceeds with whatever survived.
-	FailFast bool
 	// ConsolidateWorkers caps the workers used by the sharded sibling-
 	// set consolidation (0 = GOMAXPROCS). The sharded build is
 	// byte-identical to the sequential one at any worker count; lowering
@@ -396,10 +390,9 @@ func Run(ctx context.Context, in Inputs, opts Options) (*Result, error) {
 	// they overlap: each accumulates its own Stats and progress lines
 	// and hands its sibling sets back here. The Builder is touched only
 	// from this goroutine, in the fixed feature order, so cluster IDs
-	// stay deterministic. By default the stages are isolated failure
-	// domains — one chain's failure leaves the other running and is
-	// quarantined in the report; FailFast restores cancel-on-first-
-	// error for callers that prefer an abort to a partial mapping.
+	// stay deterministic. The stages are isolated failure domains: one
+	// chain's failure leaves the other running and is quarantined in the
+	// report, and per-item failures are quarantined within each chain.
 	var (
 		nerOut         nerOutput
 		webOut         webOutput
@@ -407,35 +400,24 @@ func Run(ctx context.Context, in Inputs, opts Options) (*Result, error) {
 		nerLog, webLog stageLog
 		wg             sync.WaitGroup
 	)
-	stageCtx, abort := context.WithCancelCause(ctx)
-	defer abort(nil)
-	stage := func(run func(context.Context) error) {
+	stage := func(run func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := run(stageCtx); err != nil && opts.FailFast {
-				abort(err)
-			}
+			run()
 		}()
 	}
 	if feats.NotesAka {
-		stage(func(ctx context.Context) error {
-			nerOut, nerErr = runNER(ctx, in, opts, provider, &nerLog)
-			return nerErr
-		})
+		stage(func() { nerOut, nerErr = runNER(ctx, in, opts, provider, &nerLog) })
 	}
 	if feats.RR || feats.Favicons {
-		stage(func(ctx context.Context) error {
-			webOut, webErr = runWeb(ctx, in, opts, feats, provider, &webLog)
-			return webErr
-		})
+		stage(func() { webOut, webErr = runWeb(ctx, in, opts, feats, provider, &webLog) })
 	}
 	wg.Wait()
-	// Cancellation of the run's own context is fatal either way, and so
-	// is the first stage failure under FailFast. By default a stage's
-	// private failure is not — it lands in the report and consolidation
-	// proceeds with the surviving chains.
-	if err := context.Cause(stageCtx); err != nil {
+	// Cancellation of the run's own context is fatal. A stage's private
+	// failure is not: it lands in the report and consolidation proceeds
+	// with the surviving chains.
+	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
 	res.Stats.merge(nerOut.stats)

@@ -269,9 +269,7 @@ func TestRunCancelled(t *testing.T) {
 	_, in := testInputs(t, 0.01)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, failFast := range []bool{false, true} {
-		if _, err := core.Run(ctx, in, core.Options{FailFast: failFast}); !errors.Is(err, context.Canceled) {
-			t.Errorf("FailFast=%v: err = %v, want context.Canceled", failFast, err)
-		}
+	if _, err := core.Run(ctx, in, core.Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

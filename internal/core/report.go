@@ -53,8 +53,7 @@ type SourceReport struct {
 	// Quarantined counts the transient subset of Errors, deduplicated
 	// by key.
 	Quarantined int `json:"quarantined"`
-	// Err is set when the whole stage failed (FailFast aborts never
-	// reach a report; this records graceful-mode stage errors).
+	// Err is set when the whole stage failed.
 	Err string `json:"err,omitempty"`
 }
 

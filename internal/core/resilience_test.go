@@ -31,9 +31,9 @@ func (f *flaky) Complete(ctx context.Context, req llm.Request) (llm.Response, er
 }
 
 // TestPipelineSurvivesFlakyProviderWithRetry runs the full pipeline
-// through a provider that rate-limits every 5th call, wrapped in the
-// retry decorator: the run must complete with the same result as a
-// clean run.
+// through a provider that rate-limits every 5th call, with the run
+// retrying completions: the run must complete with the same result as
+// a clean run.
 func TestPipelineSurvivesFlakyProviderWithRetry(t *testing.T) {
 	ds, err := synth.Generate(synth.Config{Seed: 21, Scale: 0.02})
 	if err != nil {
@@ -47,10 +47,9 @@ func TestPipelineSurvivesFlakyProviderWithRetry(t *testing.T) {
 	}
 
 	f := &flaky{inner: simllm.NewModel(), n: 5}
-	retried := &llm.Retrying{Inner: f, BaseDelay: time.Microsecond}
 	flakyRes, err := core.Run(context.Background(), core.Inputs{
-		WHOIS: ds.WHOIS, PDB: ds.PDB, Transport: ds.Web, Provider: retried,
-	}, core.Options{})
+		WHOIS: ds.WHOIS, PDB: ds.PDB, Transport: ds.Web, Provider: f,
+	}, core.Options{MaxRetries: 3, RetryBaseDelay: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}

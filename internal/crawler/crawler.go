@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"html"
 	"io"
 	"net/http"
 	"net/url"
@@ -603,7 +604,9 @@ var (
 
 // MetaRefreshTarget extracts the redirect target of the first
 // meta-refresh tag in an HTML page, or "" if none. A refresh without a
-// url= clause (a pure self-reload) yields "".
+// url= clause (a pure self-reload) yields "". Character references in
+// the content attribute are decoded first, as a browser does, so a
+// target written `?a=1&amp;b=2` is `?a=1&b=2`.
 func MetaRefreshTarget(page string) string {
 	for _, tag := range metaTagRe.FindAllString(page, -1) {
 		if !httpEquivRe.MatchString(tag) {
@@ -613,7 +616,7 @@ func MetaRefreshTarget(page string) string {
 		if m == nil {
 			continue
 		}
-		content := m[2] + m[3] + m[4] // whichever quoting variant matched
+		content := html.UnescapeString(m[2] + m[3] + m[4]) // whichever quoting variant matched
 		um := refreshURLRe.FindStringSubmatch(content)
 		if um == nil || um[1] == "" {
 			continue
@@ -632,7 +635,7 @@ var faviconLinkRe = regexp.MustCompile(`(?is)<link\s[^>]*rel\s*=\s*["']?(?:short
 var hrefRe = regexp.MustCompile(`(?i)href\s*=\s*("([^"]*)"|'([^']*)'|([^\s>]+))`)
 
 // FaviconLink extracts the favicon href declared in an HTML page, or ""
-// if none is declared.
+// if none is declared, with its character references decoded.
 func FaviconLink(page string) string {
 	tag := faviconLinkRe.FindString(page)
 	if tag == "" {
@@ -642,7 +645,7 @@ func FaviconLink(page string) string {
 	if m == nil {
 		return ""
 	}
-	return strings.TrimSpace(m[2] + m[3] + m[4])
+	return strings.TrimSpace(html.UnescapeString(m[2] + m[3] + m[4]))
 }
 
 // favicon fetches and hashes the favicon for a final page. It prefers

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/nu-aqualab/borges/internal/websim"
 )
 
 // cannedTransport serves scripted responses keyed by host, for edge
@@ -54,6 +56,39 @@ func TestMetaRefreshIgnoredInNonHTML(t *testing.T) {
 	}
 	if res.Hops != 0 {
 		t.Errorf("non-HTML refresh followed: %v", res.Chain)
+	}
+}
+
+// TestAttributeCharacterReferences: the scanners decode character
+// references in the attribute values they return, as a browser does.
+func TestAttributeCharacterReferences(t *testing.T) {
+	if got, want := MetaRefreshTarget(`<meta http-equiv="refresh" content="0; url=https://dst.test/?a=1&amp;b=2">`), "https://dst.test/?a=1&b=2"; got != want {
+		t.Errorf("MetaRefreshTarget = %q, want %q", got, want)
+	}
+	if got, want := FaviconLink(`<link rel="icon" href="/i.ico?v=1&amp;s=2">`), "/i.ico?v=1&s=2"; got != want {
+		t.Errorf("FaviconLink = %q, want %q", got, want)
+	}
+}
+
+// TestMetaRefreshAndRedirectConverge: a host that meta-refreshes to a
+// target whose query holds '&' (which the page writes as &amp;) and a
+// host that 301s to the same target end on one final URL, so R&R
+// groups them together.
+func TestMetaRefreshAndRedirectConverge(t *testing.T) {
+	const target = "https://dst.test/?a=1&b=2"
+	u := websim.New()
+	u.AddSite("dst.test", "dst")
+	u.AddSite("refresh.test", "")
+	u.MetaRefreshHost("refresh.test", target)
+	u.RedirectHost("moved.test", target)
+	c := New(Options{Transport: u, SkipFavicons: true})
+	refresh := c.Crawl(context.Background(), Task{ASN: 1, URL: "https://refresh.test/"})
+	moved := c.Crawl(context.Background(), Task{ASN: 2, URL: "https://moved.test/"})
+	if !refresh.OK || !moved.OK {
+		t.Fatalf("refresh %+v, moved %+v", refresh, moved)
+	}
+	if refresh.FinalURL != moved.FinalURL || refresh.Hops != 1 || moved.Hops != 1 {
+		t.Fatalf("meta refresh ends at %q after %d hops, 301 at %q after %d", refresh.FinalURL, refresh.Hops, moved.FinalURL, moved.Hops)
 	}
 }
 

@@ -196,10 +196,7 @@ func NewReplica(ctx context.Context, opts ReplicaOptions) (*Replica, error) {
 // artifact when it decodes and verifies, otherwise a blocking first
 // fetch from the distributor.
 func (r *Replica) coldStart(ctx context.Context) (*serve.Snapshot, error) {
-	// Mapped load: the cold-start artifact serves straight off the page
-	// cache, and the mapping survives the atomic-rename overwrite a
-	// later fetch performs (the old inode lives until munmap).
-	if snap, err := serve.LoadSnapshotFileMappedFS(r.fsys, r.opts.LastGood); err == nil {
+	if snap, err := serve.LoadSnapshotFileFS(r.fsys, r.opts.LastGood); err == nil {
 		r.logf(`{"event":"fleet_coldstart","source":"last-good","hash":%q}`, snap.ContentHash())
 		return snap, nil
 	} else if !errors.Is(err, os.ErrNotExist) {

@@ -14,7 +14,6 @@ package llm
 import (
 	"context"
 	"errors"
-	"time"
 
 	"github.com/nu-aqualab/borges/internal/resilience"
 )
@@ -70,7 +69,7 @@ type Provider interface {
 }
 
 // ErrRateLimited marks a retryable rate-limit rejection. Providers wrap
-// it so Retrying can recognise it with errors.Is.
+// it so Retryable can recognise it with errors.Is.
 var ErrRateLimited = errors.New("llm: rate limited")
 
 // ErrServer marks a retryable transient server failure.
@@ -84,50 +83,4 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrRateLimited) ||
 		errors.Is(err, ErrServer) ||
 		resilience.IsTransient(err)
-}
-
-// Retrying decorates a Provider with bounded exponential backoff on
-// retryable errors (rate limits and transient server failures). A batch
-// over tens of thousands of PeeringDB records will hit provider limits;
-// retrying with backoff is the standard remedy. The backoff math is
-// the shared resilience.Policy, so a provider error carrying a typed
-// Retry-After hint (see llm/openai) is honoured over the exponential
-// guess.
-type Retrying struct {
-	// Inner is the wrapped provider.
-	Inner Provider
-	// MaxAttempts bounds total attempts (default 4).
-	MaxAttempts int
-	// BaseDelay is the first backoff (default 250ms); each retry
-	// doubles it.
-	BaseDelay time.Duration
-	// Sleep is indirected for tests; defaults to a context-aware wait.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-// Complete implements Provider.
-func (r *Retrying) Complete(ctx context.Context, req Request) (Response, error) {
-	attempts := r.MaxAttempts
-	if attempts <= 0 {
-		attempts = 4
-	}
-	p := &resilience.Policy{
-		MaxAttempts: attempts,
-		BaseDelay:   r.BaseDelay,
-		// Jitter stays off so the doubling sequence is exact and
-		// reproducible; Retry-After hints still take precedence.
-		Jitter:    -1,
-		Retryable: Retryable,
-		SleepFn:   r.Sleep,
-	}
-	var resp Response
-	err := p.Do(ctx, func(ctx context.Context) error {
-		var cerr error
-		resp, cerr = r.Inner.Complete(ctx, req)
-		return cerr
-	})
-	if err != nil {
-		return Response{}, err
-	}
-	return resp, nil
 }

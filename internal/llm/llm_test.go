@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/nu-aqualab/borges/internal/resilience"
 )
 
 // scriptedProvider fails a set number of times before succeeding.
@@ -25,10 +27,18 @@ func (p *scriptedProvider) Complete(ctx context.Context, req Request) (Response,
 
 func noSleep(ctx context.Context, d time.Duration) error { return nil }
 
+// retrying wraps p in the LLM path's one retry layer as core.Run builds
+// it: Resilient over an executor whose policy retries Retryable errors,
+// here without jitter so the backoff sequence is exact.
+func retrying(p Provider, attempts int, base time.Duration, sleep func(context.Context, time.Duration) error) *Resilient {
+	return &Resilient{Inner: p, Exec: &resilience.Executor{Policy: &resilience.Policy{
+		MaxAttempts: attempts, BaseDelay: base, Jitter: -1, Retryable: Retryable, SleepFn: sleep,
+	}}}
+}
+
 func TestRetryingSucceedsAfterRateLimit(t *testing.T) {
 	p := &scriptedProvider{failures: 2, err: fmt.Errorf("x: %w", ErrRateLimited)}
-	r := &Retrying{Inner: p, Sleep: noSleep}
-	resp, err := r.Complete(context.Background(), Request{})
+	resp, err := retrying(p, 4, 0, noSleep).Complete(context.Background(), Request{})
 	if err != nil || resp.Content != "ok" {
 		t.Fatalf("resp=%+v err=%v", resp, err)
 	}
@@ -39,8 +49,7 @@ func TestRetryingSucceedsAfterRateLimit(t *testing.T) {
 
 func TestRetryingGivesUp(t *testing.T) {
 	p := &scriptedProvider{failures: 99, err: fmt.Errorf("x: %w", ErrServer)}
-	r := &Retrying{Inner: p, MaxAttempts: 3, Sleep: noSleep}
-	_, err := r.Complete(context.Background(), Request{})
+	_, err := retrying(p, 3, 0, noSleep).Complete(context.Background(), Request{})
 	if err == nil || !errors.Is(err, ErrServer) {
 		t.Fatalf("err = %v", err)
 	}
@@ -51,9 +60,7 @@ func TestRetryingGivesUp(t *testing.T) {
 
 func TestRetryingNonRetryableFailsFast(t *testing.T) {
 	p := &scriptedProvider{failures: 99, err: errors.New("bad api key")}
-	r := &Retrying{Inner: p, Sleep: noSleep}
-	_, err := r.Complete(context.Background(), Request{})
-	if err == nil {
+	if _, err := retrying(p, 4, 0, noSleep).Complete(context.Background(), Request{}); err == nil {
 		t.Fatal("want error")
 	}
 	if p.calls != 1 {
@@ -64,12 +71,11 @@ func TestRetryingNonRetryableFailsFast(t *testing.T) {
 func TestRetryingHonoursContext(t *testing.T) {
 	p := &scriptedProvider{failures: 99, err: fmt.Errorf("x: %w", ErrRateLimited)}
 	ctx, cancel := context.WithCancel(context.Background())
-	r := &Retrying{Inner: p, Sleep: func(ctx context.Context, d time.Duration) error {
+	r := retrying(p, 4, 0, func(ctx context.Context, d time.Duration) error {
 		cancel()
 		return ctx.Err()
-	}}
-	_, err := r.Complete(ctx, Request{})
-	if !errors.Is(err, context.Canceled) {
+	})
+	if _, err := r.Complete(ctx, Request{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -77,11 +83,10 @@ func TestRetryingHonoursContext(t *testing.T) {
 func TestRetryingBackoffDoubles(t *testing.T) {
 	var delays []time.Duration
 	p := &scriptedProvider{failures: 3, err: fmt.Errorf("x: %w", ErrServer)}
-	r := &Retrying{Inner: p, MaxAttempts: 4, BaseDelay: 10 * time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			delays = append(delays, d)
-			return nil
-		}}
+	r := retrying(p, 4, 10*time.Millisecond, func(ctx context.Context, d time.Duration) error {
+		delays = append(delays, d)
+		return nil
+	})
 	if _, err := r.Complete(context.Background(), Request{}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +105,14 @@ func TestRetryingBackoffDoubles(t *testing.T) {
 // with microsecond delays.
 func TestRetryingDefaultSleep(t *testing.T) {
 	p := &scriptedProvider{failures: 1, err: fmt.Errorf("x: %w", ErrRateLimited)}
-	r := &Retrying{Inner: p, BaseDelay: time.Microsecond}
-	resp, err := r.Complete(context.Background(), Request{})
+	resp, err := retrying(p, 4, time.Microsecond, nil).Complete(context.Background(), Request{})
 	if err != nil || resp.Content != "ok" {
 		t.Fatalf("resp=%+v err=%v", resp, err)
 	}
 	// And cancellation during the real sleep.
 	p2 := &scriptedProvider{failures: 99, err: fmt.Errorf("x: %w", ErrRateLimited)}
 	ctx, cancel := context.WithCancel(context.Background())
-	r2 := &Retrying{Inner: p2, BaseDelay: time.Hour}
+	r2 := retrying(p2, 4, time.Hour, nil)
 	done := make(chan error, 1)
 	go func() {
 		_, err := r2.Complete(ctx, Request{})

@@ -188,10 +188,7 @@ func TestRetryingIntegration(t *testing.T) {
 		fmt.Fprint(w, completionJSON("finally"))
 	}))
 	defer srv.Close()
-	p := &llm.Retrying{
-		Inner: &Client{BaseURL: srv.URL},
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
-	}
+	p := retrying(&Client{BaseURL: srv.URL}, func(ctx context.Context, d time.Duration) error { return nil })
 	resp, err := p.Complete(context.Background(), llm.Request{
 		Model: "m", Messages: []llm.Message{{Role: llm.RoleUser, Content: "x"}}})
 	if err != nil || resp.Content != "finally" {

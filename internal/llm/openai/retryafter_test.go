@@ -13,6 +13,14 @@ import (
 	"github.com/nu-aqualab/borges/internal/resilience"
 )
 
+// retrying wraps p in the LLM path's one retry layer, llm.Resilient,
+// with four attempts and the given sleep.
+func retrying(p llm.Provider, sleep func(context.Context, time.Duration) error) llm.Provider {
+	return &llm.Resilient{Inner: p, Exec: &resilience.Executor{Policy: &resilience.Policy{
+		MaxAttempts: 4, Jitter: -1, Retryable: llm.Retryable, SleepFn: sleep,
+	}}}
+}
+
 // TestRetryAfterBecomesTypedHint verifies that a 429 or 503 carrying a
 // Retry-After header surfaces as a typed delay hint the retry layer can
 // honour, in both delay-seconds and HTTP-date forms, and that the
@@ -58,8 +66,9 @@ func TestRetryAfterBecomesTypedHint(t *testing.T) {
 	}
 }
 
-// TestRetryingWaitsExactlyTheHint drives Client+Retrying end to end:
-// the sleep requested between attempts equals the server's Retry-After.
+// TestRetryingWaitsExactlyTheHint drives Client under llm.Resilient end
+// to end: the sleep requested between attempts equals the server's
+// Retry-After.
 func TestRetryingWaitsExactlyTheHint(t *testing.T) {
 	var calls int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -73,13 +82,10 @@ func TestRetryingWaitsExactlyTheHint(t *testing.T) {
 	}))
 	defer srv.Close()
 	var delays []time.Duration
-	p := &llm.Retrying{
-		Inner: &Client{BaseURL: srv.URL},
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			delays = append(delays, d)
-			return nil
-		},
-	}
+	p := retrying(&Client{BaseURL: srv.URL}, func(ctx context.Context, d time.Duration) error {
+		delays = append(delays, d)
+		return nil
+	})
 	resp, err := p.Complete(context.Background(), llm.Request{
 		Model: "m", Messages: []llm.Message{{Role: llm.RoleUser, Content: "x"}}})
 	if err != nil || resp.Content != "ok" {

@@ -9,8 +9,8 @@ import (
 // RateLimited decorates a Provider with a token-bucket request limiter.
 // Live APIs enforce per-minute quotas; a 30k-record extraction batch
 // must pace itself below them instead of burning its error budget on
-// 429 responses (which the Retrying wrapper would otherwise back off
-// from one at a time).
+// 429 responses (which the retry layer would otherwise back off from
+// one at a time).
 type RateLimited struct {
 	// Inner is the wrapped provider.
 	Inner Provider

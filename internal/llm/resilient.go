@@ -8,9 +8,9 @@ import (
 
 // Resilient routes completions through a resilience.Executor: retries
 // under the executor's policy, per-model circuit breaking, and counted
-// attempts/denials that feed the run report. It is the full
-// fault-tolerance decorator; Retrying remains for callers that want
-// backoff without breakers.
+// attempts/denials that feed the run report. It is the LLM path's one
+// retry layer: core.Run wraps every provider in it, so providers
+// themselves do not retry.
 type Resilient struct {
 	// Inner is the wrapped provider.
 	Inner Provider

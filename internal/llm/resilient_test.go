@@ -17,11 +17,10 @@ func TestRetryingHonoursRetryAfterHint(t *testing.T) {
 		After: 5 * time.Second,
 	}
 	p := &scriptedProvider{failures: 1, err: hinted}
-	r := &Retrying{Inner: p, BaseDelay: 10 * time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			delays = append(delays, d)
-			return nil
-		}}
+	r := retrying(p, 4, 10*time.Millisecond, func(ctx context.Context, d time.Duration) error {
+		delays = append(delays, d)
+		return nil
+	})
 	if _, err := r.Complete(context.Background(), Request{}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Mega-scale memory benchmarks: peak RSS and wall-clock for the
 // streaming corpus generator, spill-to-disk vs in-memory
-// consolidation, snapshot build, and buffered vs memory-mapped cold
-// start, at n=131072 and n=1M ASNs. Each benchmark records a
+// consolidation, snapshot build, and binary-artifact cold start, at
+// n=131072 and n=1M ASNs. Each benchmark records a
 // machine-readable observation that TestMain serializes to
 // BENCH_megascale.json, the committed artifact backing the bounded-
 // memory claims in DESIGN.md.
@@ -294,8 +294,8 @@ func megaMapping(b *testing.B, n int) *cluster.Mapping {
 	return builder.BuildSharded(benchNamer, 0)
 }
 
-// BenchmarkMegaSnapshotBuild measures the pre-rendered snapshot build
-// (tokenization, θ, histogram, body rendering) over the mega mapping.
+// BenchmarkMegaSnapshotBuild measures the snapshot build
+// (tokenization, θ, histogram) over the mega mapping.
 func BenchmarkMegaSnapshotBuild(b *testing.B) {
 	for _, n := range megaScales {
 		m := megaMapping(b, n)
@@ -319,11 +319,10 @@ func BenchmarkMegaSnapshotBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkMegaColdStart contrasts the buffered binary-artifact load
-// (heap holds the whole file) with the memory-mapped load (heap holds
-// only the decoded index; bodies serve off the page cache). The
-// heap_delta_bytes metric is the retained Go-heap growth from one
-// load, measured across forced GCs.
+// BenchmarkMegaColdStart times the binary-artifact load, which checks
+// the org-bodies and AS-tails sections against renders of the clusters
+// and keeps neither. The heap_delta_bytes metric is the retained
+// Go-heap growth from one load, measured across forced GCs.
 func BenchmarkMegaColdStart(b *testing.B) {
 	for _, n := range megaScales {
 		m := megaMapping(b, n)
@@ -340,39 +339,27 @@ func BenchmarkMegaColdStart(b *testing.B) {
 			b.Fatal(err)
 		}
 		snap, m = nil, nil
-		for _, mode := range []string{"buffered", "mapped"} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
-				var loaded *serve.Snapshot
-				runtime.GC()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if mode == "mapped" {
-						loaded, err = serve.LoadSnapshotFileMapped(path)
-					} else {
-						loaded, err = serve.LoadSnapshotFile(path)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("buffered/n=%d", n), func(b *testing.B) {
+			var loaded *serve.Snapshot
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if loaded, err = serve.LoadSnapshotFile(path); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				runtime.GC()
-				runtime.ReadMemStats(&after)
-				mapped := 0.0
-				if loaded.MemoryMapped() {
-					mapped = 1
-				}
-				recordBench(b, map[string]float64{
-					"networks":         float64(n),
-					"artifact_bytes":   float64(fi.Size()),
-					"heap_delta_bytes": float64(after.HeapAlloc) - float64(before.HeapAlloc),
-					"mapped":           mapped,
-				})
-				runtime.KeepAlive(loaded)
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			recordBench(b, map[string]float64{
+				"networks":         float64(n),
+				"artifact_bytes":   float64(fi.Size()),
+				"heap_delta_bytes": float64(after.HeapAlloc) - float64(before.HeapAlloc),
 			})
-		}
+			runtime.KeepAlive(loaded)
+		})
 	}
 }

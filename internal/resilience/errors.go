@@ -82,8 +82,7 @@ func (e *StatusError) Error() string {
 // Transient marks StatusError for IsTransient.
 func (e *StatusError) Transient() bool { return true }
 
-// RetryAfterHint implements the delay-hint interface honored by Policy
-// and llm.Retrying.
+// RetryAfterHint implements the delay-hint interface honored by Policy.
 func (e *StatusError) RetryAfterHint() (time.Duration, bool) {
 	return e.RetryAfter, e.RetryAfter > 0
 }

@@ -172,7 +172,7 @@ func BenchmarkConsolidateSharded(b *testing.B) {
 }
 
 // BenchmarkSnapshotBuild contrasts the single-worker snapshot build
-// (tokenization, θ, histogram, pre-rendering in one goroutine) with
+// (tokenization, θ, histogram in one goroutine) with
 // the fanned-out build. On a single-core runner the two are expected
 // to tie; the parallel speedup shows on multi-core CI.
 func BenchmarkSnapshotBuild(b *testing.B) {
@@ -208,8 +208,8 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 }
 
 // BenchmarkLookupAllocs is the zero-allocation guarantee in benchmark
-// form: an ASN point lookup assembling the full /v1/as response from
-// pre-rendered bytes must report 0 allocs/op.
+// form: an ASN point lookup rendering the full /v1/as response of a
+// 64-network organization must report 0 allocs/op.
 func BenchmarkLookupAllocs(b *testing.B) {
 	snap, err := newSnapshotWorkers(benchBuilder(8192).BuildSharded(benchNamer, 0),
 		"bench", Health{}, time.Now(), runtime.GOMAXPROCS(0))

@@ -56,19 +56,17 @@ var bulkWriterPool = sync.Pool{
 //
 // Malformed lines never abort the stream; the caller keeps its
 // line-for-line correspondence and decides what to do. The handler
-// pins the serving snapshot once and answers every line from it, so a
+// loads the serving snapshot once and answers every line from it, so a
 // reload landing mid-request cannot produce a response that mixes two
-// mappings. Hit lines are assembled from the snapshot's pre-rendered
-// tails into a pooled buffer: zero allocations per line in steady
-// state. The body is streamed — never buffered whole — and bounded by
+// mappings. Hit lines are rendered from the clusters into a pooled
+// buffer: zero allocations per line in steady state. The body is
+// streamed — never buffered whole — and bounded by
 // Options.MaxBodyBytes and Options.BulkMaxLines; hitting either cap
 // emits a terminal error line and ends the response.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
-	// Pin the snapshot for the whole request: consistency across a
-	// mid-request reload, and — for mapped snapshots — a guarantee the
-	// backing stays mapped until the last line is written.
-	snap := s.pinnedSnapshot()
-	defer snap.Unpin()
+	// One snapshot for the whole request: consistency across a
+	// mid-request reload.
+	snap := s.snap.Load()
 
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	br := bulkReaderPool.Get().(*bufio.Reader)

@@ -65,14 +65,15 @@ func (c CanaryConfig) seed() uint64 {
 
 // canaryCheck replays a deterministic sample of lookups and searches
 // against the candidate snapshot before it is promoted. It proves,
-// for every sampled ASN: the spliced /v1/as body is valid JSON, the
+// for every sampled ASN: the rendered /v1/as body is valid JSON, the
 // index resolves the ASN to a cluster that actually contains it, the
-// cluster's spliced /v1/org body is valid JSON, and every token of the
-// cluster's name resolves back to the cluster through the search index. prev may be nil (no θ comparison). All
-// failures wrap ErrCanaryRejected.
+// cluster's rendered /v1/org body is valid JSON, and every token of the
+// cluster's name resolves back to the cluster through the search
+// index. prev may be nil (no θ comparison). All failures wrap
+// ErrCanaryRejected.
 //
 // The checks deliberately cross section boundaries — index ↔
-// membership ↔ bodies ↔ token postings — because single-section
+// membership ↔ names ↔ token postings — because single-section
 // damage that survives the content hash (a poisoned artifact re-signed
 // by an attacker, or a bug in a delta patch) is exactly what a hash
 // check cannot see.

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"net/http"
@@ -11,62 +10,40 @@ import (
 	"testing"
 )
 
-// poisonOrgBodies encodes snap as a snapbin artifact, plants a raw
-// control byte (invalid inside a JSON string) at the start of every
-// organization's name — in its org body and, consistently, in the copy
-// its AS tail embeds — and re-signs the content hash, modeling an
-// artifact altered after hashing (a buggy writer, a tampering proxy).
-// Every structural check passes: magic, version, size, section table,
-// the re-signed hash, the tail↔body check, and cluster.Restore's
+// poisonSearchIndex encodes snap as a snapbin artifact, breaks the
+// first letter of every organization's lowercase name (the search
+// index's copy; the display name the responses render from is left
+// alone) so that no name token resolves through the index, and
+// re-signs the content hash, modeling an artifact altered after
+// hashing (a buggy writer, a tampering proxy). Every structural check
+// passes: magic, version, size, section table, the re-signed hash, the
+// body and tail checks against the clusters, and cluster.Restore's
 // index↔membership verification. Only replaying live traffic against
 // the candidate can catch it, which is exactly the canary's job.
-func poisonOrgBodies(t testing.TB, snap *Snapshot) []byte {
+func poisonSearchIndex(t testing.TB, snap *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := WriteSnapshot(&buf, snap); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
-	// Walk the section table: 7 entries of 20 bytes at offset 64
-	// {id u32, offset u64, length u64}.
-	type span struct{ off, length uint64 }
-	sections := make(map[uint32]span, 7)
-	for i := 0; i < 7; i++ {
-		e := data[64+20*i:]
-		id := binary.LittleEndian.Uint32(e)
-		sections[id] = span{binary.LittleEndian.Uint64(e[4:]), binary.LittleEndian.Uint64(e[12:])}
-	}
-	// Org bodies (section 6) and AS tails (section 7) payloads: count
-	// u32, count lengths u32, then the blobs contiguously. Tail i embeds
-	// body i (sans newline) right after its `,"org":` prefix.
-	blobs := func(sec span) [][]byte {
-		n := binary.LittleEndian.Uint32(data[sec.off:])
-		out := make([][]byte, n)
-		blob := sec.off + 4 + 4*uint64(n)
-		for i := range out {
-			l := uint64(binary.LittleEndian.Uint32(data[sec.off+4+4*uint64(i):]))
-			out[i] = data[blob : blob+l]
-			blob += l
+	// The clusters section is table entry 2 {id u32, offset u64,
+	// length u64}. Its payload: count n, n member counts, n feature
+	// bytes, then n display names and n lowercase names, each
+	// length-prefixed.
+	at := int(binary.LittleEndian.Uint64(data[64+2*20+4:]))
+	n := int(binary.LittleEndian.Uint32(data[at:]))
+	at += 4 + 4*n + n
+	for i := 0; i < 2*n; i++ {
+		l := int(binary.LittleEndian.Uint32(data[at:]))
+		if i >= n && l > 0 {
+			data[at+4] = 'Q' // not a token rune, so the name's first token shrinks
 		}
-		return out
+		at += 4 + l
 	}
-	tails := blobs(sections[7])
-	for i, body := range blobs(sections[6]) {
-		at := bytes.Index(body, []byte(`"name":"`))
-		if at < 0 {
-			continue
-		}
-		at += len(`"name":"`)
-		body[at] = 0x01
-		tails[i][len(`,"org":`)+at] = 0x01
-	}
-	// Re-sign: the content hash covers sections 2..7 in order.
-	h := sha256.New()
-	for _, id := range []uint32{2, 3, 4, 5, 6, 7} {
-		s := sections[id]
-		h.Write(data[s.off : s.off+s.length])
-	}
-	copy(data[24:56], h.Sum(nil))
+	// Re-sign: the content hash covers sections 2..7, which run from
+	// the stats section (table entry 1) to the end of the file.
+	resign(data)
 	return data
 }
 
@@ -97,12 +74,13 @@ func TestCanaryAcceptsValidSnapshot(t *testing.T) {
 	}
 }
 
-// TestCanaryRejectsPoisonedBodies: a hash-valid artifact with corrupt
-// pre-rendered bodies decodes cleanly but dies at the canary with the
-// typed error.
+// TestCanaryRejectsPoisonedBodies: a hash-valid artifact with a
+// corrupt search index decodes cleanly but dies at the canary with the
+// typed error. The index is poisoned rather than the bodies because the
+// decoder checks every body against a render of its cluster.
 func TestCanaryRejectsPoisonedBodies(t *testing.T) {
 	snap := mustSnapshot(t, variantMapping(2, 128))
-	poisoned, err := LoadSnapshot(bytes.NewReader(poisonOrgBodies(t, snap)))
+	poisoned, err := LoadSnapshot(bytes.NewReader(poisonSearchIndex(t, snap)))
 	if err != nil {
 		t.Fatalf("poisoned artifact must decode (it is re-signed): %v", err)
 	}
@@ -134,7 +112,7 @@ func TestCanaryThetaTolerance(t *testing.T) {
 // artifact.
 func TestCanaryDisable(t *testing.T) {
 	snap := mustSnapshot(t, variantMapping(2, 128))
-	poisoned, err := LoadSnapshot(bytes.NewReader(poisonOrgBodies(t, snap)))
+	poisoned, err := LoadSnapshot(bytes.NewReader(poisonSearchIndex(t, snap)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +126,7 @@ func TestCanaryDisable(t *testing.T) {
 // and the refusal is counted.
 func TestReloadCanaryGate(t *testing.T) {
 	good := mustSnapshot(t, variantMapping(1, 128))
-	poisonedBytes := poisonOrgBodies(t, mustSnapshot(t, variantMapping(2, 128)))
+	poisonedBytes := poisonSearchIndex(t, mustSnapshot(t, variantMapping(2, 128)))
 	srv, err := NewServer(good, Options{
 		Prepared: func(ctx context.Context) (*Snapshot, error) {
 			return LoadSnapshot(bytes.NewReader(poisonedBytes))

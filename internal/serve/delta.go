@@ -22,19 +22,14 @@ import (
 var ErrDeltaMismatch = errors.New("serve: delta does not apply to the serving snapshot")
 
 // ApplyDelta produces a new snapshot by patching only what the delta
-// touches. Every surviving cluster shares its pre-rendered body bytes
-// with the base snapshot — bodies carry no ID (see snapbin.Body), so a
-// survivor whose canonical ID shifted needs no new bytes — and only
-// the additions are rendered. The result is deep-equal to a
-// from-scratch build of the patched mapping:
+// touches: survivors keep their names, additions are tokenized. The
+// result is deep-equal to a from-scratch build of the patched mapping:
 //
 //   - Canonical cluster order (descending size, ties by smallest
 //     member) is a pure function of membership, so re-sorting
 //     survivors+additions reproduces the exact IDs a full build
 //     assigns. Survivors keep their relative order, so remapping a
 //     sorted posting list keeps it sorted.
-//   - Added clusters render through the same bodyArena the full build
-//     uses, byte for byte.
 //   - θ and the histogram recompute from the patched descending size
 //     slice with the same arithmetic the full build runs.
 //
@@ -117,11 +112,10 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		return cluster.CompareCanonical(entries[a].members, entries[b].members) < 0
 	})
 
-	// Assemble the patched cluster slice and per-cluster serving
-	// artifacts. A survivor keeps its base body bytes and display name
-	// whatever its new ID; an addition renders from scratch through the
-	// same code as a full build. The lowercase names go straight into a
-	// table sized for the base's names plus the additions'.
+	// Assemble the patched cluster slice. A survivor keeps its base
+	// lowercase name whatever its new ID; an addition lowercases its
+	// own. The lowercase names go straight into a table sized for the
+	// base's names plus the additions'.
 	n := len(entries)
 	addLower := make([]string, len(d.Added))
 	nameBytes := len(s.lowerNames.Text)
@@ -134,27 +128,21 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		return nil, err
 	}
 	clusters := make([]cluster.Cluster, n)
-	bodies := make([]snapbin.Body, n)
 	remap := make([]int32, nOld) // base ID → patched ID, -1 if deleted
 	for i := range remap {
 		remap[i] = -1
 	}
-	arena := newBodyArena()
 	for i, e := range entries {
 		if e.oldID >= 0 {
 			clusters[i] = s.mapping.Clusters[e.oldID]
 			clusters[i].ID = i
 			names.Add(s.lowerNames.At(e.oldID))
-			bodies[i] = s.bodies[e.oldID]
 			remap[e.oldID] = int32(i)
 			continue
 		}
 		clusters[i] = d.Added[e.addIdx]
 		clusters[i].ID = i
 		names.Add(addLower[e.addIdx])
-		if err := arena.render(&clusters[i], &bodies[i]); err != nil {
-			return nil, fmt.Errorf("serve: rendering added organization: %w", err)
-		}
 	}
 
 	// Splice the packed ASN→cluster index: one merge pass over the old
@@ -280,20 +268,10 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		tokens:     tokens.Table(),
 		postings:   postings,
 		lowerNames: names.Table(),
-		bodies:     bodies,
 		source:     s.source,
 		loadedAt:   now,
 		health:     s.health,
 		loadMode:   LoadModeDelta,
-	}
-	// Survivors share body bytes with the base snapshot; if
-	// those bytes live in a memory mapping, the patched snapshot takes
-	// its own reference so the mapping outlives the base's retirement.
-	// The acquire cannot fail here: the caller holds the base as a live
-	// serving (or caller-owned) snapshot, so its creation reference is
-	// still up.
-	if s.backing != nil && s.backing.acquire() {
-		ns.backing = s.backing
 	}
 	ns.scratchPool.New = func() any {
 		return &searchScratch{bits: make([]uint64, (n+63)/64)}

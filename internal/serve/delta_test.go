@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
@@ -103,82 +101,6 @@ func TestDeltaEquivalenceLarge(t *testing.T) {
 		}
 		snapEqual(t, scratch, patched)
 		cur, snap = next, patched
-	}
-}
-
-// TestDeltaSharesSurvivorBodies: dissolving the top-ranked organization
-// shifts the canonical ID of every other organization, yet the patched
-// snapshot stores no new bytes for them — each survivor's body aliases
-// the base's backing array — and serves byte-identical /v1/as and
-// /v1/org responses to a from-scratch build.
-func TestDeltaSharesSurvivorBodies(t *testing.T) {
-	const n = 2048
-	build := func(withTop bool) *cluster.Mapping {
-		b := cluster.NewBuilder()
-		asns := make([]asnum.ASN, n)
-		for i := range asns {
-			asns[i] = asnum.ASN(i + 1)
-			b.AddUniverse(asns[i])
-		}
-		if withTop {
-			b.Add(cluster.SiblingSet{ASNs: asns[:64], Source: cluster.FeatureOIDW})
-		}
-		for i := 64; i < n; i += 4 {
-			b.Add(cluster.SiblingSet{ASNs: asns[i : i+4], Source: cluster.FeatureRR})
-		}
-		return b.Build(func(members []asnum.ASN) string { return fmt.Sprintf("Org %d", members[0]) })
-	}
-	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	oldM, newM := build(true), build(false)
-	base, err := newSnapshotAt(oldM, "test", Health{Status: HealthOK}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched, err := base.applyDeltaAt(mapdiff.ComputeDelta(oldM, newM), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	survivors, shifted := 0, 0
-	for i := range patched.mapping.Clusters {
-		c := &patched.mapping.Clusters[i]
-		old := base.Lookup(c.ASNs[0])
-		if old == nil || len(old.ASNs) != len(c.ASNs) {
-			continue // an addition: one of the dissolved singletons
-		}
-		survivors++
-		if old.ID != i {
-			shifted++
-		}
-		if unsafe.SliceData(patched.bodies[i].Rest) != unsafe.SliceData(base.bodies[old.ID].Rest) {
-			t.Fatalf("survivor %d (was %d) got new body bytes instead of sharing its base's", i, old.ID)
-		}
-	}
-	if survivors == 0 || shifted*10 <= survivors*9 {
-		t.Fatalf("delta shifted %d of %d survivors' IDs, want > 90%%", shifted, survivors)
-	}
-
-	scratch, err := newSnapshotAt(newM, "test", Health{Status: HealthOK}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapEqual(t, scratch, patched)
-	for a := asnum.ASN(1); a <= n; a++ {
-		want, _ := scratch.AppendASBody(nil, a)
-		got, ok := patched.AppendASBody(nil, a)
-		if !ok || !bytes.Equal(got, want) {
-			t.Fatalf("/v1/as/%d diverged:\n want %s\n  got %s", a, want, got)
-		}
-	}
-	srv, err := NewServer(patched, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range scratch.mapping.Clusters {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/org/%d", id), nil))
-		if want := scratch.OrgBody(id); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("/v1/org/%d = %d %s, want %s", id, rec.Code, rec.Body.Bytes(), want)
-		}
 	}
 }
 

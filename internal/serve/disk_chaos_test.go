@@ -57,7 +57,7 @@ func TestDiskChaosStorm(t *testing.T) {
 	v1 := mustSnapshot(t, variantMapping(1, 64))
 	v2 := mustSnapshot(t, variantMapping(2, 64))
 	v3 := mustSnapshot(t, variantMapping(3, 64))
-	poisoned, err := LoadSnapshot(bytes.NewReader(poisonOrgBodies(t, mustSnapshot(t, variantMapping(4, 64)))))
+	poisoned, err := LoadSnapshot(bytes.NewReader(poisonSearchIndex(t, mustSnapshot(t, variantMapping(4, 64)))))
 	if err != nil {
 		t.Fatal(err)
 	}

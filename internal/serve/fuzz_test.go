@@ -24,15 +24,14 @@ import (
 // FuzzLoadSnapshot fuzzes the binary artifact decoders behind
 // -snapshot-in and binary /admin/reload: the streaming decoder, driven
 // through LoadSnapshot (on a reader that reports its length and on one
-// that hides it) and through LoadSnapshotFileFS on a temp file, and the
-// in-memory decoder under the memory mapping. The contract under
-// arbitrary bytes: every loader
-// returns a typed error or a fully self-consistent snapshot — never a
-// panic, and never an allocation sized by an unvalidated length field
+// that hides it) and through LoadSnapshotFileFS on a temp file. The
+// contract under arbitrary bytes: every loader returns a typed error or
+// a fully self-consistent snapshot — never a panic, and never an
+// allocation sized by an unvalidated length field
 // (the size cap below would not save us from a forged multi-gigabyte
 // count; the decoders' bounds checks must) — and all of them agree on
 // whether to accept. An accepted snapshot re-encodes to the artifact's
-// content hash and splices valid JSON for every organization. The seed
+// content hash and renders valid JSON for every organization. The seed
 // corpus is a valid artifact plus the mutations the format is designed
 // to reject: truncations, flipped header/hash/payload bytes, and bare
 // magic.
@@ -70,10 +69,6 @@ func FuzzLoadSnapshot(f *testing.F) {
 		loaded["reader"], errs["reader"] = LoadSnapshot(bytes.NewReader(data))
 		loaded["opaque-reader"], errs["opaque-reader"] = LoadSnapshot(opaqueReader{bytes.NewReader(data)})
 		loaded["file"], errs["file"] = LoadSnapshotFileFS(vfs.OS, path)
-		loaded["mapped"], errs["mapped"] = LoadSnapshotFileMapped(path)
-		if m := loaded["mapped"]; m != nil {
-			defer m.retire()
-		}
 		for name, err := range errs {
 			if (err == nil) != (errs["reader"] == nil) {
 				t.Fatalf("loaders disagree on %s: %v", name, errs)
@@ -109,10 +104,10 @@ func checkAcceptedSnapshot(t *testing.T, loader string, snap *Snapshot) {
 		}
 		var ok bool
 		if body, ok = snap.AppendOrgBody(body[:0], c.ID); !ok || !json.Valid(body) {
-			t.Fatalf("%s: cluster %d splices an invalid /v1/org body: %s", loader, c.ID, body)
+			t.Fatalf("%s: cluster %d renders an invalid /v1/org body: %s", loader, c.ID, body)
 		}
 		if body, ok = snap.AppendASBody(body[:0], c.ASNs[0]); !ok || !json.Valid(body) {
-			t.Fatalf("%s: %v splices an invalid /v1/as body: %s", loader, c.ASNs[0], body)
+			t.Fatalf("%s: %v renders an invalid /v1/as body: %s", loader, c.ASNs[0], body)
 		}
 	}
 	if snap.LoadMode() != LoadModeBinary || snap.ContentHash() == "" {

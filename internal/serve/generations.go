@@ -215,10 +215,7 @@ func (r *GenerationRing) PreviousVerified(exclude string) (*Snapshot, Generation
 		if !found {
 			return nil, Generation{}, ErrNoVerifiedGeneration
 		}
-		// Mapped load: a rollback artifact can be multi-GB, and the
-		// mapping stays valid even if a later prune or quarantine
-		// unlinks the file (the inode lives until munmap).
-		snap, err := LoadSnapshotFileMappedFS(r.fs, filepath.Join(r.dir, pick.File))
+		snap, err := LoadSnapshotFileFS(r.fs, filepath.Join(r.dir, pick.File))
 		if err != nil {
 			r.quarantine(pick, err.Error())
 			continue

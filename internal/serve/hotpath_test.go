@@ -15,7 +15,7 @@ import (
 
 // TestParallelSnapshotBuildEquivalence: a snapshot built with many
 // workers is indistinguishable from a single-worker build — same token
-// index, same posting lists, same stats, same pre-rendered bytes.
+// index, same posting lists, same stats.
 func TestParallelSnapshotBuildEquivalence(t *testing.T) {
 	m := variantMapping(3, 4096)
 	now := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
@@ -40,16 +40,11 @@ func TestParallelSnapshotBuildEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(seq.lowerNames, par.lowerNames) {
 			t.Fatalf("workers=%d: lowercase names diverge", workers)
 		}
-		for i := range seq.bodies {
-			if !bodiesEqual(seq.bodies[i], par.bodies[i]) {
-				t.Fatalf("workers=%d: org body %d diverges", workers, i)
-			}
-		}
 	}
 }
 
-// TestPreRenderedBodies: the pre-rendered bytes parse back into exactly
-// the structures the handlers used to encode per request.
+// TestPreRenderedBodies: the rendered bytes parse back into exactly the
+// structures the oracle encodes.
 func TestPreRenderedBodies(t *testing.T) {
 	s := mustSnapshot(t, testMapping(t))
 	c := s.Lookup(3356)
@@ -90,7 +85,7 @@ func TestPreRenderedBodies(t *testing.T) {
 }
 
 // TestLookupZeroAllocs is the CI guard for the serving hot path: an ASN
-// point lookup plus the spliced /v1/as and /v1/org bodies must not
+// point lookup plus the rendered /v1/as and /v1/org bodies must not
 // allocate.
 func TestLookupZeroAllocs(t *testing.T) {
 	s := mustSnapshot(t, variantMapping(2, 4096))
@@ -204,7 +199,7 @@ func TestSearchConcurrentScratchReuse(t *testing.T) {
 
 // TestParallelBuildDuringConcurrentReloads is the -race sweep the
 // tentpole asks for: multi-worker snapshot builds racing hot reloads
-// and live point lookups served from pre-rendered bodies.
+// and live point lookups rendered from the serving snapshot.
 func TestParallelBuildDuringConcurrentReloads(t *testing.T) {
 	const universe = 512
 	snap, err := newSnapshotWorkers(variantMapping(0, universe), "par-reload", Health{}, time.Now(), 4)

@@ -9,10 +9,10 @@ import (
 // memSeries maps runtime/metrics samples onto the borgesd_mem_*
 // Prometheus series surfaced by /metrics. These are the gauges that
 // make the mega-scale memory model observable in production: how much
-// heap the process actually holds (for a mapped artifact this stays
-// O(index), not O(file)), how much address space the runtime has
-// mapped, how hard the collector is working, and how far the heap
-// goal sits above the live heap.
+// heap the process actually holds (a loaded snapshot keeps its index
+// and clusters, not its artifact's response sections), how much
+// address space the runtime has mapped, how hard the collector is
+// working, and how far the heap goal sits above the live heap.
 var memSeries = []struct {
 	sample string
 	name   string
@@ -22,7 +22,7 @@ var memSeries = []struct {
 	{"/memory/classes/heap/objects:bytes", "borgesd_mem_heap_objects_bytes", "gauge",
 		"Bytes occupied by live heap objects plus unswept garbage."},
 	{"/memory/classes/total:bytes", "borgesd_mem_runtime_total_bytes", "gauge",
-		"Total bytes of memory mapped by the Go runtime (excludes non-runtime mappings such as mmapped snapshot artifacts)."},
+		"Total bytes of memory mapped by the Go runtime."},
 	{"/memory/classes/heap/released:bytes", "borgesd_mem_heap_released_bytes", "gauge",
 		"Heap bytes returned to the operating system."},
 	{"/gc/heap/goal:bytes", "borgesd_mem_gc_goal_bytes", "gauge",

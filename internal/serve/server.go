@@ -20,6 +20,7 @@ import (
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
 	"github.com/nu-aqualab/borges/internal/mapdiff"
+	"github.com/nu-aqualab/borges/internal/snapbin"
 	"github.com/nu-aqualab/borges/internal/vfs"
 )
 
@@ -87,10 +88,9 @@ type Options struct {
 	// Logf receives one structured line per request and per reload.
 	// Nil disables request logging.
 	Logf func(format string, args ...any)
-	// BuildWorkers caps the number of workers used to index and
-	// pre-render a reloaded snapshot (0 = GOMAXPROCS). Lowering it
-	// trades reload latency for less CPU contention with serving
-	// traffic during the rebuild.
+	// BuildWorkers caps the number of workers used to index a reloaded
+	// snapshot (0 = GOMAXPROCS). Lowering it trades reload latency for
+	// less CPU contention with serving traffic during the rebuild.
 	BuildWorkers int
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/. Off by default: the profiling surface exposes heap
@@ -255,20 +255,6 @@ func NewServer(snap *Snapshot, opts Options) (*Server, error) {
 // Snapshot returns the currently served snapshot.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// pinnedSnapshot loads the serving snapshot with a read reference held
-// on its body backing (a nil check for heap-backed snapshots). The
-// retry loop terminates: Pin only fails after a snapshot was retired,
-// which happens strictly after its replacement was stored, so a
-// re-load observes the newer snapshot.
-func (s *Server) pinnedSnapshot() *Snapshot {
-	for {
-		snap := s.snap.Load()
-		if snap.Pin() {
-			return snap
-		}
-	}
-}
-
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
@@ -382,9 +368,8 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 	}
 	if err != nil {
 		// A candidate that was prepared but refused promotion (canary
-		// reject, late cancellation) releases its mapping now.
+		// reject, late cancellation) is garbage now.
 		if next != nil && next != old {
-			next.retire()
 			collectRetired()
 		}
 		s.metrics.ObserveReload(false)
@@ -412,12 +397,9 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 	s.logf(`{"event":"reload","ok":true,"mode":%q,"hash":%q,"health":%q,"orgs":%d,"asns":%d,"theta":%.6f,"load_us":%d}`,
 		next.LoadMode(), next.ContentHash(), next.Health().Status,
 		next.Stats().Orgs, next.Stats().ASNs, next.Stats().Theta, d.Microseconds())
-	// The outgoing snapshot's store reference drops only after every
-	// post-swap consumer (watch fan-out, OnSwap, persistence) is done
-	// with it; if it was memory-mapped, munmap waits further for
-	// in-flight pinned requests to drain.
+	// The outgoing snapshot is collected only after every post-swap
+	// consumer (watch fan-out, OnSwap, persistence) is done with it.
 	if old != next {
-		old.retire()
 		collectRetired()
 	}
 	return next, nil
@@ -616,29 +598,6 @@ func clientKey(r *http.Request) string {
 	return "ip:" + host
 }
 
-// orgJSON is the wire form of one organization.
-type orgJSON struct {
-	Org      int      `json:"org"`
-	Name     string   `json:"name,omitempty"`
-	Size     int      `json:"size"`
-	ASNs     []uint32 `json:"asns"`
-	Features []string `json:"features,omitempty"`
-}
-
-func orgToJSON(c *cluster.Cluster) orgJSON {
-	out := orgJSON{
-		Org:      c.ID,
-		Name:     c.Name,
-		Size:     c.Size(),
-		ASNs:     make([]uint32, len(c.ASNs)),
-		Features: FeatureNames(c),
-	}
-	for i, a := range c.ASNs {
-		out.ASNs[i] = uint32(a)
-	}
-	return out
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -668,8 +627,8 @@ func writeRetryableError(w http.ResponseWriter, status int, after time.Duration,
 	writeError(w, status, format, args...)
 }
 
-// respBufPool recycles /v1/as and /v1/org response buffers: the body
-// is spliced from the snapshot's pre-rendered bytes in a pooled scratch
+// respBufPool recycles /v1/as, /v1/org and /v1/search response
+// buffers: the body is rendered from the clusters into a pooled scratch
 // slice, so the point-lookup hot path performs no per-request
 // allocation.
 var respBufPool = sync.Pool{
@@ -685,8 +644,7 @@ func (s *Server) handleAS(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid ASN %q", r.PathValue("asn"))
 		return
 	}
-	snap := s.pinnedSnapshot()
-	defer snap.Unpin()
+	snap := s.snap.Load()
 	bp := respBufPool.Get().(*[]byte)
 	body, ok := snap.AppendASBody((*bp)[:0], a)
 	if !ok {
@@ -709,8 +667,7 @@ func (s *Server) handleOrg(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid organization id %q", r.PathValue("id"))
 		return
 	}
-	snap := s.pinnedSnapshot()
-	defer snap.Unpin()
+	snap := s.snap.Load()
 	bp := respBufPool.Get().(*[]byte)
 	body, ok := snap.AppendOrgBody((*bp)[:0], id)
 	if !ok {
@@ -767,21 +724,19 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !brownout {
 		hits = snap.Search(q, limit)
 	}
-	out := struct {
-		Query    string    `json:"query"`
-		Brownout bool      `json:"brownout,omitempty"`
-		Matches  []orgJSON `json:"matches"`
-	}{Query: q, Brownout: brownout, Matches: make([]orgJSON, len(hits))}
-	for i, c := range hits {
-		out.Matches[i] = orgToJSON(c)
-	}
 	// Only the (potentially large) result body is worth compressing;
 	// the error paths above stay identity-encoded.
 	if gz := negotiateGzip(w, r); gz != nil {
 		defer finishGzip(w, gz)
 		w = &gzipResponseWriter{ResponseWriter: w, gz: gz}
 	}
-	writeJSON(w, http.StatusOK, out)
+	bp := respBufPool.Get().(*[]byte)
+	body := snapbin.AppendSearch((*bp)[:0], q, brownout, hits)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	*bp = body[:0]
+	respBufPool.Put(bp)
 }
 
 // bucketJSON is the wire form of one histogram bucket.

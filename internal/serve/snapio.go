@@ -17,7 +17,7 @@ import (
 // WriteSnapshot/WriteSnapshotFile persist it, and LoadSnapshot/
 // LoadSnapshotFile reconstruct a serving snapshot from the decoded
 // sections — a few large reads plus slicing, no union-find replay, no
-// re-tokenization, no re-rendering.
+// re-tokenization.
 
 // image flattens the snapshot into its portable binary form. The
 // returned image aliases the snapshot's slices; callers must not
@@ -39,7 +39,6 @@ func (s *Snapshot) image() *snapbin.Image {
 		LowerNames:   s.lowerNames,
 		Tokens:       s.tokens,
 		Postings:     s.postings,
-		Bodies:       s.bodies,
 	}
 	img.Histogram = make([]snapbin.Bucket, len(s.stats.SizeHistogram))
 	for i, b := range s.stats.SizeHistogram {
@@ -73,7 +72,6 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	s := &Snapshot{
 		mapping:     m,
 		lowerNames:  img.LowerNames,
-		bodies:      img.Bodies,
 		source:      img.Source,
 		loadedAt:    img.LoadedAt,
 		health:      health,
@@ -120,10 +118,9 @@ func WriteSnapshotFileFS(fsys vfs.FS, path string, s *Snapshot) (string, error) 
 
 // LoadSnapshot decodes a snapbin artifact from r into a serving
 // snapshot through the streaming decoder (snapbin.Read): sections are
-// decoded as they arrive, the org-bodies payload becomes the
-// snapshot's body arena, and the AS-tails section is verified against
-// the bodies and dropped. The content hash is checked over every byte
-// before the snapshot is built.
+// decoded as they arrive, and the org-bodies and AS-tails sections are
+// checked against renders of the clusters and dropped. The content
+// hash is checked over every byte before the snapshot is built.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	img, hash, err := snapbin.Read(r)
 	if err != nil {
@@ -153,44 +150,11 @@ func LoadSnapshotFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
 	return snapshotFromImage(img, hash)
 }
 
-// LoadSnapshotFileMapped decodes the snapbin artifact at path through
-// a read-only memory mapping: the content hash is verified exactly as
-// in LoadSnapshotFile, but the pre-rendered bodies alias the mapping
-// and serve off the page cache, so the heap holds only the index-sized
-// sections. The returned snapshot carries a refcounted backing — the
-// server unmaps it only after the snapshot is swapped out and every
-// in-flight request that pinned it has finished. Platforms or files
-// that cannot map fall back to the buffered load behind the same
-// signature.
-func LoadSnapshotFileMapped(path string) (*Snapshot, error) {
-	img, hash, release, err := snapbin.ReadFileMapped(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := snapshotFromImage(img, hash)
-	if err != nil {
-		if release != nil {
-			release()
-		}
-		return nil, err
-	}
-	if release != nil {
-		s.backing = newMmapBacking(release)
-	}
-	return s, nil
-}
-
-// LoadSnapshotFileMappedFS is LoadSnapshotFileMapped with a
-// filesystem seam: mmap necessarily bypasses a vfs wrapper, so any
-// filesystem other than the real one (fault-injection chaos, future
-// overlays) takes the buffered LoadSnapshotFileFS path instead —
-// fault coverage is preserved, and production gets the mapping.
-func LoadSnapshotFileMappedFS(fsys vfs.FS, path string) (*Snapshot, error) {
-	if fsys != nil && fsys != vfs.OS {
-		return LoadSnapshotFileFS(fsys, path)
-	}
-	return LoadSnapshotFileMapped(path)
-}
+// LoadSnapshotFileMapped is LoadSnapshotFile.
+//
+// Deprecated: snapshots hold no response bytes to map any more; use
+// LoadSnapshotFile.
+func LoadSnapshotFileMapped(path string) (*Snapshot, error) { return LoadSnapshotFile(path) }
 
 // PreparedSource produces a ready-made snapshot — one already built,
 // loaded from a binary artifact, or patched from a predecessor —
@@ -200,28 +164,16 @@ type PreparedSource func(ctx context.Context) (*Snapshot, error)
 // SnapshotFileSource serves snapshots from a file of either format:
 // if the file carries the snapbin magic it decodes the binary
 // artifact (milliseconds), otherwise it falls back to the JSONL
-// rebuild path (parse, union-find, tokenize, render). The sniff
+// rebuild path (parse, union-find, tokenize). The sniff
 // happens on every call, so an operator can swap a JSONL file for a
 // binary artifact between reloads without restarting.
 func SnapshotFileSource(path string) PreparedSource {
-	return snapshotFileSource(path, LoadSnapshotFile)
-}
-
-// SnapshotFileSourceMapped is SnapshotFileSource with the binary load
-// going through LoadSnapshotFileMapped — the -mmap serving mode, where
-// a multi-GB artifact cold-starts without copying its body sections
-// onto the heap. JSONL files still take the rebuild path.
-func SnapshotFileSourceMapped(path string) PreparedSource {
-	return snapshotFileSource(path, LoadSnapshotFileMapped)
-}
-
-func snapshotFileSource(path string, loadBinary func(string) (*Snapshot, error)) PreparedSource {
 	return func(ctx context.Context) (*Snapshot, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if snapbin.SniffFile(path) {
-			return loadBinary(path)
+			return LoadSnapshotFile(path)
 		}
 		f, err := os.Open(path)
 		if err != nil {

@@ -9,16 +9,15 @@ import (
 	"testing"
 
 	"github.com/nu-aqualab/borges/internal/cluster"
-	"github.com/nu-aqualab/borges/internal/snapbin"
 )
 
 // snapEqual asserts two snapshots are deep-equal in every field that
-// affects serving: mapping, packed index, stats, search index, and
-// every pre-rendered byte. Provenance (source, load time, load mode)
-// is deliberately excluded — it is what MAY differ between a full
-// build, a binary load, and a delta patch of the same logical
-// snapshot. The content hash covers exactly the compared state, so it
-// is asserted too as the byte-level summary.
+// affects serving: mapping, packed index, stats and search index; the
+// responses are rendered from the mapping's clusters. Provenance
+// (source, load time, load mode) is deliberately excluded — it is what
+// MAY differ between a full build, a binary load, and a delta patch of
+// the same logical snapshot. The content hash covers exactly the
+// compared state, so it is asserted too as the byte-level summary.
 func snapEqual(t *testing.T, want, got *Snapshot) {
 	t.Helper()
 	if !reflect.DeepEqual(want.mapping.Clusters, got.mapping.Clusters) {
@@ -41,23 +40,9 @@ func snapEqual(t *testing.T, want, got *Snapshot) {
 	if !reflect.DeepEqual(want.postings, got.postings) {
 		t.Fatal("posting lists diverged")
 	}
-	if len(want.bodies) != len(got.bodies) {
-		t.Fatalf("%d org bodies vs %d", len(want.bodies), len(got.bodies))
-	}
-	for i := range want.bodies {
-		if !bodiesEqual(want.bodies[i], got.bodies[i]) {
-			t.Fatalf("org body %d diverged:\n want %s\n  got %s", i, want.OrgBody(i), got.OrgBody(i))
-		}
-	}
 	if wh, gh := want.ContentHash(), got.ContentHash(); wh != gh {
 		t.Fatalf("content hash diverged: %s vs %s", wh, gh)
 	}
-}
-
-// bodiesEqual reports whether two stored bodies hold the same bytes and
-// sibling span.
-func bodiesEqual(a, b snapbin.Body) bool {
-	return bytes.Equal(a.Rest, b.Rest) && a.Lo == b.Lo && a.Hi == b.Hi
 }
 
 // TestSnapshotBinaryRoundTrip is the format's correctness guard: a

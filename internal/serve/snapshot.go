@@ -5,32 +5,30 @@
 // and per-endpoint operational metrics.
 //
 // The serving layer is read-mostly by construction. A Snapshot is built
-// once (indexes, θ, histogram, pre-rendered response bodies) and never
-// mutated afterwards; the Server publishes it through an atomic.Pointer
-// so concurrent request handlers take a consistent view with a single
-// atomic load. Reloads build and validate a complete replacement
-// Snapshot off to the side and swap it in atomically — a failed reload
-// leaves the previous snapshot serving.
+// once (indexes, θ, histogram) and never mutated afterwards; the Server
+// publishes it through an atomic.Pointer so concurrent request handlers
+// take a consistent view with a single atomic load. Reloads build and
+// validate a complete replacement Snapshot off to the side and swap it
+// in atomically — a failed reload leaves the previous snapshot serving.
 //
 // Snapshot construction fans out across GOMAXPROCS workers: each takes
-// a contiguous cluster range and produces its lowercase names, token
-// postings, and pre-rendered JSON bodies, while θ and the size
-// histogram compute concurrently from the mapping's cached size slice.
+// a contiguous cluster range and produces its lowercase names and token
+// postings, while θ and the size histogram compute concurrently from
+// the mapping's cached size slice. /v1/org and /v1/as responses are
+// rendered from the clusters per request (snapbin.AppendOrg and
+// snapbin.AppendAS), so a snapshot stores no response bytes.
 // Contiguous ranges keep per-token posting lists ascending when merged
 // in worker order, so the parallel build is deterministic and
 // bit-identical to a single-worker build.
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -120,16 +118,6 @@ type Snapshot struct {
 	postings   snapbin.Postings
 	lowerNames snapbin.Strings
 
-	// bodies[i] is cluster i's pre-rendered /v1/org response, stored
-	// once and without its ID (see snapbin.Body). /v1/org and /v1/as
-	// responses are spliced from it per request: the current ID, the
-	// stored bytes, and for /v1/as the "asns" array again as
-	// "siblings", located by a stored offset. The hot path copies bytes
-	// rendered at build time — it allocates nothing and encodes
-	// nothing — and because no ID is baked in, a delta that shifts IDs
-	// shares every survivor's bytes with its base.
-	bodies []snapbin.Body
-
 	// scratchPool recycles per-query search state (dedup bitset, posting
 	// heads, result ids) so Search and SearchBrownout stay off the heap.
 	scratchPool sync.Pool
@@ -145,18 +133,13 @@ type Snapshot struct {
 	loadMode    string
 	contentHash string
 	hashOnce    sync.Once
-
-	// backing, when non-nil, refcounts the memory mapping that bodies
-	// alias (see backing.go). Nil for heap-backed
-	// snapshots.
-	backing *mmapBacking
 }
 
 // Load modes reported by /v1/stats and /admin/reload: how the serving
 // snapshot was produced.
 const (
 	// LoadModeFull: built from scratch (JSONL parse or pipeline run,
-	// then tokenize + pre-render).
+	// then tokenize).
 	LoadModeFull = "full"
 	// LoadModeBinary: decoded from a snapbin artifact, no rebuild.
 	LoadModeBinary = "binary"
@@ -188,7 +171,6 @@ func newSnapshotAt(m *cluster.Mapping, source string, health Health, now time.Ti
 // indexShard is one worker's slice of the snapshot index build.
 type indexShard struct {
 	tokens map[string][]int32
-	err    error
 }
 
 // newSnapshotWorkers builds a snapshot with an explicit worker count
@@ -214,7 +196,6 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	lower := make([]string, n)
 	s := &Snapshot{
 		mapping:  m,
-		bodies:   make([]snapbin.Body, n),
 		source:   source,
 		loadedAt: now,
 		health:   health,
@@ -274,11 +255,6 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	statsWG.Wait()
 	if thetaErr != nil {
 		return nil, fmt.Errorf("serve: mapping fails θ validation: %w", thetaErr)
-	}
-	for w := range shards {
-		if shards[w].err != nil {
-			return nil, fmt.Errorf("serve: pre-rendering responses: %w", shards[w].err)
-		}
 	}
 	s.stats.Theta = theta
 
@@ -341,80 +317,20 @@ func growNames(b *snapbin.StringsBuilder, n, total int) error {
 	return nil
 }
 
-// buildRange indexes and pre-renders clusters [lo, hi): lowercase
-// names, token postings, and the /v1/org bodies. Workers write disjoint
-// index ranges of lower and the shared bodies.
+// buildRange indexes clusters [lo, hi): lowercase names and token
+// postings. Workers write disjoint index ranges of lower.
 func (s *Snapshot) buildRange(sh *indexShard, lower []string, lo, hi int) {
 	sh.tokens = make(map[string][]int32, (hi-lo)/2+1)
-	arena := newBodyArena()
 	for i := lo; i < hi; i++ {
-		c := &s.mapping.Clusters[i]
-		lower[i] = strings.ToLower(c.Name)
+		lower[i] = strings.ToLower(s.mapping.Clusters[i].Name)
 		for _, tok := range tokenize(lower[i]) {
 			ids := sh.tokens[tok]
 			if len(ids) == 0 || ids[len(ids)-1] != int32(i) {
 				sh.tokens[tok] = append(ids, int32(i))
 			}
 		}
-		if err := arena.render(c, &s.bodies[i]); err != nil {
-			sh.err = err
-			return
-		}
 	}
 }
-
-// bodyArena pre-renders /v1/org bodies into 64 KiB chunks — one
-// allocation per chunk instead of one per body, and no bytes copied
-// again as the arena fills. The delta-patch path renders its additions
-// through it too, so an incrementally added cluster is byte-identical
-// to a from-scratch one.
-type bodyArena struct {
-	buf   bytes.Buffer
-	enc   *json.Encoder
-	chunk []byte // the current chunk; its spare capacity takes the next body
-}
-
-// arenaChunk is the size of one arena chunk. A body larger than an
-// eighth of it gets its own allocation, so a chunk wastes at most that
-// much at its end.
-const arenaChunk = 64 << 10
-
-func newBodyArena() *bodyArena {
-	a := &bodyArena{}
-	a.enc = json.NewEncoder(&a.buf)
-	a.enc.SetEscapeHTML(false)
-	return a
-}
-
-// render encodes c's /v1/org body into the arena and stores it in *dst.
-func (a *bodyArena) render(c *cluster.Cluster, dst *snapbin.Body) error {
-	a.buf.Reset()
-	if err := a.enc.Encode(orgToJSON(c)); err != nil {
-		return fmt.Errorf("org %d: %w", c.ID, err)
-	}
-	_, b, ok := snapbin.SplitBody(a.buf.Bytes())
-	if !ok {
-		return fmt.Errorf("org %d: rendered body has no member list", c.ID)
-	}
-	n := len(b.Rest)
-	if n > cap(a.chunk)-len(a.chunk) {
-		if n > arenaChunk/8 {
-			b.Rest = bytes.Clone(b.Rest)
-			*dst = b
-			return nil
-		}
-		a.chunk = make([]byte, 0, arenaChunk)
-	}
-	start := len(a.chunk)
-	a.chunk = append(a.chunk, b.Rest...)
-	b.Rest = a.chunk[start:len(a.chunk):len(a.chunk)]
-	*dst = b
-	return nil
-}
-
-// A /v1/as response is `{"asn":<n>` + the organization's tail
-// (snapbin.Body.AppendTail).
-const asBodyPrefix = `{"asn":`
 
 // multiCount counts entries > 1 in a descending size slice.
 func multiCount(sizes []int) int {
@@ -523,8 +439,8 @@ func (s *Snapshot) LoadMode() string { return s.loadMode }
 // artifact carry the verified file hash; full builds and delta
 // patches compute it on first call — one streaming encode pass,
 // memoized for the snapshot's lifetime. Two snapshots hash equal iff
-// their serving content (mapping, indexes, pre-rendered bodies,
-// stats) is byte-identical, which is what a replica fleet compares.
+// their serving content (mapping, indexes, stats) is byte-identical,
+// which is what a replica fleet compares.
 func (s *Snapshot) ContentHash() string {
 	s.hashOnce.Do(func() {
 		if s.contentHash == "" {
@@ -559,29 +475,27 @@ func (s *Snapshot) OrgBody(id int) []byte {
 }
 
 // AppendOrgBody appends the /v1/org JSON response for cluster id to dst
-// and reports whether id exists. The response is the cluster's current
-// ID spliced before its stored body bytes, so a call with spare
-// capacity in dst performs zero allocations.
+// and reports whether id exists. The response is rendered from the
+// cluster, so a call with spare capacity in dst performs zero
+// allocations.
 func (s *Snapshot) AppendOrgBody(dst []byte, id int) ([]byte, bool) {
-	if id < 0 || id >= len(s.bodies) {
+	c := s.Org(id)
+	if c == nil {
 		return dst, false
 	}
-	return s.bodies[id].AppendOrg(dst, id), true
+	return snapbin.AppendOrg(dst, c), true
 }
 
 // AppendASBody appends the /v1/as JSON response for a to dst and
-// reports whether a is mapped. The response is spliced from the ASN's
-// digits, its organization's current ID, and the organization's stored
-// body (its member array repeated as the siblings), so a call with
-// spare capacity in dst performs zero allocations.
+// reports whether a is mapped. The response is rendered from a's
+// organization, so a call with spare capacity in dst performs zero
+// allocations.
 func (s *Snapshot) AppendASBody(dst []byte, a asnum.ASN) ([]byte, bool) {
 	c := s.mapping.ClusterOf(a)
 	if c == nil {
 		return dst, false
 	}
-	dst = append(dst, asBodyPrefix...)
-	dst = strconv.AppendUint(dst, uint64(a), 10)
-	return s.bodies[c.ID].AppendTail(dst, c.ID), true
+	return snapbin.AppendAS(dst, a, c), true
 }
 
 // searchScratch is the reusable per-query state behind Search and
@@ -748,17 +662,5 @@ func (s *Snapshot) SearchBrownout(query string, limit int) []*cluster.Cluster {
 	sort.Ints(ids)
 	out := s.materialize(ids)
 	s.release(sc)
-	return out
-}
-
-// FeatureNames renders a cluster's contributing features in the
-// paper's shorthand (OID_W, OID_P, N&A, R&R, F).
-func FeatureNames(c *cluster.Cluster) []string {
-	var out []string
-	for f := 0; f < cluster.NumFeatures; f++ {
-		if c.Features[f] {
-			out = append(out, cluster.Feature(f).String())
-		}
-	}
 	return out
 }

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,8 +19,8 @@ import (
 )
 
 // goldenHash is the content hash of goldenSnapshot, computed by the
-// writer that pre-rendered every /v1/as tail into memory, before IDs
-// were spliced at serve time. testdata/golden-v1.snapbin is that
+// writer that pre-rendered every /v1/org body and /v1/as tail into
+// memory with encoding/json. testdata/golden-v1.snapbin is that
 // writer's artifact of the same snapshot.
 const goldenHash = "5f3cac2373c2bae7fcb2228c54b57b8e23a09906b1c48e54744d400884a85343"
 
@@ -77,9 +79,9 @@ func goldenSnapshot(t testing.TB) *Snapshot {
 	return s
 }
 
-// TestFormatGoldenHash: storing bodies once and splicing IDs at serve
-// time leaves the artifact format untouched — the content hash and
-// every byte of the encoded artifact match the golden ones.
+// TestFormatGoldenHash: rendering the org-bodies and AS-tails sections
+// from the clusters leaves the artifact format untouched — the content
+// hash and every byte of the encoded artifact match the golden ones.
 func TestFormatGoldenHash(t *testing.T) {
 	s := goldenSnapshot(t)
 	if got := s.ContentHash(); got != goldenHash {
@@ -113,19 +115,19 @@ func (o opaqueReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 
 // loaders is every way an artifact becomes a serving snapshot: the
 // streaming decoder over a reader (with and without a known length) and
-// over a file, and the in-memory decoder under the memory mapping.
+// over a file.
 func loaders(data []byte, path string) map[string]func() (*Snapshot, error) {
 	return map[string]func() (*Snapshot, error){
 		"reader":        func() (*Snapshot, error) { return LoadSnapshot(bytes.NewReader(data)) },
 		"opaque-reader": func() (*Snapshot, error) { return LoadSnapshot(opaqueReader{bytes.NewReader(data)}) },
 		"file":          func() (*Snapshot, error) { return LoadSnapshotFile(path) },
-		"mapped":        func() (*Snapshot, error) { return LoadSnapshotFileMapped(path) },
 	}
 }
 
-// TestLoadGoldenArtifact: an artifact written before bodies were stored
-// once loads through every loader, verifies its tails, and serves
-// exactly what a fresh build of the same mapping serves.
+// TestLoadGoldenArtifact: an artifact written by the encoding/json
+// renderer loads through every loader, its bodies and tails checked
+// against the clusters, and serves exactly what a fresh build of the
+// same mapping serves.
 func TestLoadGoldenArtifact(t *testing.T) {
 	path := filepath.Join("testdata", "golden-v1.snapbin")
 	data, err := os.ReadFile(path)
@@ -159,31 +161,60 @@ func resign(data []byte) {
 	copy(data[24:56], sum[:])
 }
 
-// TestLoadersRejectTailBodyMismatch: a re-signed artifact whose AS tail
-// disagrees with its org body — here one sibling digit — is rejected
+// TestLoadersRejectTailBodyMismatch: a re-signed artifact whose org
+// body or AS tail disagrees with its cluster — here one name letter of
+// the first body, or one sibling digit of the last tail — is rejected
 // as corrupt by every loader, before any canary could see it.
 func TestLoadersRejectTailBodyMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := WriteSnapshot(&buf, mustSnapshot(t, variantMapping(2, 64))); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// The artifact ends with the last tail, `…,"siblings":[…,64]}\n`:
-	// four bytes from the end sits its last sibling digit.
-	last := len(data) - 4
-	if data[last] < '0' || data[last] > '9' {
-		t.Fatalf("byte %q is not a sibling digit", data[last])
+	valid := buf.Bytes()
+	dir := t.TempDir()
+	type mismatch struct {
+		what, path string
+		data       []byte
 	}
-	data[last] = '0' + (data[last]-'0'+1)%10
-	resign(data)
-	path := filepath.Join(t.TempDir(), "mismatch.snapbin")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	var cases []mismatch
+	for _, tc := range []struct {
+		what string
+		at   func(data []byte) int
+	}{
+		// Section 6 (table entry 5) opens with the count and a length
+		// per organization; the first body follows, `{"org":0,"name":"Org v2 #1",…`.
+		{"org body 0", func(data []byte) int {
+			off := int(binary.LittleEndian.Uint64(data[64+5*20+4:]))
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			return off + 4 + 4*n + len(`{"org":0,"name":"`)
+		}},
+		// The artifact ends with the last tail, `…,"siblings":[…,64]}\n`:
+		// four bytes from the end sits its last sibling digit.
+		{"AS tail", func(data []byte) int { return len(data) - 4 }},
+	} {
+		data := append([]byte(nil), valid...)
+		at := tc.at(data)
+		if c := data[at]; c == 'O' {
+			data[at] = 'o'
+		} else if c >= '0' && c <= '9' {
+			data[at] = '0' + (c-'0'+1)%10
+		} else {
+			t.Fatalf("%s: byte %q is neither the name's first letter nor a sibling digit", tc.what, c)
+		}
+		resign(data)
+		path := filepath.Join(dir, fmt.Sprintf("mismatch-%d.snapbin", len(cases)))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, mismatch{tc.what, path, data})
 	}
-	for name, load := range loaders(data, path) {
+	for name := range loaders(valid, "") {
 		t.Run(name, func(t *testing.T) {
-			if _, err := load(); !errors.Is(err, snapbin.ErrCorrupt) {
-				t.Fatalf("load = %v, want %v", err, snapbin.ErrCorrupt)
+			for _, tc := range cases {
+				_, err := loaders(tc.data, tc.path)[name]()
+				if !errors.Is(err, snapbin.ErrCorrupt) || !strings.Contains(err.Error(), tc.what) {
+					t.Fatalf("%s mismatch: load = %v, want %v naming the %s", tc.what, err, snapbin.ErrCorrupt, tc.what)
+				}
 			}
 		})
 	}

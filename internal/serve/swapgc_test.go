@@ -52,7 +52,7 @@ func TestSwapCollectsRetired(t *testing.T) {
 	if _, err := ring.Record(v1, time.Unix(1700000000, 0).UTC()); err != nil {
 		t.Fatal(err)
 	}
-	poisoned := poisonOrgBodies(t, v2)
+	poisoned := poisonSearchIndex(t, v2)
 	var candidate func() (*Snapshot, error)
 	srv, err := NewServer(v1, Options{
 		Generations: ring,

@@ -2,11 +2,10 @@
 // serving artifacts: a single self-describing file holding everything
 // internal/serve pre-computes at snapshot-build time — the packed
 // ASN→cluster index, cluster membership and interned names, the
-// token index with sorted posting lists, the pre-rendered /v1/org
-// bodies and /v1/as tails, and the θ/size-histogram statistics —
-// so a daemon cold-starts by decoding large flat sections instead of
-// re-parsing JSONL, replaying a union-find, re-tokenizing every name,
-// and re-encoding every response body.
+// token index with sorted posting lists, the rendered /v1/org bodies
+// and /v1/as tails, and the θ/size-histogram statistics — so a daemon
+// cold-starts by decoding large flat sections instead of re-parsing
+// JSONL, replaying a union-find and re-tokenizing every name.
 //
 // # File layout
 //
@@ -30,12 +29,12 @@
 // # Bodies and tails
 //
 // The org-bodies section holds every organization's complete /v1/org
-// response and the AS-tails section every /v1/as tail. A tail is a pure
-// function of its body (see Body), so in memory an Image holds each
-// body once, without its ID: the writers splice the ID back in and
-// generate both sections from that one copy, and the decoders check
-// every stored tail against its body in place and keep none of the
-// tails section. A tail that disagrees with its body is ErrCorrupt.
+// response and the AS-tails section every /v1/as tail. Both are pure
+// functions of the organization's cluster (see AppendOrg and AppendAS),
+// so an Image holds neither: the writers render both sections from the
+// clusters as they stream, and the decoder checks every stored body and
+// tail against a render of its cluster and keeps none of them. A body
+// or tail that disagrees with its cluster is ErrCorrupt.
 //
 // # Content hash
 //
@@ -88,8 +87,8 @@ const (
 	secClusters   = 3 // membership, names, lowercase names, features
 	secIndex      = 4 // packed ASN→cluster index
 	secTokens     = 5 // sorted tokens + posting lists
-	secOrgBodies  = 6 // pre-rendered /v1/org responses
-	secASTails    = 7 // pre-rendered /v1/as tails
+	secOrgBodies  = 6 // rendered /v1/org responses
+	secASTails    = 7 // rendered /v1/as tails
 )
 
 var sectionIDs = []uint32{
@@ -115,7 +114,7 @@ var (
 	ErrTruncated = errors.New("snapbin: truncated artifact")
 	// ErrCorrupt: structural damage — a malformed section table, a
 	// length field pointing outside its section, an out-of-range ID, a
-	// tail that disagrees with its body.
+	// body or tail that disagrees with its cluster.
 	ErrCorrupt = errors.New("snapbin: corrupt artifact")
 	// ErrHashMismatch: the content hash does not cover the payload
 	// bytes present; the artifact was altered or torn mid-section.
@@ -130,8 +129,8 @@ type Bucket struct {
 
 // Image is the portable, fully-decoded form of a serving snapshot —
 // every field internal/serve needs to reconstruct its Snapshot
-// without re-tokenizing or re-rendering. snapbin deliberately does
-// not import the serve package; serve converts in both directions.
+// without re-tokenizing. snapbin deliberately does not import the
+// serve package; serve converts in both directions.
 type Image struct {
 	// Provenance (excluded from the content hash).
 	Source   string
@@ -160,10 +159,6 @@ type Image struct {
 	LowerNames Strings
 	Tokens     Strings
 	Postings   Postings
-
-	// Bodies[i] is cluster i's pre-rendered response, held once; both
-	// the org-bodies and the AS-tails sections derive from it.
-	Bodies []Body
 
 	// statOrgs/statASNs are the counts the stats section declared,
 	// held for the cross-section consistency check after decode.
@@ -336,28 +331,26 @@ func writeTokens(s *sink, img *Image) {
 	}
 }
 
-// writeOrgBodies emits each body with its ID spliced back in.
-func writeOrgBodies(s *sink, img *Image) {
-	s.u32(uint32(len(img.Bodies)))
-	for i, b := range img.Bodies {
-		s.u32(uint32(b.orgLen(i)))
-		s.spill()
-	}
-	for i, b := range img.Bodies {
-		s.buf = b.AppendOrg(s.buf, i)
-		s.spill()
-	}
-}
+func writeOrgBodies(s *sink, img *Image) { writeRendered(s, img, AppendOrg) }
 
-// writeASTails generates each /v1/as tail from its body.
-func writeASTails(s *sink, img *Image) {
-	s.u32(uint32(len(img.Bodies)))
-	for i, b := range img.Bodies {
-		s.u32(uint32(b.tailLen(i)))
+func writeASTails(s *sink, img *Image) { writeRendered(s, img, appendTail) }
+
+// writeRendered emits a section of one render per cluster: the count,
+// each render's length, then the renders. A length is learned by
+// rendering past the sink's buffered bytes and cutting the render off
+// again, so sizing a section allocates nothing.
+func writeRendered(s *sink, img *Image, render func([]byte, *cluster.Cluster) []byte) {
+	s.u32(uint32(len(img.Clusters)))
+	for i := range img.Clusters {
+		end := len(s.buf)
+		s.buf = render(s.buf, &img.Clusters[i])
+		l := len(s.buf) - end
+		s.buf = s.buf[:end]
+		s.u32(uint32(l))
 		s.spill()
 	}
-	for i, b := range img.Bodies {
-		s.buf = b.AppendTail(s.buf, i)
+	for i := range img.Clusters {
+		s.buf = render(s.buf, &img.Clusters[i])
 		s.spill()
 	}
 }
@@ -644,10 +637,9 @@ func parseTable(table []byte, count uint32, size uint64) ([]sectionSpan, error) 
 	return spans, nil
 }
 
-// decodeSection decodes one fully-read section payload into img. The
-// bodies of the org-bodies section alias payload; every other section
-// copies what it keeps, so its payload buffer may be reused. The
-// AS-tails section is only checked against the bodies, never kept.
+// decodeSection decodes one fully-read section payload of sections 1
+// to 5 into img. It copies what it keeps, so the payload buffer may be
+// reused.
 func decodeSection(id uint32, payload []byte, img *Image) error {
 	r := &reader{buf: payload, sec: id}
 	var err error
@@ -662,66 +654,11 @@ func decodeSection(id uint32, payload []byte, img *Image) error {
 		err = readIndex(r, img)
 	case secTokens:
 		err = readTokens(r, img)
-	case secOrgBodies:
-		img.Bodies, err = readBodies(r)
-	case secASTails:
-		err = checkTails(r, img.Bodies)
 	}
 	if err != nil {
 		return err
 	}
 	return r.done()
-}
-
-// Decode parses an artifact held fully in memory and returns the
-// image plus its verified content hash. Bodies are returned as
-// zero-copy subslices of data, so the caller keeps data alive for the
-// image's lifetime. It is the decoder behind the memory mapping, where
-// the bodies serve straight off the page cache and decoding allocates
-// only the index-sized sections; buffered loads stream instead (see
-// Read), keeping the org-bodies payload and nothing else.
-func Decode(data []byte) (*Image, string, error) {
-	if len(data) < headerSize {
-		return nil, "", fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), headerSize)
-	}
-	count, size, wantSum, err := parseHeader(data[:headerSize])
-	if err != nil {
-		return nil, "", err
-	}
-	if err := checkSize(size, uint64(len(data))); err != nil {
-		return nil, "", err
-	}
-	tableEnd := uint64(headerSize) + uint64(sectionEntrySize)*uint64(count)
-	if tableEnd > size {
-		return nil, "", fmt.Errorf("%w: section table overruns file", ErrTruncated)
-	}
-	spans, err := parseTable(data[headerSize:tableEnd], count, size)
-	if err != nil {
-		return nil, "", err
-	}
-
-	digest := sha256.New()
-	for _, sp := range spans {
-		if sp.id != secProvenance {
-			digest.Write(data[sp.off : sp.off+sp.length])
-		}
-	}
-	sum := digest.Sum(nil)
-	if string(sum) != string(wantSum) {
-		return nil, "", ErrHashMismatch
-	}
-
-	img := &Image{}
-	for _, sp := range spans {
-		end := sp.off + sp.length
-		if err := decodeSection(sp.id, data[sp.off:end:end], img); err != nil {
-			return nil, "", err
-		}
-	}
-	if err := crossCheck(img); err != nil {
-		return nil, "", err
-	}
-	return img, hex.EncodeToString(sum), nil
 }
 
 // checkSize compares the header's declared size with the bytes
@@ -930,72 +867,6 @@ func readTokens(r *reader, img *Image) error {
 	return nil
 }
 
-// readBodies splits every /v1/org body into its ID-free Body, aliasing
-// the payload, and requires body i to carry ID i: the writers splice
-// the index back in, so any other ID would make the artifact hash
-// differently once re-encoded.
-func readBodies(r *reader) ([]Body, error) {
-	n, err := r.count(4)
-	if err != nil {
-		return nil, err
-	}
-	lens, err := r.bytes(4 * n)
-	if err != nil {
-		return nil, err
-	}
-	var total uint64
-	for i := 0; i < n; i++ {
-		total += uint64(binary.LittleEndian.Uint32(lens[4*i:]))
-	}
-	if total > uint64(r.remaining()) {
-		return nil, r.fail("blobs need %d bytes, %d remain", total, r.remaining())
-	}
-	out := make([]Body, n)
-	for i := range out {
-		blob, err := r.bytes(int(binary.LittleEndian.Uint32(lens[4*i:])))
-		if err != nil {
-			return nil, err
-		}
-		id, b, ok := SplitBody(blob)
-		if !ok || id != i {
-			return nil, r.fail("org body %d is not a /v1/org body for organization %d", i, i)
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
-// checkTails verifies an in-memory AS-tails section against the
-// decoded bodies, blob by blob, where the tails lie (the streaming
-// decoder's tails does the same as the bytes arrive).
-func checkTails(r *reader, bodies []Body) error {
-	n, err := r.count(4)
-	if err != nil {
-		return err
-	}
-	if n != len(bodies) {
-		return r.fail("%d tails for %d bodies", n, len(bodies))
-	}
-	lens, err := r.bytes(4 * n)
-	if err != nil {
-		return err
-	}
-	for i := range bodies {
-		l := bodies[i].tailLen(i)
-		if int(binary.LittleEndian.Uint32(lens[4*i:])) != l {
-			return r.fail("AS tail %d disagrees with its org body", i)
-		}
-		tail, err := r.bytes(l)
-		if err != nil {
-			return err
-		}
-		if !bodies[i].matchTail(tail, i) {
-			return r.fail("AS tail %d disagrees with its org body", i)
-		}
-	}
-	return nil
-}
-
 // crossCheck validates the relationships between sections that no
 // single section decoder can see: declared counts agree, per-cluster
 // arrays are parallel, and every posting or index val names a real
@@ -1013,9 +884,9 @@ func crossCheck(img *Image) error {
 	if len(img.Vals) != len(img.Keys) {
 		return fmt.Errorf("%w: %d index keys but %d vals", ErrCorrupt, len(img.Keys), len(img.Vals))
 	}
-	if img.LowerNames.Len() != n || len(img.Bodies) != n {
-		return fmt.Errorf("%w: per-cluster arrays disagree: %d clusters, %d names, %d bodies",
-			ErrCorrupt, n, img.LowerNames.Len(), len(img.Bodies))
+	if img.LowerNames.Len() != n {
+		return fmt.Errorf("%w: per-cluster arrays disagree: %d clusters, %d names",
+			ErrCorrupt, n, img.LowerNames.Len())
 	}
 	for i, v := range img.Vals {
 		if v < 0 || int(v) >= n {
@@ -1037,7 +908,7 @@ func crossCheck(img *Image) error {
 }
 
 // ReadFile loads and decodes an artifact through the streaming decoder
-// (see Read). The returned image's bodies alias the org-bodies payload.
+// (see Read).
 func ReadFile(path string) (*Image, string, error) {
 	return ReadFileFS(vfs.OS, path)
 }
@@ -1057,47 +928,6 @@ func ReadFileFS(fsys vfs.FS, path string) (*Image, string, error) {
 		return nil, "", err
 	}
 	return decodeStream(f, st.Size())
-}
-
-// ReadFileMapped loads an artifact through a read-only memory mapping:
-// the decode is verified exactly like ReadFile, but the pre-rendered
-// bodies alias the mapping, so the heap holds only the index-sized
-// sections and the kernel pages body bytes in on demand.
-// The returned release function unmaps the file and MUST NOT be called
-// while any byte slice of the image is still reachable; it is nil
-// whenever the image is heap-backed instead (platforms without mmap,
-// zero-length or unmappable files), in which case no cleanup is owed.
-func ReadFileMapped(path string) (*Image, string, func(), error) {
-	if !mmapSupported {
-		img, hash, err := ReadFile(path)
-		return img, hash, nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, "", nil, err
-	}
-	if st.Size() < headerSize || int64(int(st.Size())) != st.Size() {
-		img, hash, err := ReadFile(path)
-		return img, hash, nil, err
-	}
-	data, unmap, err := mmapFile(f, int(st.Size()))
-	if err != nil {
-		// Filesystems that cannot map (or ran out of map areas) still
-		// serve the buffered path.
-		img, hash, err := ReadFile(path)
-		return img, hash, nil, err
-	}
-	img, hash, err := Decode(data)
-	if err != nil {
-		_ = unmap()
-		return nil, "", nil, err
-	}
-	return img, hash, func() { _ = unmap() }, nil
 }
 
 // SniffFile reports whether path starts with the snapbin magic — the

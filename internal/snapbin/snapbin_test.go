@@ -19,9 +19,9 @@ import (
 )
 
 // testImage hand-builds a small, internally consistent image: two
-// clusters in canonical order with a matching packed index, token
-// index, and pre-rendered bodies. statOrgs/statASNs are preset so a
-// decoded image DeepEquals this one.
+// clusters in canonical order with a matching packed index and token
+// index. statOrgs/statASNs are preset so a decoded image DeepEquals
+// this one.
 func testImage() *Image {
 	clusters := []cluster.Cluster{
 		{ID: 0, Name: "Lumen", ASNs: []asnum.ASN{209, 3356, 3549}},
@@ -46,12 +46,8 @@ func testImage() *Image {
 		LowerNames:   stringsOf("lumen", "tiny net"),
 		Tokens:       stringsOf("lumen", "net", "tiny"),
 		Postings:     postingsOf([]int32{0}, []int32{1}, []int32{1}),
-		Bodies: []Body{
-			mustSplit(testBody0),
-			mustSplit(`{"org":1,"name":"Tiny Net","size":1,"asns":[65000],"features":["F"]}` + "\n"),
-		},
-		statOrgs: 2,
-		statASNs: 4,
+		statOrgs:     2,
+		statASNs:     4,
 	}
 	return img
 }
@@ -74,18 +70,6 @@ func postingsOf(lists ...[]int32) Postings {
 	return p
 }
 
-// testBody0 is cluster 0's complete /v1/org body in testImage.
-const testBody0 = `{"org":0,"name":"Lumen","size":3,"asns":[209,3356,3549],"features":["OID_W","R&R"]}` + "\n"
-
-// mustSplit parses a rendered /v1/org body into its Body.
-func mustSplit(full string) Body {
-	_, b, ok := SplitBody([]byte(full))
-	if !ok {
-		panic("malformed test body " + full)
-	}
-	return b
-}
-
 func encode(t *testing.T, img *Image) ([]byte, string) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -102,13 +86,12 @@ type opaque struct{ r io.Reader }
 
 func (o opaque) Read(p []byte) (int, error) { return o.r.Read(p) }
 
-// decoders are the in-memory decoder and the streaming one, over a
-// reader with and without a known length.
+// decoders are the streaming decoder over a reader with and without a
+// known length.
 var decoders = []struct {
 	name   string
 	decode func([]byte) (*Image, string, error)
 }{
-	{"decode", Decode},
 	{"stream", func(d []byte) (*Image, string, error) { return Read(bytes.NewReader(d)) }},
 	{"stream-opaque", func(d []byte) (*Image, string, error) { return Read(opaque{bytes.NewReader(d)}) }},
 }
@@ -133,45 +116,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSplitBody: bodies split into their ID and an ID-free Body whose
-// sibling span is the "asns" array, whatever the name holds; anything
-// not laid out as a rendered body is refused.
-func TestSplitBody(t *testing.T) {
-	for _, tc := range []struct {
-		full, asns string
-		id         int
-	}{
-		{testBody0, "[209,3356,3549]", 0},
-		{`{"org":42,"size":1,"asns":[7]}` + "\n", "[7]", 42},
-		{`{"org":3,"name":"[1] \"asns\":[2],\"features\":[\"F\"]","size":2,"asns":[5,6],"features":["F"]}` + "\n", "[5,6]", 3},
-	} {
-		id, b, ok := SplitBody([]byte(tc.full))
-		if !ok || id != tc.id || string(b.Rest[b.Lo:b.Hi]) != tc.asns {
-			t.Fatalf("SplitBody(%s) = %d %q %v, want %d %s", tc.full, id, b.Rest[b.Lo:b.Hi], ok, tc.id, tc.asns)
-		}
-		if got := string(b.AppendOrg(nil, id)); got != tc.full {
-			t.Fatalf("AppendOrg = %s, want %s", got, tc.full)
-		}
-		want := `,"org":` + tc.full[:len(tc.full)-1] + `,"siblings":` + tc.asns + "}\n"
-		if tail := b.AppendTail(nil, id); string(tail) != want || !b.matchTail(tail, id) || b.tailLen(id) != len(want) {
-			t.Fatalf("AppendTail = %s, want %s", tail, want)
-		}
-	}
-	for _, bad := range []string{
-		"",
-		`{"org":01,"size":1,"asns":[7]}` + "\n",
-		`{"org":,"size":1,"asns":[7]}` + "\n",
-		`{"org":12345678901,"size":1,"asns":[7]}` + "\n",
-		`{"org":1,"size":1,"asns":[7]}`,
-		`{"org":1,"size":1,"members":[7]}` + "\n",
-		`{"org":1,"size":1,"asns":[7],"features":"F"}` + "\n",
-	} {
-		if _, _, ok := SplitBody([]byte(bad)); ok {
-			t.Fatalf("SplitBody accepted %q", bad)
-		}
-	}
-}
-
 // TestHashImageAllocs: the section writers build every section in one
 // reused buffer, so hashing allocates the same handful of objects (the
 // digest and the hex string) however large the image is.
@@ -183,7 +127,7 @@ func TestHashImageAllocs(t *testing.T) {
 		lower.Add("org")
 		tokens.Add(fmt.Sprintf("tok%05d", i))
 		large.Postings.Append(0, 1)
-		large.Bodies = append(large.Bodies, large.Bodies[1])
+		large.Clusters = append(large.Clusters, large.Clusters[1])
 	}
 	large.LowerNames, large.Tokens = lower.Table(), tokens.Table()
 	HashImage(large) // warm the buffer pool
@@ -236,18 +180,28 @@ func TestTypedErrors(t *testing.T) {
 		{"shifted section offset", mut(func(d []byte) []byte { d[headerSize+4]++; return d }), ErrCorrupt},
 		{"bad section count", mut(func(d []byte) []byte { d[12] = 2; return d }), ErrCorrupt},
 	}
-	// A re-signed artifact whose last AS tail disagrees with its body
-	// passes the hash check and must still be refused.
+	// A re-signed artifact whose first org body or last AS tail
+	// disagrees with its cluster passes the hash check and must still
+	// be refused.
+	bodyMismatch := mut(func(d []byte) []byte {
+		off := binary.LittleEndian.Uint64(d[headerSize+5*sectionEntrySize+4:])
+		d[int(off)+12+len(`{"org":0,"name":"`)] = 'l' // "Lumen" becomes "lumen"
+		resign(d)
+		return d
+	})
 	tailMismatch := mut(func(d []byte) []byte {
 		d[len(d)-4] = '0' + (d[len(d)-4]-'0'+1)%10 // the last sibling digit
 		resign(d)
 		return d
 	})
-	cases = append(cases, struct {
+	cases = append(cases, []struct {
 		name string
 		data []byte
 		want error
-	}{"tail disagrees with body", tailMismatch, ErrCorrupt})
+	}{
+		{"body disagrees with cluster", bodyMismatch, ErrCorrupt},
+		{"tail disagrees with body", tailMismatch, ErrCorrupt},
+	}...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, dec := range decoders {

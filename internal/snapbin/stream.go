@@ -1,6 +1,7 @@
 package snapbin
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,16 +10,17 @@ import (
 	"hash"
 	"io"
 	"slices"
+
+	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
 // Read decodes an artifact from r section by section: each payload is
-// hashed and decoded as it arrives, the org-bodies payload becomes the
-// image's body arena, and the AS-tails section is checked against the
-// bodies blob by blob as it streams past and is never kept. Nothing is
+// hashed and decoded as it arrives, and the org-bodies and AS-tails
+// sections are checked blob by blob against renders of the clusters
+// already decoded as they stream past, and are never kept. Nothing is
 // returned until the content hash has been verified over every byte,
 // and a structural error found before the end does not stop the
-// hashing: an altered artifact reports ErrHashMismatch, exactly as
-// Decode would.
+// hashing: an altered artifact reports ErrHashMismatch.
 //
 // When r reports how many bytes it holds (bytes.Reader, strings.Reader
 // and bytes.Buffer do, through Len), the declared size is checked
@@ -42,7 +44,9 @@ type streamDecoder struct {
 	hashing bool // the current section is covered by the content hash
 	grow    bool // declared lengths are unverified: allocate as bytes arrive
 	scratch []byte
-	err     error // sticky read failure; ends the decode
+	win     []byte // the window rendered sections are read through
+	render  []byte // the render a blob is compared with
+	err     error  // sticky read failure; ends the decode
 }
 
 // decodeStream decodes from r, which holds avail bytes (-1: unknown).
@@ -76,8 +80,8 @@ func decodeStream(r io.Reader, avail int64) (*Image, string, error) {
 
 	if !d.grow {
 		// One scratch allocation, sized for the largest section the
-		// decode reads whole and does not keep, serves every one of
-		// them and then the tails windows.
+		// decode reads whole, serves every one of them and then the
+		// length tables of the rendered sections.
 		var most uint64
 		for _, sp := range spans {
 			if sp.id != secOrgBodies && sp.id != secASTails {
@@ -93,11 +97,8 @@ func decodeStream(r io.Reader, avail int64) (*Image, string, error) {
 		switch {
 		case bad != nil:
 			d.skip(sp.length)
-		case sp.id == secASTails:
-			bad = d.tails(sp.length, img.Bodies)
-		case sp.id == secOrgBodies:
-			// A fresh buffer: the bodies alias it for the image's life.
-			bad = decodeSection(sp.id, d.fill(nil, sp.length), img)
+		case sp.id == secOrgBodies || sp.id == secASTails:
+			bad = d.rendered(sp, img.Clusters)
 		default:
 			d.scratch = d.fill(d.scratch, sp.length)
 			bad = decodeSection(sp.id, d.scratch, img)
@@ -179,52 +180,57 @@ func (d *streamDecoder) skip(n uint64) {
 	}
 }
 
-// tails checks an AS-tails section of length bytes against bodies as it
-// streams: the count and length table must match what the bodies
-// generate, then the blobs are read into the reused scratch buffer a
-// window at a time and each is compared piece by piece where it lies.
+// rendered checks an org-bodies or AS-tails section against renders of
+// clusters as it streams: the count must be the number of clusters and
+// the lengths must add up to the section, then each blob must be its
+// cluster's render, length and bytes. The blobs are read a window at a
+// time into a reused buffer and compared where they lie; none is kept.
+// A blob is read only once its declared length has matched the render,
+// so the window is bounded by the clusters, never by a declared length.
 // The whole section is consumed even after a mismatch, so the content
 // hash still covers it.
-func (d *streamDecoder) tails(length uint64, bodies []Body) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("%w: section %d: %s", ErrCorrupt, secASTails, fmt.Sprintf(format, args...))
+func (d *streamDecoder) rendered(sp sectionSpan, clusters []cluster.Cluster) error {
+	render, what := AppendOrg, "org body"
+	if sp.id == secASTails {
+		render, what = appendTail, "AS tail"
 	}
-	n := uint64(len(bodies))
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("%w: section %d: %s", ErrCorrupt, sp.id, fmt.Sprintf(format, args...))
+	}
+	n := uint64(len(clusters))
 	table := 4 + 4*n
-	if length < table {
-		d.skip(length)
-		return fail("%d bytes cannot hold %d tail lengths", length, n)
+	if sp.length < table {
+		d.skip(sp.length)
+		return fail("%d bytes cannot hold %d lengths", sp.length, n)
 	}
 	d.scratch = d.fill(d.scratch, table)
 	if d.err != nil {
 		return nil
 	}
-	var bad error
+	left := sp.length - table // section bytes not yet read
 	if c := binary.LittleEndian.Uint32(d.scratch); uint64(c) != n {
-		bad = fail("%d tails for %d bodies", c, n)
+		d.skip(left)
+		return fail("%d blobs for %d organizations", c, n)
 	}
+	lens := d.scratch[4:table]
 	var total uint64
-	for i := 0; bad == nil && i < len(bodies); i++ {
-		l := binary.LittleEndian.Uint32(d.scratch[4+4*i:])
-		if int(l) != bodies[i].tailLen(i) {
-			bad = fail("AS tail %d disagrees with its org body", i)
+	for i := range n {
+		total += uint64(binary.LittleEndian.Uint32(lens[4*i:]))
+	}
+	if total != left {
+		d.skip(left)
+		return fail("blobs span %d bytes, section holds %d", total, left)
+	}
+	// win[off:] holds read bytes not yet checked.
+	win, off := d.win[:0], 0
+	defer func() { d.win = win[:0] }()
+	for i := range clusters {
+		d.render = render(d.render[:0], &clusters[i])
+		l := len(d.render)
+		if binary.LittleEndian.Uint32(lens[4*i:]) != uint32(l) {
+			d.skip(left)
+			return fail("%s %d disagrees with its cluster", what, i)
 		}
-		total += uint64(l)
-	}
-	if bad == nil && total != length-table {
-		bad = fail("tails span %d bytes, section holds %d", total, length-table)
-	}
-	if bad != nil {
-		d.skip(length - table)
-		return bad
-	}
-	// win[off:] holds read bytes not yet checked; left counts the
-	// section's bytes not yet read. A window is at least 64 KiB and at
-	// least one tail, so its size is bounded by the bodies, never by a
-	// declared length.
-	win, off, left := d.scratch[:0], 0, total
-	for i := range bodies {
-		l := bodies[i].tailLen(i)
 		if len(win)-off < l {
 			carry := copy(win[:cap(win)], win[off:])
 			want := min(left, uint64(max(cap(win)-carry, 64<<10, l-carry)))
@@ -240,11 +246,11 @@ func (d *streamDecoder) tails(length uint64, bodies []Body) error {
 			}
 			left -= want
 		}
-		if bad == nil && !bodies[i].matchTail(win[off:off+l], i) {
-			bad = fail("AS tail %d disagrees with its org body", i)
+		if !bytes.Equal(win[off:off+l], d.render) {
+			d.skip(left)
+			return fail("%s %d disagrees with its cluster", what, i)
 		}
 		off += l
 	}
-	d.scratch = win
-	return bad
+	return nil
 }

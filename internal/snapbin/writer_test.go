@@ -2,10 +2,8 @@ package snapbin
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -54,63 +52,5 @@ func TestWriterSectionOrder(t *testing.T) {
 	}
 	if _, err := w.Finish(); err == nil {
 		t.Fatal("Finish succeeded with missing sections")
-	}
-}
-
-// TestReadFileMapped: the mapped load decodes to the same image and
-// hash as the buffered one; bodies alias the mapping until release.
-func TestReadFileMapped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.bin")
-	img := testImage()
-	wantHash, err := WriteFile(path, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, hash, release, err := ReadFileMapped(path)
-	if err != nil {
-		t.Fatalf("ReadFileMapped: %v", err)
-	}
-	if hash != wantHash {
-		t.Fatalf("mapped hash %s, want %s", hash, wantHash)
-	}
-	if !reflect.DeepEqual(got, img) {
-		t.Fatal("mapped image drifts from the written one")
-	}
-	if mmapSupported {
-		if release == nil {
-			t.Fatal("mapped load returned no release function")
-		}
-		// The mapping must survive the path disappearing: the ring
-		// prunes artifacts that a serving snapshot may still map.
-		if err := os.Remove(path); err != nil {
-			t.Fatal(err)
-		}
-		if string(got.Bodies[0].AppendOrg(nil, 0)) != testBody0 {
-			t.Fatal("mapped body unreadable after unlink")
-		}
-		release()
-	} else if release != nil {
-		t.Fatal("fallback load returned a release function")
-	}
-}
-
-// TestReadFileMappedRejectsCorrupt: the mapped path verifies exactly
-// like the buffered one — a flipped payload byte fails the hash check
-// and the mapping is released.
-func TestReadFileMappedRejectsCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.bin")
-	if _, err := WriteFile(path, testImage()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadFileMapped(path); !errors.Is(err, ErrHashMismatch) {
-		t.Fatalf("corrupt mapped artifact: %v, want %v", err, ErrHashMismatch)
 	}
 }
