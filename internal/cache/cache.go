@@ -94,7 +94,10 @@ type entry struct {
 	val []byte
 }
 
-// call is one in-flight singleflight fill.
+// call is one in-flight singleflight fill. done is made, under the
+// cache's mutex, by the first caller that waits on the fill; the
+// filler closes it only if one did, so a miss nobody shares allocates
+// no channel.
 type call struct {
 	done chan struct{}
 	val  []byte
@@ -342,30 +345,38 @@ func (c *Cache) GetOrFill(ctx context.Context, key string, fill func(ctx context
 	}
 	if fl, ok := c.flight[key]; ok {
 		c.stats.Dedups++
+		if fl.done == nil {
+			fl.done = make(chan struct{})
+		}
+		done := fl.done
 		c.mu.Unlock()
 		select {
-		case <-fl.done:
+		case <-done:
 			return fl.val, fl.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	fl := &call{done: make(chan struct{})}
+	fl := &call{}
 	c.flight[key] = fl
 	c.mu.Unlock()
 
-	fl.val, fl.err = fill(ctx)
+	val, err := fill(ctx)
 	c.mu.Lock()
 	delete(c.flight, key)
-	if fl.err == nil {
-		c.putLocked(key, fl.val)
-		if err := c.appendLocked(key, fl.val); err != nil {
-			fl.err = err
-		}
+	if err == nil {
+		c.putLocked(key, val)
+		err = c.appendLocked(key, val)
 	}
+	// Waiters read the result once done is closed, which orders these
+	// writes before their reads.
+	fl.val, fl.err = val, err
+	done := fl.done
 	c.mu.Unlock()
-	close(fl.done)
-	return fl.val, fl.err
+	if done != nil {
+		close(done)
+	}
+	return val, err
 }
 
 // Scrub re-reads and re-verifies every record indexed in the disk log,

@@ -113,6 +113,45 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
+// TestGetOrFillMissAllocatesNoChannel: a miss that no other caller
+// shares allocates its flight record beside what storing the value
+// costs, and no channel for waiters that never come.
+func TestGetOrFillMissAllocatesNoChannel(t *testing.T) {
+	const entries, runs = 64, 200
+	c, err := New(Options{MaxEntries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, entries+2*(runs+1))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	val := []byte("value")
+	fill := func(context.Context) ([]byte, error) { return val, nil }
+	next := 0
+	for ; next < entries; next++ { // fill the LRU so every store evicts
+		if err := c.Put(keys[next], val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := testing.AllocsPerRun(runs, func() {
+		_ = c.Put(keys[next], val)
+		next++
+	})
+	miss := testing.AllocsPerRun(runs, func() {
+		if _, err := c.GetOrFill(context.Background(), keys[next], fill); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if st := c.Stats(); st.Hits != 0 {
+		t.Fatalf("stats = %+v, want misses only", st)
+	}
+	if miss > put+1 {
+		t.Fatalf("a GetOrFill miss allocates %v times, a Put %v: more than the flight record", miss, put)
+	}
+}
+
 func TestGetOrFillErrorNotCached(t *testing.T) {
 	c, err := New(Options{})
 	if err != nil {

@@ -77,75 +77,52 @@ type Cluster struct {
 // Size returns the number of member networks.
 func (c *Cluster) Size() int { return len(c.ASNs) }
 
-// asnPageShift selects the two-level index page: all ASNs sharing the
-// same high 16 bits land on one page of the sorted key slice.
-const asnPageShift = 16
-
-// pageIndexMin is the network count below which the two-level page
-// index is skipped: a plain binary search over a few thousand keys
-// already fits in cache and the page table would dominate the mapping's
-// footprint.
-const pageIndexMin = 1 << 12
-
 // Mapping is a consolidated AS-to-Organization mapping: a partition of a
 // network universe into organizations.
 //
-// Point lookups run against a sorted-slice index instead of a hash map:
-// asnKeys holds every member ASN ascending and asnVals the cluster ID at
-// the same position. For large mappings a second level (pages) maps the
-// high 16 bits of an ASN to the key range holding that page, so
-// ClusterOf is a bounded binary search over a cache-resident span.
+// Point lookups run against the packed sorted-slice Index instead of a
+// hash map, so ClusterOf is a bounded binary search.
 type Mapping struct {
 	Clusters []Cluster
 
-	asnKeys []asnum.ASN
-	asnVals []int32
-	// pages[p] is the first position in asnKeys whose key has high bits
-	// p; pages[len(pages)-1] == len(asnKeys). Nil for small mappings.
-	pages []int32
+	index Index
 	// sizes caches the cluster sizes in descending order. Clusters are
 	// materialized largest-first, so this is simply the member count per
 	// cluster in cluster order, computed once at build time.
 	sizes []int
 }
 
+// NewMapping assembles a mapping from clusters in canonical order
+// (cluster i has ID i) and an index already verified against them, as
+// Restore verifies one. It copies neither.
+func NewMapping(clusters []Cluster, idx Index) *Mapping {
+	m := &Mapping{Clusters: clusters, index: idx, sizes: make([]int, len(clusters))}
+	for i := range clusters {
+		m.sizes[i] = len(clusters[i].ASNs)
+	}
+	return m
+}
+
 // NumOrgs returns the number of organizations.
 func (m *Mapping) NumOrgs() int { return len(m.Clusters) }
 
-// NumASNs returns the number of networks covered.
-func (m *Mapping) NumASNs() int { return len(m.asnKeys) }
+// OrgAt returns organization i. With NumOrgs it is the read-only view
+// of a mapping that mapdiff computes deltas over.
+func (m *Mapping) OrgAt(i int) Cluster { return m.Clusters[i] }
 
-// indexOf returns the position of a in the sorted key slice, or -1.
-func (m *Mapping) indexOf(a asnum.ASN) int {
-	lo, hi := 0, len(m.asnKeys)
-	if m.pages != nil {
-		p := int(a >> asnPageShift)
-		if p >= len(m.pages)-1 {
-			return -1
-		}
-		lo, hi = int(m.pages[p]), int(m.pages[p+1])
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if m.asnKeys[mid] < a {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(m.asnKeys) && m.asnKeys[lo] == a {
-		return lo
-	}
-	return -1
-}
+// NumASNs returns the number of networks covered.
+func (m *Mapping) NumASNs() int { return m.index.Len() }
+
+// Index returns the mapping's packed lookup index.
+func (m *Mapping) Index() Index { return m.index }
 
 // ClusterOf returns the cluster containing a, or nil if a is unmapped.
 func (m *Mapping) ClusterOf(a asnum.ASN) *Cluster {
-	i := m.indexOf(a)
-	if i < 0 {
+	id, ok := m.index.Lookup(a)
+	if !ok {
 		return nil
 	}
-	return &m.Clusters[m.asnVals[i]]
+	return &m.Clusters[id]
 }
 
 // Siblings returns the sorted sibling ASNs of a (including a itself), or
@@ -302,24 +279,20 @@ func (b *Builder) materialize(comps [][]asnum.ASN, namer Namer) *Mapping {
 		}
 	}
 	slices.Sort(packed)
-	m.asnKeys = make([]asnum.ASN, len(packed))
-	m.asnVals = make([]int32, len(packed))
+	keys := make([]asnum.ASN, len(packed))
+	vals := make([]int32, len(packed))
 	for i, p := range packed {
-		m.asnKeys[i] = asnum.ASN(p >> 32)
-		m.asnVals[i] = int32(uint32(p))
+		keys[i] = asnum.ASN(p >> 32)
+		vals[i] = int32(uint32(p))
 	}
-	if len(m.asnKeys) >= pageIndexMin {
-		numPages := int(m.asnKeys[len(m.asnKeys)-1]>>asnPageShift) + 1
-		m.pages = make([]int32, numPages+1)
-		rebuildPages(m)
-	}
+	m.index = newIndex(keys, vals)
 	// Replay feature provenance through the finished index: every set
 	// member landed in exactly one cluster, so the set's first ASN
 	// locates it. In spill mode the members are on disk, but the
 	// retained (first, source) residue is all this pass needs.
 	b.forEachProv(func(first asnum.ASN, src Feature) {
-		if i := m.indexOf(first); i >= 0 {
-			m.Clusters[m.asnVals[i]].Features[src] = true
+		if id, ok := m.index.Lookup(first); ok {
+			m.Clusters[id].Features[src] = true
 		}
 	})
 	if namer != nil {
@@ -341,20 +314,6 @@ func (b *Builder) materialize(comps [][]asnum.ASN, namer Namer) *Mapping {
 		}
 	}
 	return m
-}
-
-// rebuildPages recomputes the page table from the sorted key slice in
-// one forward pass. Split out so materialize stays readable.
-func rebuildPages(m *Mapping) {
-	for p := range m.pages {
-		m.pages[p] = 0
-	}
-	for _, a := range m.asnKeys {
-		m.pages[int(a>>asnPageShift)+1]++
-	}
-	for p := 1; p < len(m.pages); p++ {
-		m.pages[p] += m.pages[p-1]
-	}
 }
 
 // forEachProv yields the (first member, source feature) residue of every

@@ -6,86 +6,61 @@ import (
 	"github.com/nu-aqualab/borges/internal/asnum"
 )
 
-// RawIndex exposes the mapping's packed lookup index — every member ASN
-// ascending and the owning cluster ID at the same position — for
-// snapshot codecs that persist the index instead of rebuilding it.
-// Callers must treat both slices as read-only.
-func (m *Mapping) RawIndex() (keys []asnum.ASN, vals []int32) {
-	return m.asnKeys, m.asnVals
-}
-
-// Restore assembles a Mapping from pre-built clusters and a packed
-// sorted index, the inverse of RawIndex. It is the load path of the
-// binary snapshot format: no union-find replay, no re-sorting — one
-// verification pass and the mapping serves.
+// Restore verifies a packed index against organizations held as one
+// member pool and its offsets — organization i, whose ID is i, has the
+// members pool[off[i]:off[i+1]] — and returns the index ready for
+// lookups. It is the one check of every organization table that did
+// not come from Build: a binary snapshot's, which arrives from disk or
+// the network, and a delta patch's. Nothing is re-sorted and nothing
+// is replayed.
 //
-// Restore fully verifies the input rather than trusting it, because
-// binary artifacts arrive from disk or the network: keys must be
-// strictly ascending, every val must name a valid cluster, clusters
-// must be in the canonical order Build produces (descending size,
-// ties by smallest member), and the index must correspond exactly to
-// cluster membership. The membership check is a single merged cursor
-// walk — O(total ASNs), no hashing — so a restored mapping can never
-// answer a lookup its clusters disagree with.
-func Restore(clusters []Cluster, keys []asnum.ASN, vals []int32) (*Mapping, error) {
+// Restore trusts nothing: no organization may be empty, organizations
+// must be in the canonical order Build produces (descending size, ties
+// by smallest member), keys must strictly ascend, and the index must
+// correspond exactly to membership. The last is one merged cursor walk
+// — O(total ASNs), no hashing — so a restored index can never answer a
+// lookup the member table disagrees with.
+func Restore(pool []asnum.ASN, off []uint32, keys []asnum.ASN, vals []int32) (Index, error) {
 	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("cluster: restore: %d keys but %d vals", len(keys), len(vals))
+		return Index{}, fmt.Errorf("cluster: restore: %d keys but %d vals", len(keys), len(vals))
 	}
-	total := 0
-	for i := range clusters {
-		c := &clusters[i]
-		if c.ID != i {
-			return nil, fmt.Errorf("cluster: restore: cluster at position %d carries ID %d", i, c.ID)
-		}
-		if len(c.ASNs) == 0 {
-			return nil, fmt.Errorf("cluster: restore: cluster %d has no members", i)
-		}
-		if i > 0 {
-			prev := &clusters[i-1]
-			if len(prev.ASNs) < len(c.ASNs) ||
-				(len(prev.ASNs) == len(c.ASNs) && prev.ASNs[0] >= c.ASNs[0]) {
-				return nil, fmt.Errorf("cluster: restore: clusters %d,%d violate canonical order", i-1, i)
-			}
-		}
-		total += len(c.ASNs)
+	if len(off) == 0 || off[0] != 0 || int(off[len(off)-1]) != len(pool) {
+		return Index{}, fmt.Errorf("cluster: restore: member offsets do not span the %d-member pool", len(pool))
 	}
-	if total != len(keys) {
-		return nil, fmt.Errorf("cluster: restore: clusters hold %d members but index has %d keys", total, len(keys))
+	n := len(off) - 1
+	for i := 0; i < n; i++ {
+		if off[i+1] <= off[i] {
+			return Index{}, fmt.Errorf("cluster: restore: cluster %d has no members", i)
+		}
+		if i > 0 && CompareCanonical(pool[off[i-1]:off[i]], pool[off[i]:off[i+1]]) >= 0 {
+			return Index{}, fmt.Errorf("cluster: restore: clusters %d,%d violate canonical order", i-1, i)
+		}
+	}
+	if len(pool) != len(keys) {
+		return Index{}, fmt.Errorf("cluster: restore: clusters hold %d members but index has %d keys", len(pool), len(keys))
 	}
 	// Cursor walk: keys ascend strictly, and because each cluster's
 	// member list is itself ascending, visiting keys in order must
-	// consume every cluster's ASNs in order. Any mismatch — wrong
-	// owner, missing member, unsorted list — surfaces here.
-	cursors := make([]int32, len(clusters))
+	// consume every cluster's members in order. Any mismatch — wrong
+	// owner, missing member, unsorted list — surfaces here. A cursor
+	// starts at its cluster's first pool position.
+	cursors := make([]uint32, n)
+	copy(cursors, off)
 	for i, a := range keys {
 		if i > 0 && keys[i-1] >= a {
-			return nil, fmt.Errorf("cluster: restore: index keys not strictly ascending at %d", i)
+			return Index{}, fmt.Errorf("cluster: restore: index keys not strictly ascending at %d", i)
 		}
 		v := vals[i]
-		if v < 0 || int(v) >= len(clusters) {
-			return nil, fmt.Errorf("cluster: restore: index val %d out of range at %d", v, i)
+		if v < 0 || int(v) >= n {
+			return Index{}, fmt.Errorf("cluster: restore: index val %d out of range at %d", v, i)
 		}
 		cur := cursors[v]
-		if int(cur) >= len(clusters[v].ASNs) || clusters[v].ASNs[cur] != a {
-			return nil, fmt.Errorf("cluster: restore: index disagrees with cluster %d membership at key %s", v, a)
+		if cur >= off[v+1] || pool[cur] != a {
+			return Index{}, fmt.Errorf("cluster: restore: index disagrees with cluster %d membership at key %s", v, a)
 		}
 		cursors[v] = cur + 1
 	}
-	m := &Mapping{
-		Clusters: clusters,
-		asnKeys:  keys,
-		asnVals:  vals,
-		sizes:    make([]int, len(clusters)),
-	}
-	for i := range clusters {
-		m.sizes[i] = len(clusters[i].ASNs)
-	}
-	if len(m.asnKeys) >= pageIndexMin {
-		numPages := int(m.asnKeys[len(m.asnKeys)-1]>>asnPageShift) + 1
-		m.pages = make([]int32, numPages+1)
-		rebuildPages(m)
-	}
-	return m, nil
+	return newIndex(keys, vals), nil
 }
 
 // CompareCanonical orders two member lists the way Build orders

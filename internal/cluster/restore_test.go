@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,13 +21,27 @@ func restoreFixture(t *testing.T) *Mapping {
 	})
 }
 
+// flatten lays clusters out as Restore reads them: one member pool
+// and its offsets.
+func flatten(cs []Cluster) ([]asnum.ASN, []uint32) {
+	var pool []asnum.ASN
+	off := []uint32{0}
+	for _, c := range cs {
+		pool = append(pool, c.ASNs...)
+		off = append(off, uint32(len(pool)))
+	}
+	return pool, off
+}
+
 func TestRestoreInvertsRawIndex(t *testing.T) {
 	m := restoreFixture(t)
-	keys, vals := m.RawIndex()
-	got, err := Restore(m.Clusters, keys, vals)
+	keys, vals := m.Index().Keys(), m.Index().Vals()
+	pool, off := flatten(m.Clusters)
+	idx, err := Restore(pool, off, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := NewMapping(m.Clusters, idx)
 	if got.NumOrgs() != m.NumOrgs() || got.NumASNs() != m.NumASNs() {
 		t.Fatalf("restored %d/%d, want %d/%d",
 			got.NumOrgs(), got.NumASNs(), m.NumOrgs(), m.NumASNs())
@@ -47,53 +62,51 @@ func TestRestoreInvertsRawIndex(t *testing.T) {
 
 func TestRestoreRejects(t *testing.T) {
 	m := restoreFixture(t)
-	keys, vals := m.RawIndex()
-	clone := func() ([]Cluster, []asnum.ASN, []int32) {
-		cs := make([]Cluster, len(m.Clusters))
-		copy(cs, m.Clusters)
-		ks := append([]asnum.ASN(nil), keys...)
-		vs := append([]int32(nil), vals...)
-		return cs, ks, vs
+	keys, vals := m.Index().Keys(), m.Index().Vals()
+	type input struct {
+		cs   []Cluster
+		keys []asnum.ASN
+		vals []int32
+	}
+	clone := func() input {
+		return input{slices.Clone(m.Clusters), slices.Clone(keys), slices.Clone(vals)}
 	}
 	cases := []struct {
 		name string
-		mut  func(cs []Cluster, ks []asnum.ASN, vs []int32) ([]Cluster, []asnum.ASN, []int32)
+		mut  func(in input) input
 		want string
 	}{
-		{"length mismatch", func(cs []Cluster, ks []asnum.ASN, vs []int32) ([]Cluster, []asnum.ASN, []int32) {
-			return cs, ks, vs[:len(vs)-1]
+		{"length mismatch", func(in input) input {
+			in.vals = in.vals[:len(in.vals)-1]
+			return in
 		}, "keys but"},
-		{"wrong ID", func(cs []Cluster, ks []asnum.ASN, vs []int32) ([]Cluster, []asnum.ASN, []int32) {
-			cs[0].ID = 7
-			return cs, ks, vs
-		}, "carries ID"},
-		{"canonical order violated", func(cs []Cluster, ks []asnum.ASN, vs []int32) ([]Cluster, []asnum.ASN, []int32) {
-			cs[0], cs[len(cs)-1] = cs[len(cs)-1], cs[0]
-			cs[0].ID = 0
-			cs[len(cs)-1].ID = len(cs) - 1
-			return cs, ks, vs
+		{"canonical order violated", func(in input) input {
+			in.cs[0], in.cs[len(in.cs)-1] = in.cs[len(in.cs)-1], in.cs[0]
+			return in
 		}, "canonical order"},
-		{"empty cluster", func(cs []Cluster, ks []asnum.ASN, vs []int32) ([]Cluster, []asnum.ASN, []int32) {
-			cs[len(cs)-1].ASNs = nil
-			return cs, ks, vs
+		{"empty cluster", func(in input) input {
+			in.cs[len(in.cs)-1].ASNs = nil
+			return in
 		}, "no members"},
-		{"val out of range", func(cs []Cluster, ks []asnum.ASN, vs []int32) ([]Cluster, []asnum.ASN, []int32) {
-			vs[0] = int32(len(cs))
-			return cs, ks, vs
+		{"val out of range", func(in input) input {
+			in.vals[0] = int32(len(in.cs))
+			return in
 		}, "out of range"},
-		{"keys not ascending", func(cs []Cluster, ks []asnum.ASN, vs []int32) ([]Cluster, []asnum.ASN, []int32) {
-			ks[1] = ks[0] // duplicate key, caught before the cursor walk
-			return cs, ks, vs
+		{"keys not ascending", func(in input) input {
+			in.keys[1] = in.keys[0] // duplicate key, caught before the cursor walk
+			return in
 		}, "ascending"},
-		{"membership mismatch", func(cs []Cluster, ks []asnum.ASN, vs []int32) ([]Cluster, []asnum.ASN, []int32) {
+		{"membership mismatch", func(in input) input {
 			// Swap ownership of two ASNs without touching membership.
-			vs[0], vs[len(vs)-1] = vs[len(vs)-1], vs[0]
-			return cs, ks, vs
+			in.vals[0], in.vals[len(in.vals)-1] = in.vals[len(in.vals)-1], in.vals[0]
+			return in
 		}, "disagrees"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Restore(tc.mut(clone()))
+			in := tc.mut(clone())
+			pool, off := flatten(in.cs)
+			_, err := Restore(pool, off, in.keys, in.vals)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Restore = %v, want error containing %q", err, tc.want)
 			}

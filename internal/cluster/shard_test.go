@@ -140,7 +140,7 @@ func TestClusterOfPageIndex(t *testing.T) {
 		b.AddUniverse(a)
 	}
 	m := b.Build(nil)
-	if m.pages == nil {
+	if m.index.pages == nil {
 		t.Fatal("page index not built for a large mapping")
 	}
 	for _, a := range asns {

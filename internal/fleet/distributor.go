@@ -125,7 +125,7 @@ func (d *Distributor) publish(next *serve.Snapshot) error {
 	}
 	d.delta, d.deltaBase = nil, ""
 	if d.prev != nil {
-		delta := mapdiff.ComputeDelta(d.prev.Mapping(), next.Mapping())
+		delta := mapdiff.Diff(d.prev, next)
 		if !delta.Empty() {
 			var db bytes.Buffer
 			if err := mapdiff.WriteDelta(&db, delta); err != nil {

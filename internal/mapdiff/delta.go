@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -119,23 +120,15 @@ func (d *Delta) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// clusterKey fingerprints an organization by everything that makes it
-// "the same" across mappings: members, display name, and features.
-func clusterKey(c *cluster.Cluster) string {
-	var b strings.Builder
-	b.Grow(8*len(c.ASNs) + len(c.Name) + 8)
-	for _, a := range c.ASNs {
-		fmt.Fprintf(&b, "%d,", uint32(a))
-	}
-	b.WriteByte(0)
-	b.WriteString(c.Name)
-	b.WriteByte(0)
-	for f := 0; f < cluster.NumFeatures; f++ {
-		if c.Features[f] {
-			b.WriteByte('0' + byte(f))
-		}
-	}
-	return b.String()
+// Orgs is the view of a mapping a delta is computed over: its
+// organizations in canonical order (descending size, ties broken by
+// the smallest member), as Build produces them and cluster.Restore
+// checks them. Both *cluster.Mapping and a serving snapshot satisfy
+// it, so two snapshots can be diffed without building a mapping from
+// either.
+type Orgs interface {
+	NumOrgs() int
+	OrgAt(i int) cluster.Cluster
 }
 
 // ComputeDelta returns the edit script transforming old into new:
@@ -145,35 +138,59 @@ func clusterKey(c *cluster.Cluster) string {
 // renamed organization with unchanged membership is still an edit,
 // because its serving artifacts (rendered bodies, search tokens)
 // change.
-func ComputeDelta(old, new *cluster.Mapping) *Delta {
-	oldKeys := make(map[string]int, len(old.Clusters))
-	for i := range old.Clusters {
-		oldKeys[clusterKey(&old.Clusters[i])]++
-	}
+func ComputeDelta(old, new *cluster.Mapping) *Delta { return Diff(old, new) }
+
+// Diff is ComputeDelta over any two views in canonical order. Within
+// one mapping the pair (size, smallest member) identifies an
+// organization, so one merge walk in canonical order meets every pair
+// of organizations that could be identical: a pair that compares equal
+// under cluster.CompareCanonical is unchanged iff its members, name and
+// features are equal. Removals come out in old's order and additions
+// in new's. The delta copies what it keeps, so holding it (a watch ring
+// does) keeps neither side reachable.
+func Diff(old, new Orgs) *Delta {
 	d := &Delta{}
-	for i := range new.Clusters {
-		k := clusterKey(&new.Clusters[i])
-		if oldKeys[k] > 0 {
-			oldKeys[k]--
-			continue
+	i, j, nOld, nNew := 0, 0, old.NumOrgs(), new.NumOrgs()
+	for i < nOld || j < nNew {
+		switch {
+		case j == nNew:
+			d.Removed = append(d.Removed, old.OrgAt(i).ASNs)
+			i++
+		case i == nOld:
+			d.Added = append(d.Added, new.OrgAt(j))
+			j++
+		default:
+			oc, nc := old.OrgAt(i), new.OrgAt(j)
+			switch cmp := cluster.CompareCanonical(oc.ASNs, nc.ASNs); {
+			case cmp < 0:
+				d.Removed = append(d.Removed, oc.ASNs)
+				i++
+			case cmp > 0:
+				d.Added = append(d.Added, nc)
+				j++
+			default:
+				if oc.Name != nc.Name || oc.Features != nc.Features || !slices.Equal(oc.ASNs, nc.ASNs) {
+					d.Removed = append(d.Removed, oc.ASNs)
+					d.Added = append(d.Added, nc)
+				}
+				i, j = i+1, j+1
+			}
 		}
-		d.Added = append(d.Added, new.Clusters[i])
 	}
-	// A second pass over old collects removals in old's deterministic
-	// cluster order (the map above only counts).
-	newKeys := make(map[string]int, len(new.Clusters))
-	for i := range new.Clusters {
-		newKeys[clusterKey(&new.Clusters[i])]++
-	}
-	for i := range old.Clusters {
-		k := clusterKey(&old.Clusters[i])
-		if newKeys[k] > 0 {
-			newKeys[k]--
-			continue
-		}
-		d.Removed = append(d.Removed, old.Clusters[i].ASNs)
-	}
+	d.own()
 	return d
+}
+
+// own copies the delta's members and names, so the delta no longer
+// aliases the mappings it came from.
+func (d *Delta) own() {
+	for k := range d.Removed {
+		d.Removed[k] = slices.Clone(d.Removed[k])
+	}
+	for k := range d.Added {
+		d.Added[k].ASNs = slices.Clone(d.Added[k].ASNs)
+		d.Added[k].Name = strings.Clone(d.Added[k].Name)
+	}
 }
 
 // deltaRecord is the on-disk JSON-lines form of one delta edit:

@@ -219,8 +219,8 @@ func BenchmarkLookupAllocs(b *testing.B) {
 	// Size the reused buffer for the largest response, the state a
 	// pooled server buffer converges to after a few requests.
 	var buf []byte
-	for i := range snap.Mapping().Clusters {
-		c := &snap.Mapping().Clusters[i]
+	for i := range snap.NumOrgs() {
+		c := snap.OrgAt(i)
 		body, _ := snap.AppendASBody(nil, c.ASNs[len(c.ASNs)-1])
 		buf = slices.Grow(buf, len(body))
 	}

@@ -35,8 +35,7 @@ func BenchmarkSnapshotLookup(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			i++
-			c := srv.Snapshot().Lookup(asnum.ASN(i%4096 + 1))
-			if c == nil {
+			if _, ok := srv.Snapshot().Lookup(asnum.ASN(i%4096 + 1)); !ok {
 				b.Errorf("AS%d unmapped", i%4096+1)
 				return
 			}

@@ -95,7 +95,7 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 		}
 	}
 
-	keys, _ := next.mapping.RawIndex()
+	keys := next.index.Keys()
 	n := len(keys)
 	samples := cfg.samples()
 	if samples > n {
@@ -115,8 +115,8 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 		if !json.Valid(scratch) {
 			return fmt.Errorf("%w: /v1/as body for AS%d is not valid JSON", ErrCanaryRejected, a)
 		}
-		c := next.Lookup(a)
-		if c == nil {
+		c, ok := next.Lookup(a)
+		if !ok {
 			return fmt.Errorf("%w: indexed AS%d resolves to no cluster", ErrCanaryRejected, a)
 		}
 		if !containsASN(c.ASNs, a) {

@@ -11,7 +11,6 @@ import (
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
 	"github.com/nu-aqualab/borges/internal/mapdiff"
-	"github.com/nu-aqualab/borges/internal/orgfactor"
 	"github.com/nu-aqualab/borges/internal/snapbin"
 )
 
@@ -23,15 +22,18 @@ var ErrDeltaMismatch = errors.New("serve: delta does not apply to the serving sn
 
 // ApplyDelta produces a new snapshot by patching only what the delta
 // touches: survivors keep their names, additions are tokenized. The
-// result is deep-equal to a from-scratch build of the patched mapping:
+// patched snapshot owns its tables — one merge pass writes its names,
+// members, feature bytes and lowercase names — so nothing of the base
+// stays reachable once the base is retired. The result is deep-equal
+// to a from-scratch build of the patched mapping:
 //
 //   - Canonical cluster order (descending size, ties by smallest
 //     member) is a pure function of membership, so re-sorting
 //     survivors+additions reproduces the exact IDs a full build
 //     assigns. Survivors keep their relative order, so remapping a
 //     sorted posting list keeps it sorted.
-//   - θ and the histogram recompute from the patched descending size
-//     slice with the same arithmetic the full build runs.
+//   - θ and the histogram recompute from the patched member offsets
+//     with the same arithmetic the full build runs.
 //
 // The base snapshot is never mutated; on any validation failure the
 // base keeps serving.
@@ -41,7 +43,7 @@ func (s *Snapshot) ApplyDelta(d *mapdiff.Delta) (*Snapshot, error) {
 
 // applyDeltaAt is ApplyDelta with an injectable clock for tests.
 func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, error) {
-	nOld := len(s.mapping.Clusters)
+	nOld := s.orgs.Len()
 
 	// Verify every removal names a base cluster by its exact member
 	// list. Carrying full membership in the delta makes "wrong base"
@@ -52,14 +54,14 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		if len(members) == 0 {
 			return nil, fmt.Errorf("%w: removal with no members", ErrDeltaMismatch)
 		}
-		c := s.mapping.ClusterOf(members[0])
-		if c == nil || !slices.Equal(c.ASNs, members) {
+		id, ok := s.index.Lookup(members[0])
+		if !ok || !slices.Equal(s.orgs.Members.At(id), members) {
 			return nil, fmt.Errorf("%w: no organization with members %v", ErrDeltaMismatch, members)
 		}
-		if deleted[c.ID] {
-			return nil, fmt.Errorf("%w: organization %d removed twice", ErrDeltaMismatch, c.ID)
+		if deleted[id] {
+			return nil, fmt.Errorf("%w: organization %d removed twice", ErrDeltaMismatch, id)
 		}
-		deleted[c.ID] = true
+		deleted[id] = true
 		delASNs += len(members)
 	}
 
@@ -76,9 +78,9 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 			if j > 0 && c.ASNs[j-1] >= a {
 				return nil, fmt.Errorf("%w: added organization members not strictly ascending", ErrDeltaMismatch)
 			}
-			if owner := s.mapping.ClusterOf(a); owner != nil && !deleted[owner.ID] {
+			if owner, ok := s.index.Lookup(a); ok && !deleted[owner] {
 				return nil, fmt.Errorf("%w: added organization claims %s, still held by organization %d",
-					ErrDeltaMismatch, a, owner.ID)
+					ErrDeltaMismatch, a, owner)
 			}
 			if claimed[a] {
 				return nil, fmt.Errorf("%w: %s added twice", ErrDeltaMismatch, a)
@@ -97,9 +99,9 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		addIdx  int // index into d.Added, or -1 for a survivor
 	}
 	entries := make([]entry, 0, nOld-len(d.Removed)+len(d.Added))
-	for i := range s.mapping.Clusters {
+	for i := range nOld {
 		if !deleted[i] {
-			entries = append(entries, entry{members: s.mapping.Clusters[i].ASNs, oldID: i, addIdx: -1})
+			entries = append(entries, entry{members: s.orgs.Members.At(i), oldID: i, addIdx: -1})
 		}
 	}
 	for i := range d.Added {
@@ -112,47 +114,57 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		return cluster.CompareCanonical(entries[a].members, entries[b].members) < 0
 	})
 
-	// Assemble the patched cluster slice. A survivor keeps its base
-	// lowercase name whatever its new ID; an addition lowercases its
-	// own. The lowercase names go straight into a table sized for the
-	// base's names plus the additions'.
+	// Write the patched organization tables and lowercase names in one
+	// pass over the new order. A survivor copies its base name, members,
+	// features and lowercase name whatever its new ID; an addition
+	// lowercases its own name. Every table is sized exactly first.
 	n := len(entries)
 	addLower := make([]string, len(d.Added))
-	nameBytes := len(s.lowerNames.Text)
-	for i := range d.Added {
-		addLower[i] = strings.ToLower(d.Added[i].Name)
-		nameBytes += len(addLower[i])
+	nameBytes, lowerBytes := 0, 0
+	for _, e := range entries {
+		if e.oldID >= 0 {
+			nameBytes += len(s.orgs.Names.At(e.oldID))
+			lowerBytes += len(s.lowerNames.At(e.oldID))
+			continue
+		}
+		addLower[e.addIdx] = strings.ToLower(d.Added[e.addIdx].Name)
+		nameBytes += len(d.Added[e.addIdx].Name)
+		lowerBytes += len(addLower[e.addIdx])
 	}
-	var names snapbin.StringsBuilder
-	if err := growNames(&names, n, nameBytes); err != nil {
+	if err := namesFit(nameBytes); err != nil {
 		return nil, err
 	}
-	clusters := make([]cluster.Cluster, n)
+	var orgs snapbin.OrgsBuilder
+	orgs.Grow(n, s.index.Len()-delASNs+addASNs, nameBytes)
+	var names snapbin.StringsBuilder
+	if err := growNames(&names, n, lowerBytes); err != nil {
+		return nil, err
+	}
 	remap := make([]int32, nOld) // base ID → patched ID, -1 if deleted
 	for i := range remap {
 		remap[i] = -1
 	}
 	for i, e := range entries {
 		if e.oldID >= 0 {
-			clusters[i] = s.mapping.Clusters[e.oldID]
-			clusters[i].ID = i
+			c := s.orgs.At(e.oldID)
+			orgs.Add(&c)
 			names.Add(s.lowerNames.At(e.oldID))
 			remap[e.oldID] = int32(i)
 			continue
 		}
-		clusters[i] = d.Added[e.addIdx]
-		clusters[i].ID = i
+		orgs.Add(&d.Added[e.addIdx])
 		names.Add(addLower[e.addIdx])
 	}
+	table := orgs.Table()
 
 	// Splice the packed ASN→cluster index: one merge pass over the old
 	// keys (dropping deletions, remapping survivors) interleaved with
 	// the additions' sorted (ASN, ID) pairs.
-	oldKeys, oldVals := s.mapping.RawIndex()
+	oldKeys, oldVals := s.index.Keys(), s.index.Vals()
 	addPairs := make([]uint64, 0, addASNs)
 	for i := range entries {
 		if entries[i].addIdx >= 0 {
-			for _, a := range clusters[i].ASNs {
+			for _, a := range entries[i].members {
 				addPairs = append(addPairs, uint64(a)<<32|uint64(uint32(i)))
 			}
 		}
@@ -179,10 +191,11 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		vals = append(vals, int32(uint32(addPairs[ai])))
 	}
 
-	// Restore re-verifies everything — canonical order, strict key
-	// ascent, index↔membership correspondence — so a buggy or
-	// adversarial delta fails here rather than serving wrong answers.
-	m, err := cluster.Restore(clusters, keys, vals)
+	// Restore re-verifies everything — no empty organization, canonical
+	// order, strict key ascent, index↔membership correspondence — so a
+	// buggy or adversarial delta fails here rather than serving wrong
+	// answers.
+	idx, err := cluster.Restore(table.Members.Items, table.Members.Off, keys, vals)
 	if err != nil {
 		return nil, fmt.Errorf("serve: patched mapping fails validation: %w", err)
 	}
@@ -216,25 +229,25 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	var tokens snapbin.StringsBuilder
 	tokens.Grow(s.tokens.Len()+len(addToks), len(s.tokens.Text)+addBytes)
 	postings := snapbin.Postings{
-		IDs: make([]int32, 0, len(s.postings.IDs)+addIDs),
-		Off: make([]uint32, 1, s.tokens.Len()+len(addToks)+1),
+		Items: make([]int32, 0, len(s.postings.Items)+addIDs),
+		Off:   make([]uint32, 1, s.tokens.Len()+len(addToks)+1),
 	}
 	emit := func(tok string, base, add []int32) {
-		start := len(postings.IDs)
+		start := len(postings.Items)
 		for _, id := range base {
 			v := remap[id]
 			if v < 0 {
 				continue
 			}
 			for len(add) > 0 && add[0] < v {
-				postings.IDs, add = append(postings.IDs, add[0]), add[1:]
+				postings.Items, add = append(postings.Items, add[0]), add[1:]
 			}
-			postings.IDs = append(postings.IDs, v)
+			postings.Items = append(postings.Items, v)
 		}
-		postings.IDs = append(postings.IDs, add...)
-		if len(postings.IDs) > start {
+		postings.Items = append(postings.Items, add...)
+		if len(postings.Items) > start {
 			tokens.Add(tok)
-			postings.Off = append(postings.Off, uint32(len(postings.IDs)))
+			postings.Off = append(postings.Off, uint32(len(postings.Items)))
 		}
 	}
 	fi := 0
@@ -254,17 +267,17 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		emit(addToks[fi], nil, added[addToks[fi]])
 	}
 
-	// Recompute corpus statistics from the patched descending size
-	// slice — the same inputs and arithmetic as a full build, so θ is
-	// bit-identical.
-	sizes := m.Sizes()
-	theta, err := orgfactor.ThetaFromSizes(sizes, m.NumASNs())
+	// Recompute corpus statistics from the patched member offsets — the
+	// same inputs and arithmetic as a full build, so θ is bit-identical.
+	stats, err := orgStats(&table, idx.Len())
 	if err != nil {
 		return nil, fmt.Errorf("serve: patched mapping fails θ validation: %w", err)
 	}
 
 	ns := &Snapshot{
-		mapping:    m,
+		orgs:       table,
+		index:      idx,
+		stats:      stats,
 		tokens:     tokens.Table(),
 		postings:   postings,
 		lowerNames: names.Table(),
@@ -275,14 +288,6 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	}
 	ns.scratchPool.New = func() any {
 		return &searchScratch{bits: make([]uint64, (n+63)/64)}
-	}
-	ns.stats = Stats{
-		Orgs:          m.NumOrgs(),
-		ASNs:          m.NumASNs(),
-		Theta:         theta,
-		MultiASOrgs:   multiCount(sizes),
-		LargestOrg:    sizes[0],
-		SizeHistogram: sizeHistogram(sizes),
 	}
 	return ns, nil
 }

@@ -74,7 +74,7 @@ func TestDeltaEquivalence(t *testing.T) {
 	snapEqual(t, scratch, patched)
 
 	// The base must be untouched: still serving the old answers.
-	if c := base.Lookup(10); c == nil || c.Name != "Hermit" {
+	if c, ok := base.Lookup(10); !ok || c.Name != "Hermit" {
 		t.Fatal("ApplyDelta mutated its base snapshot")
 	}
 }

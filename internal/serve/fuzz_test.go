@@ -97,8 +97,7 @@ func checkAcceptedSnapshot(t *testing.T, loader string, snap *Snapshot) {
 	for i := range m.Clusters {
 		c := &m.Clusters[i]
 		for _, a := range c.ASNs {
-			hit := snap.Lookup(a)
-			if hit == nil || hit != c {
+			if hit, ok := snap.Lookup(a); !ok || hit.ID != c.ID {
 				t.Fatalf("%s: ASN %v misresolved in an accepted snapshot", loader, a)
 			}
 		}
@@ -162,11 +161,11 @@ func FuzzLoadMapping(f *testing.F) {
 		for i := range m.Clusters {
 			c := &m.Clusters[i]
 			for _, a := range c.ASNs {
-				hit := snap.Lookup(a)
-				if hit == nil {
+				hit, ok := snap.Lookup(a)
+				if !ok {
 					t.Fatalf("ASN %v unmapped in its own snapshot", a)
 				}
-				if hit != c {
+				if hit.ID != c.ID {
 					t.Fatalf("ASN %v resolves to cluster %d, not its owner %d", a, hit.ID, c.ID)
 				}
 			}

@@ -47,9 +47,9 @@ func TestParallelSnapshotBuildEquivalence(t *testing.T) {
 // structures the oracle encodes.
 func TestPreRenderedBodies(t *testing.T) {
 	s := mustSnapshot(t, testMapping(t))
-	c := s.Lookup(3356)
-	if c == nil {
-		t.Fatal("Lookup(3356) = nil")
+	c, ok := s.Lookup(3356)
+	if !ok {
+		t.Fatal("Lookup(3356) found nothing")
 	}
 	var org orgJSON
 	if err := json.Unmarshal(s.OrgBody(c.ID), &org); err != nil {
@@ -96,8 +96,8 @@ func TestLookupZeroAllocs(t *testing.T) {
 		if asn > 4096 {
 			asn = 1
 		}
-		c := s.Lookup(asn)
-		if c == nil {
+		c, ok := s.Lookup(asn)
+		if !ok {
 			t.Fatalf("AS%d unmapped", asn)
 		}
 		body, ok := s.AppendASBody(buf[:0], asn)
@@ -149,7 +149,7 @@ func TestSearchLimitSemantics(t *testing.T) {
 				t.Fatalf("Search(%q, %d) returned %d hits", q, i, len(limited))
 			}
 			for j := range limited {
-				if limited[j] != full[j] {
+				if limited[j].ID != full[j].ID {
 					t.Fatalf("Search(%q, %d)[%d] = org %d, want org %d (prefix of unlimited result)",
 						q, i, j, limited[j].ID, full[j].ID)
 				}
@@ -182,7 +182,7 @@ func TestSearchConcurrentScratchReuse(t *testing.T) {
 					return
 				}
 				for j := range got {
-					if got[j] != want[j] {
+					if got[j].ID != want[j].ID {
 						t.Errorf("concurrent search hit %d = org %d, want org %d", j, got[j].ID, want[j].ID)
 						return
 					}

@@ -151,7 +151,7 @@ func TestPreparedSourceValidateThenSwap(t *testing.T) {
 	if srv.Snapshot() != before {
 		t.Fatal("failed reload swapped the snapshot")
 	}
-	if c := srv.Snapshot().Lookup(3356); c == nil || c.Name != "Lumen Technologies" {
+	if c, ok := srv.Snapshot().Lookup(3356); !ok || c.Name != "Lumen Technologies" {
 		t.Fatal("old snapshot no longer serving after failed reload")
 	}
 }

@@ -75,14 +75,14 @@ func oracleAS(a asnum.ASN, c *cluster.Cluster) []byte {
 	}{uint32(a), org, org.ASNs})
 }
 
-func oracleSearch(q string, brownout bool, hits []*cluster.Cluster) []byte {
+func oracleSearch(q string, brownout bool, hits []cluster.Cluster) []byte {
 	out := struct {
 		Query    string    `json:"query"`
 		Brownout bool      `json:"brownout,omitempty"`
 		Matches  []orgJSON `json:"matches"`
 	}{Query: q, Brownout: brownout, Matches: make([]orgJSON, len(hits))}
-	for i, c := range hits {
-		out.Matches[i] = orgToJSON(c)
+	for i := range hits {
+		out.Matches[i] = orgToJSON(&hits[i])
 	}
 	return oracleEncode(out)
 }
@@ -143,8 +143,8 @@ func TestRenderMatchesOracle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := mustSnapshot(t, m)
 			var buf []byte
-			for i := range s.mapping.Clusters {
-				c := &s.mapping.Clusters[i]
+			for i := range m.Clusters {
+				c := &m.Clusters[i]
 				var ok bool
 				if buf, ok = s.AppendOrgBody(buf[:0], c.ID); !ok || !bytes.Equal(buf, oracleOrg(c)) {
 					t.Fatalf("/v1/org/%d:\n got %q\nwant %q", c.ID, buf, oracleOrg(c))
@@ -244,7 +244,7 @@ func FuzzRenderOrg(f *testing.F) {
 		if got, want := snapbin.AppendAS(nil, a, &c), oracleAS(a, &c); !bytes.Equal(got, want) {
 			t.Fatalf("AppendAS:\n got %q\nwant %q", got, want)
 		}
-		hits := []*cluster.Cluster{&c, &c}
+		hits := []cluster.Cluster{c, c}
 		if got, want := snapbin.AppendSearch(nil, name, features&1 != 0, hits), oracleSearch(name, features&1 != 0, hits); !bytes.Equal(got, want) {
 			t.Fatalf("AppendSearch:\n got %q\nwant %q", got, want)
 		}

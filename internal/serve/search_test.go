@@ -35,7 +35,7 @@ func searchOracle(m *cluster.Mapping, query string, limit int) []int {
 }
 
 // hitIDs lists the cluster IDs of a result.
-func hitIDs(hits []*cluster.Cluster) []int {
+func hitIDs(hits []cluster.Cluster) []int {
 	var ids []int
 	for _, c := range hits {
 		ids = append(ids, c.ID)
@@ -46,18 +46,11 @@ func hitIDs(hits []*cluster.Cluster) []int {
 // namesMapping maps one organization per name: organization i holds
 // ASN i+1 alone, so canonical order keeps the names' order.
 func namesMapping(names []string) *cluster.Mapping {
-	clusters := make([]cluster.Cluster, len(names))
-	keys := make([]asnum.ASN, len(names))
-	vals := make([]int32, len(names))
-	for i, name := range names {
-		keys[i], vals[i] = asnum.ASN(i+1), int32(i)
-		clusters[i] = cluster.Cluster{ID: i, Name: name, ASNs: keys[i : i+1 : i+1]}
+	b := cluster.NewBuilder()
+	for i := range names {
+		b.AddUniverse(asnum.ASN(i + 1))
 	}
-	m, err := cluster.Restore(clusters, keys, vals)
-	if err != nil {
-		panic(err)
-	}
-	return m
+	return b.Build(func(members []asnum.ASN) string { return names[members[0]-1] })
 }
 
 // searchSnapshots returns the snapshots of m Search must agree on: a
@@ -233,8 +226,85 @@ func TestLoadedSnapshotHeapObjects(t *testing.T) {
 	t.Logf("a loaded %d-organization snapshot retains %d heap objects", orgs, retained)
 }
 
+// maxSnapshotBytesPerOrg bounds what a serving snapshot of
+// TestSnapshotHeapBytes's mapping retains per organization. With
+// organizations in flat tables a snapshot retains 88–97 bytes per
+// organization there; with a cluster.Cluster header and a size per
+// organization, a loaded or patched one retained 151.
+const maxSnapshotBytesPerOrg = 120
+
+// TestSnapshotHeapBytes: a serving snapshot keeps its organizations in
+// flat tables however it was made — loaded from an artifact, built by
+// NewSnapshot (counting only what it keeps beyond the mapping it was
+// built from, whose index it shares) or patched by a delta (its base
+// dropped, so that whatever of the base it still holds counts) — and
+// so retains fewer than maxSnapshotBytesPerOrg bytes per organization.
+func TestSnapshotHeapBytes(t *testing.T) {
+	const orgs = 50000
+	names := make([]string, orgs)
+	for i := range names {
+		names[i] = fmt.Sprintf("Org %d Networks-%d", i, i%97)
+	}
+	m := namesMapping(names)
+	renamed := slices.Clone(names)
+	for i := 0; i < orgs; i += 100 {
+		renamed[i] += " Renamed"
+	}
+	delta := mapdiff.ComputeDelta(m, namesMapping(renamed))
+	var buf bytes.Buffer
+	if _, err := WriteSnapshot(&buf, mustSnapshot(t, m)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	retained := map[string]float64{}
+
+	before := heap()
+	loaded, err := LoadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained["loaded"] = float64(heap()-before) / orgs
+
+	before = heap()
+	built := mustSnapshot(t, m)
+	retained["built"] = float64(heap()-before) / orgs
+
+	before = heap()
+	base, err := LoadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, err := base.ApplyDelta(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = nil
+	retained["patched"] = float64(heap()-before) / orgs
+	// Everything but the base stays live across every measurement.
+	runtime.KeepAlive(data)
+	runtime.KeepAlive(delta)
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(loaded)
+	runtime.KeepAlive(built)
+	runtime.KeepAlive(patched)
+
+	for _, how := range []string{"loaded", "built", "patched"} {
+		t.Logf("a %s %d-organization snapshot retains %.1f bytes per organization", how, orgs, retained[how])
+		if retained[how] >= maxSnapshotBytesPerOrg {
+			t.Errorf("a %s snapshot retains %.1f bytes per organization, want < %d", how, retained[how], maxSnapshotBytesPerOrg)
+		}
+	}
+}
+
 // searchSink keeps BenchmarkSearch's calls from being optimized away.
-var searchSink []*cluster.Cluster
+var searchSink []cluster.Cluster
 
 // BenchmarkSearch prices Search on 32,768 organizations named with two
 // or three words built from 36 common syllables, so that, as in real

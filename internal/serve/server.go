@@ -383,7 +383,7 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 			delta = deltaHint()
 		}
 		if delta == nil {
-			delta = mapdiff.ComputeDelta(old.Mapping(), next.Mapping())
+			delta = mapdiff.Diff(old, next)
 		}
 		s.watch.publish(next, delta)
 	}
@@ -709,7 +709,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.snap.Load()
 	var (
-		hits     []*cluster.Cluster
+		hits     []cluster.Cluster
 		brownout bool
 	)
 	if s.admission != nil {

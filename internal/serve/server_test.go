@@ -80,7 +80,7 @@ func TestHandleAS(t *testing.T) {
 
 func TestHandleOrg(t *testing.T) {
 	srv := newTestServer(t, Options{})
-	lumen := srv.Snapshot().Lookup(3356)
+	lumen, _ := srv.Snapshot().Lookup(3356)
 	var got orgJSON
 	rec := do(t, srv, "GET", fmt.Sprintf("/v1/org/%d", lumen.ID), &got)
 	if rec.Code != http.StatusOK || got.Name != "Lumen Technologies" {

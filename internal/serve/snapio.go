@@ -23,7 +23,6 @@ import (
 // returned image aliases the snapshot's slices; callers must not
 // mutate it.
 func (s *Snapshot) image() *snapbin.Image {
-	keys, vals := s.mapping.RawIndex()
 	img := &snapbin.Image{
 		Source:       s.source,
 		LoadedAt:     s.loadedAt,
@@ -33,9 +32,9 @@ func (s *Snapshot) image() *snapbin.Image {
 		Theta:        s.stats.Theta,
 		MultiASOrgs:  s.stats.MultiASOrgs,
 		LargestOrg:   s.stats.LargestOrg,
-		Clusters:     s.mapping.Clusters,
-		Keys:         keys,
-		Vals:         vals,
+		Orgs:         s.orgs,
+		Keys:         s.index.Keys(),
+		Vals:         s.index.Vals(),
 		LowerNames:   s.lowerNames,
 		Tokens:       s.tokens,
 		Postings:     s.postings,
@@ -48,17 +47,19 @@ func (s *Snapshot) image() *snapbin.Image {
 }
 
 // snapshotFromImage reconstructs a serving snapshot from a decoded,
-// hash-verified image. cluster.Restore re-verifies index↔membership
-// correspondence, so a snapshot assembled here can never answer a
-// lookup its clusters disagree with.
+// hash-verified image, adopting its tables as they are. cluster.Restore
+// re-verifies index↔membership correspondence, so a snapshot assembled
+// here can never answer a lookup its member table disagrees with.
 func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
-	m, err := cluster.Restore(img.Clusters, img.Keys, img.Vals)
+	members := img.Orgs.Members
+	idx, err := cluster.Restore(members.Items, members.Off, img.Keys, img.Vals)
 	if err != nil {
 		return nil, fmt.Errorf("serve: binary snapshot: %w", err)
 	}
-	if m.NumASNs() == 0 || m.NumOrgs() == 0 {
+	n := img.Orgs.Len()
+	if idx.Len() == 0 || n == 0 {
 		return nil, fmt.Errorf("serve: refusing to serve an empty mapping (%d orgs, %d networks)",
-			m.NumOrgs(), m.NumASNs())
+			n, idx.Len())
 	}
 	health := Health{
 		Status:      img.HealthStatus,
@@ -68,9 +69,9 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	if health.Status == "" {
 		health.Status = HealthOK
 	}
-	n := len(m.Clusters)
 	s := &Snapshot{
-		mapping:     m,
+		orgs:        img.Orgs,
+		index:       idx,
 		lowerNames:  img.LowerNames,
 		source:      img.Source,
 		loadedAt:    img.LoadedAt,
@@ -83,8 +84,8 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	}
 	s.tokens, s.postings = img.Tokens, img.Postings
 	s.stats = Stats{
-		Orgs:        m.NumOrgs(),
-		ASNs:        m.NumASNs(),
+		Orgs:        n,
+		ASNs:        idx.Len(),
 		Theta:       img.Theta,
 		MultiASOrgs: img.MultiASOrgs,
 		LargestOrg:  img.LargestOrg,

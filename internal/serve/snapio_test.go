@@ -20,12 +20,10 @@ import (
 // compared state, so it is asserted too as the byte-level summary.
 func snapEqual(t *testing.T, want, got *Snapshot) {
 	t.Helper()
-	if !reflect.DeepEqual(want.mapping.Clusters, got.mapping.Clusters) {
-		t.Fatal("clusters diverged")
+	if !reflect.DeepEqual(want.orgs, got.orgs) {
+		t.Fatal("organization tables diverged")
 	}
-	wk, wv := want.mapping.RawIndex()
-	gk, gv := got.mapping.RawIndex()
-	if !reflect.DeepEqual(wk, gk) || !reflect.DeepEqual(wv, gv) {
+	if !reflect.DeepEqual(want.index.Keys(), got.index.Keys()) || !reflect.DeepEqual(want.index.Vals(), got.index.Vals()) {
 		t.Fatal("packed index diverged")
 	}
 	if !reflect.DeepEqual(want.stats, got.stats) {
@@ -79,8 +77,8 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 			snapEqual(t, orig, loaded)
 			// Spot-check the serving surface end to end.
 			for _, c := range tc.m.Clusters[:min(len(tc.m.Clusters), 10)] {
-				hit := loaded.Lookup(c.ASNs[0])
-				if hit == nil || hit.ID != c.ID || hit.Name != c.Name {
+				hit, ok := loaded.Lookup(c.ASNs[0])
+				if !ok || hit.ID != c.ID || hit.Name != c.Name {
 					t.Fatalf("Lookup(%s) diverged after binary load", c.ASNs[0])
 				}
 			}

@@ -11,12 +11,21 @@
 // validate a complete replacement Snapshot off to the side and swap it
 // in atomically — a failed reload leaves the previous snapshot serving.
 //
+// A snapshot holds its organizations in flat tables (snapbin.Orgs: the
+// display names in one string, the members in one ASN pool with
+// offsets, one feature byte each) beside the packed ASN index, whether
+// it was built from a mapping, loaded from a binary artifact or patched
+// by a delta. It keeps no cluster.Cluster per organization and no size
+// slice: lookups, search, rendering and hashing read a cluster.Cluster
+// value built on the stack from the tables, and θ and the size
+// histogram come from the member offsets.
+//
 // Snapshot construction fans out across GOMAXPROCS workers: each takes
 // a contiguous cluster range and produces its lowercase names and token
-// postings, while θ and the size histogram compute concurrently from
-// the mapping's cached size slice. /v1/org and /v1/as responses are
-// rendered from the clusters per request (snapbin.AppendOrg and
-// snapbin.AppendAS), so a snapshot stores no response bytes.
+// postings, while another goroutine copies the organizations into the
+// flat tables and computes θ and the size histogram. /v1/org and /v1/as
+// responses are rendered from the tables per request (snapbin.AppendOrg
+// and snapbin.AppendAS), so a snapshot stores no response bytes.
 // Contiguous ranges keep per-token posting lists ascending when merged
 // in worker order, so the parallel build is deterministic and
 // bit-identical to a single-worker build.
@@ -103,8 +112,13 @@ type Stats struct {
 // computed at construction; a Snapshot is safe for unbounded concurrent
 // use without locks.
 type Snapshot struct {
-	mapping *cluster.Mapping
-	stats   Stats
+	// orgs holds the organizations in canonical order, organization i
+	// with ID i, and index maps every member ASN to its organization.
+	// Both are flat: the snapshot costs a handful of heap objects and
+	// no per-organization header, however many organizations it holds.
+	orgs  snapbin.Orgs
+	index cluster.Index
+	stats Stats
 
 	// tokens holds every lowercase name token, sorted, for
 	// deterministic substring scans and prefix binary searches;
@@ -195,7 +209,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	}
 	lower := make([]string, n)
 	s := &Snapshot{
-		mapping:  m,
+		index:    m.Index(),
 		source:   source,
 		loadedAt: now,
 		health:   health,
@@ -205,27 +219,32 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 		return &searchScratch{bits: make([]uint64, (n+63)/64)}
 	}
 
-	// θ and the histogram run concurrently with the index workers; both
-	// consume the mapping's cached descending size slice.
+	// Copying the organizations into their tables, then θ and the
+	// histogram from the copy's offsets, run concurrently with the index
+	// workers. The snapshot shares m's index but keeps nothing else of
+	// m.
 	var (
-		theta    float64
-		thetaErr error
+		statsErr error
 		statsWG  sync.WaitGroup
 	)
 	statsWG.Add(1)
 	stats := func() {
 		defer statsWG.Done()
-		theta, thetaErr = orgfactor.Theta(m)
-		if thetaErr != nil {
+		nameBytes := 0
+		for i := range m.Clusters {
+			nameBytes += len(m.Clusters[i].Name)
+		}
+		if statsErr = namesFit(nameBytes); statsErr != nil {
 			return
 		}
-		sizes := m.Sizes()
-		s.stats = Stats{
-			Orgs:          m.NumOrgs(),
-			ASNs:          m.NumASNs(),
-			MultiASOrgs:   multiCount(sizes),
-			LargestOrg:    sizes[0],
-			SizeHistogram: sizeHistogram(sizes),
+		var orgs snapbin.OrgsBuilder
+		orgs.Grow(n, m.NumASNs(), nameBytes)
+		for i := range m.Clusters {
+			orgs.Add(&m.Clusters[i])
+		}
+		s.orgs = orgs.Table()
+		if s.stats, statsErr = orgStats(&s.orgs, s.index.Len()); statsErr != nil {
+			statsErr = fmt.Errorf("serve: mapping fails θ validation: %w", statsErr)
 		}
 	}
 
@@ -233,7 +252,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	chunk := (n + workers - 1) / workers
 	if workers == 1 {
 		stats()
-		s.buildRange(&shards[0], lower, 0, n)
+		buildRange(m, &shards[0], lower, 0, n)
 	} else {
 		go stats()
 		var wg sync.WaitGroup
@@ -247,16 +266,15 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 			wg.Add(1)
 			go func(sh *indexShard, lo, hi int) {
 				defer wg.Done()
-				s.buildRange(sh, lower, lo, hi)
+				buildRange(m, sh, lower, lo, hi)
 			}(&shards[w], lo, hi)
 		}
 		wg.Wait()
 	}
 	statsWG.Wait()
-	if thetaErr != nil {
-		return nil, fmt.Errorf("serve: mapping fails θ validation: %w", thetaErr)
+	if statsErr != nil {
+		return nil, statsErr
 	}
-	s.stats.Theta = theta
 
 	// Merge per-worker token maps in worker order: ranges are contiguous
 	// and ascending, so concatenation keeps every posting list sorted —
@@ -298,7 +316,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 		names.Add(name)
 	}
 	tokens.Grow(len(toks), tokBytes)
-	s.postings = snapbin.Postings{IDs: make([]int32, 0, ids), Off: make([]uint32, 1, len(toks)+1)}
+	s.postings = snapbin.Postings{Items: make([]int32, 0, ids), Off: make([]uint32, 1, len(toks)+1)}
 	for _, t := range toks {
 		tokens.Add(t.tok)
 		s.postings.Append(t.ids...)
@@ -307,22 +325,55 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	return s, nil
 }
 
+// namesFit refuses names of total bytes that would overflow a names
+// table's uint32 offsets.
+func namesFit(total int) error {
+	if uint64(total) > math.MaxUint32 {
+		return fmt.Errorf("serve: %d bytes of names exceed a names table's 4 GiB", total)
+	}
+	return nil
+}
+
 // growNames sizes a names table for n names of total bytes, refusing
 // names that overflow the table's uint32 offsets.
 func growNames(b *snapbin.StringsBuilder, n, total int) error {
-	if uint64(total) > math.MaxUint32 {
-		return fmt.Errorf("serve: %d bytes of names exceed the search index's 4 GiB", total)
+	if err := namesFit(total); err != nil {
+		return err
 	}
 	b.Grow(n, total)
 	return nil
 }
 
-// buildRange indexes clusters [lo, hi): lowercase names and token
+// orgStats computes a snapshot's statistics from its organization
+// table: the sizes are the differences of the member offsets, in
+// descending order because the table is in canonical order, and θ is
+// the arithmetic of orgfactor.Theta over them.
+func orgStats(orgs *snapbin.Orgs, asns int) (Stats, error) {
+	off := orgs.Members.Off
+	sizes := make([]int, orgs.Len())
+	for i := range sizes {
+		sizes[i] = int(off[i+1] - off[i])
+	}
+	theta, err := orgfactor.ThetaFromSizes(sizes, asns)
+	if err != nil {
+		return Stats{}, err
+	}
+	return Stats{
+		Orgs:          len(sizes),
+		ASNs:          asns,
+		Theta:         theta,
+		MultiASOrgs:   multiCount(sizes),
+		LargestOrg:    sizes[0],
+		SizeHistogram: sizeHistogram(sizes),
+	}, nil
+}
+
+// buildRange indexes m's clusters [lo, hi): lowercase names and token
 // postings. Workers write disjoint index ranges of lower.
-func (s *Snapshot) buildRange(sh *indexShard, lower []string, lo, hi int) {
+func buildRange(m *cluster.Mapping, sh *indexShard, lower []string, lo, hi int) {
 	sh.tokens = make(map[string][]int32, (hi-lo)/2+1)
 	for i := lo; i < hi; i++ {
-		lower[i] = strings.ToLower(s.mapping.Clusters[i].Name)
+		lower[i] = strings.ToLower(m.Clusters[i].Name)
 		for _, tok := range tokenize(lower[i]) {
 			ids := sh.tokens[tok]
 			if len(ids) == 0 || ids[len(ids)-1] != int32(i) {
@@ -414,9 +465,26 @@ func sizeHistogram(sizes []int) []SizeBucket {
 	return out
 }
 
-// Mapping returns the underlying consolidated mapping. Callers must
-// treat it as read-only.
-func (s *Snapshot) Mapping() *cluster.Mapping { return s.mapping }
+// Mapping builds a consolidated mapping from the snapshot's tables.
+// Each call allocates a fresh cluster slice, one header per
+// organization, whose names and members alias the snapshot's tables
+// (callers must treat them as read-only), and shares the snapshot's
+// index. It serves tools, tests and benchmarks; no serving or swap path
+// calls it.
+func (s *Snapshot) Mapping() *cluster.Mapping {
+	clusters := make([]cluster.Cluster, s.orgs.Len())
+	for i := range clusters {
+		clusters[i] = s.orgs.At(i)
+	}
+	return cluster.NewMapping(clusters, s.index)
+}
+
+// NumOrgs returns the number of organizations.
+func (s *Snapshot) NumOrgs() int { return s.orgs.Len() }
+
+// OrgAt returns organization i, which must be in range. With NumOrgs it
+// is the view mapdiff computes a delta over.
+func (s *Snapshot) OrgAt(i int) cluster.Cluster { return s.orgs.At(i) }
 
 // Stats returns the snapshot's precomputed statistics.
 func (s *Snapshot) Stats() Stats { return s.stats }
@@ -450,17 +518,25 @@ func (s *Snapshot) ContentHash() string {
 	return s.contentHash
 }
 
-// Lookup returns the organization containing a, or nil when a is
-// unmapped. The lookup is a bounded binary search over the mapping's
-// sorted index — no hashing, no allocation.
-func (s *Snapshot) Lookup(a asnum.ASN) *cluster.Cluster { return s.mapping.ClusterOf(a) }
-
-// Org returns the organization with the given cluster ID, or nil.
-func (s *Snapshot) Org(id int) *cluster.Cluster {
-	if id < 0 || id >= len(s.mapping.Clusters) {
-		return nil
+// Lookup returns the organization containing a, and false when a is
+// unmapped. The lookup is a bounded binary search over the snapshot's
+// sorted index — no hashing, no allocation; the cluster value's name
+// and members alias the snapshot's tables.
+func (s *Snapshot) Lookup(a asnum.ASN) (cluster.Cluster, bool) {
+	id, ok := s.index.Lookup(a)
+	if !ok {
+		return cluster.Cluster{}, false
 	}
-	return &s.mapping.Clusters[id]
+	return s.orgs.At(id), true
+}
+
+// Org returns the organization with the given cluster ID, and false
+// when there is none.
+func (s *Snapshot) Org(id int) (cluster.Cluster, bool) {
+	if id < 0 || id >= s.orgs.Len() {
+		return cluster.Cluster{}, false
+	}
+	return s.orgs.At(id), true
 }
 
 // OrgBody returns a copy of the /v1/org JSON response for the given
@@ -476,26 +552,26 @@ func (s *Snapshot) OrgBody(id int) []byte {
 
 // AppendOrgBody appends the /v1/org JSON response for cluster id to dst
 // and reports whether id exists. The response is rendered from the
-// cluster, so a call with spare capacity in dst performs zero
-// allocations.
+// organization's tables through a cluster value on the stack, so a
+// call with spare capacity in dst performs zero allocations.
 func (s *Snapshot) AppendOrgBody(dst []byte, id int) ([]byte, bool) {
-	c := s.Org(id)
-	if c == nil {
+	c, ok := s.Org(id)
+	if !ok {
 		return dst, false
 	}
-	return snapbin.AppendOrg(dst, c), true
+	return snapbin.AppendOrg(dst, &c), true
 }
 
 // AppendASBody appends the /v1/as JSON response for a to dst and
 // reports whether a is mapped. The response is rendered from a's
-// organization, so a call with spare capacity in dst performs zero
-// allocations.
+// organization through a cluster value on the stack, so a call with
+// spare capacity in dst performs zero allocations.
 func (s *Snapshot) AppendASBody(dst []byte, a asnum.ASN) ([]byte, bool) {
-	c := s.mapping.ClusterOf(a)
-	if c == nil {
+	c, ok := s.Lookup(a)
+	if !ok {
 		return dst, false
 	}
-	return snapbin.AppendAS(dst, a, c), true
+	return snapbin.AppendAS(dst, a, &c), true
 }
 
 // searchScratch is the reusable per-query state behind Search and
@@ -535,13 +611,13 @@ func (s *Snapshot) release(sc *searchScratch) {
 // posting lists; any other query (spaces, punctuation) can span tokens
 // and is matched against whole lowercase names. Both stop as soon as
 // limit ids are gathered. limit <= 0 means no limit.
-func (s *Snapshot) Search(query string, limit int) []*cluster.Cluster {
+func (s *Snapshot) Search(query string, limit int) []cluster.Cluster {
 	q := strings.ToLower(strings.TrimSpace(query))
 	if q == "" {
 		return nil
 	}
-	if limit <= 0 || limit > len(s.mapping.Clusters) {
-		limit = len(s.mapping.Clusters)
+	if limit <= 0 || limit > s.orgs.Len() {
+		limit = s.orgs.Len()
 	}
 	sc := s.scratchPool.Get().(*searchScratch)
 	if isToken(q) {
@@ -606,14 +682,15 @@ func (s *Snapshot) mergePostings(sc *searchScratch, limit int) {
 	}
 }
 
-// materialize converts cluster ids into cluster pointers.
-func (s *Snapshot) materialize(ids []int) []*cluster.Cluster {
+// materialize converts cluster ids into cluster values, one
+// allocation for the result.
+func (s *Snapshot) materialize(ids []int) []cluster.Cluster {
 	if len(ids) == 0 {
 		return nil
 	}
-	out := make([]*cluster.Cluster, len(ids))
+	out := make([]cluster.Cluster, len(ids))
 	for i, id := range ids {
-		out[i] = &s.mapping.Clusters[id]
+		out[i] = s.orgs.At(id)
 	}
 	return out
 }
@@ -631,7 +708,7 @@ func (s *Snapshot) findToken(tok string) int {
 // Recall is reduced by design — mid-token matches and queries spanning
 // tokens are missed — mirroring how degraded snapshots trade
 // completeness for availability. limit must be > 0.
-func (s *Snapshot) SearchBrownout(query string, limit int) []*cluster.Cluster {
+func (s *Snapshot) SearchBrownout(query string, limit int) []cluster.Cluster {
 	if limit <= 0 {
 		return nil
 	}

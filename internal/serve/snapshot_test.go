@@ -60,32 +60,35 @@ func TestNewSnapshotRejectsNilAndEmpty(t *testing.T) {
 
 func TestSnapshotLookup(t *testing.T) {
 	s := mustSnapshot(t, testMapping(t))
-	c := s.Lookup(3356)
-	if c == nil || c.Name != "Lumen Technologies" {
+	c, ok := s.Lookup(3356)
+	if !ok || c.Name != "Lumen Technologies" {
 		t.Fatalf("Lookup(3356) = %+v, want Lumen", c)
 	}
 	want := []asnum.ASN{209, 3356, 3549}
 	if !reflect.DeepEqual(c.ASNs, want) {
 		t.Fatalf("siblings = %v, want %v", c.ASNs, want)
 	}
-	if got := FeatureNames(c); !reflect.DeepEqual(got, []string{"OID_W", "R&R"}) {
+	if got := FeatureNames(&c); !reflect.DeepEqual(got, []string{"OID_W", "R&R"}) {
 		t.Fatalf("features = %v, want [OID_W R&R]", got)
 	}
-	if s.Lookup(4242424) != nil {
+	if _, ok := s.Lookup(4242424); ok {
 		t.Fatal("unmapped ASN returned a cluster")
 	}
 }
 
 func TestSnapshotOrg(t *testing.T) {
 	s := mustSnapshot(t, testMapping(t))
-	c := s.Lookup(27995)
-	if c == nil {
-		t.Fatal("Lookup(27995) = nil")
+	c, ok := s.Lookup(27995)
+	if !ok {
+		t.Fatal("Lookup(27995) found nothing")
 	}
-	if got := s.Org(c.ID); got != c {
-		t.Fatalf("Org(%d) = %p, want %p", c.ID, got, c)
+	if got, ok := s.Org(c.ID); !ok || !reflect.DeepEqual(got, c) {
+		t.Fatalf("Org(%d) = %+v, want %+v", c.ID, got, c)
 	}
-	if s.Org(-1) != nil || s.Org(1_000_000) != nil {
+	if _, ok := s.Org(-1); ok {
+		t.Fatal("out-of-range org ID returned a cluster")
+	}
+	if _, ok := s.Org(1_000_000); ok {
 		t.Fatal("out-of-range org ID returned a cluster")
 	}
 }

@@ -142,18 +142,18 @@ func appendString(dst []byte, s string) []byte {
 
 // AppendSearch appends a /v1/search response to dst: the query, the
 // brownout flag when set, and each match's organization object.
-func AppendSearch(dst []byte, query string, brownout bool, matches []*cluster.Cluster) []byte {
+func AppendSearch(dst []byte, query string, brownout bool, matches []cluster.Cluster) []byte {
 	dst = append(dst, `{"query":`...)
 	dst = appendString(dst, query)
 	if brownout {
 		dst = append(dst, `,"brownout":true`...)
 	}
 	dst = append(dst, `,"matches":[`...)
-	for i, c := range matches {
+	for i := range matches {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst, _, _ = appendObject(dst, c)
+		dst, _, _ = appendObject(dst, &matches[i])
 	}
 	return append(dst, ']', '}', '\n')
 }

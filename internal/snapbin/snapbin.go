@@ -30,11 +30,12 @@
 //
 // The org-bodies section holds every organization's complete /v1/org
 // response and the AS-tails section every /v1/as tail. Both are pure
-// functions of the organization's cluster (see AppendOrg and AppendAS),
-// so an Image holds neither: the writers render both sections from the
-// clusters as they stream, and the decoder checks every stored body and
-// tail against a render of its cluster and keeps none of them. A body
-// or tail that disagrees with its cluster is ErrCorrupt.
+// functions of the organization (see AppendOrg and AppendAS), so an
+// Image holds neither: the writers render both sections from the
+// organization tables as they stream, and the decoder checks every
+// stored body and tail against a render of its organization and keeps
+// none of them. A body or tail that disagrees with its organization is
+// ErrCorrupt.
 //
 // # Content hash
 //
@@ -55,6 +56,7 @@
 package snapbin
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -147,10 +149,11 @@ type Image struct {
 	LargestOrg  int
 	Histogram   []Bucket
 
-	// Mapping: clusters in canonical order plus the packed index.
-	Clusters []cluster.Cluster
-	Keys     []asnum.ASN
-	Vals     []int32
+	// Mapping: the organizations in canonical order, as flat tables,
+	// plus the packed index.
+	Orgs Orgs
+	Keys []asnum.ASN
+	Vals []int32
 
 	// Search index: LowerNames.At(i) is the lowercase display name of
 	// cluster i; Tokens is sorted ascending with Postings parallel. Each
@@ -260,7 +263,7 @@ func writeProvenance(s *sink, img *Image) {
 
 func writeStats(s *sink, img *Image) {
 	s.u64(math.Float64bits(img.Theta))
-	s.u32(uint32(len(img.Clusters)))
+	s.u32(uint32(img.Orgs.Len()))
 	s.u32(uint32(len(img.Keys)))
 	s.u32(uint32(img.MultiASOrgs))
 	s.u32(uint32(img.LargestOrg))
@@ -277,31 +280,23 @@ func writeStats(s *sink, img *Image) {
 
 // writeClusters lays membership out columnar — counts, features,
 // name lengths, name bytes, lowercase variants, then one flat ASN
-// pool — so the decoder's inner loops run over homogeneous runs.
+// pool — so the decoder's inner loops run over homogeneous runs. The
+// organization tables already hold every column but the counts.
 func writeClusters(s *sink, img *Image) {
-	s.u32(uint32(len(img.Clusters)))
-	for i := range img.Clusters {
-		s.u32(uint32(len(img.Clusters[i].ASNs)))
+	o := &img.Orgs
+	s.u32(uint32(o.Len()))
+	for i := range o.Len() {
+		s.u32(o.Members.Off[i+1] - o.Members.Off[i])
 		s.spill()
 	}
-	for i := range img.Clusters {
-		var b byte
-		for f := 0; f < cluster.NumFeatures; f++ {
-			if img.Clusters[i].Features[f] {
-				b |= 1 << f
-			}
-		}
+	for _, b := range o.Features {
 		s.buf = append(s.buf, b)
 		s.spill()
 	}
-	for i := range img.Clusters {
-		s.str(img.Clusters[i].Name)
-	}
+	s.strs(o.Names)
 	s.strs(img.LowerNames)
-	for i := range img.Clusters {
-		for _, a := range img.Clusters[i].ASNs {
-			s.u32(uint32(a))
-		}
+	for _, a := range o.Members.Items {
+		s.u32(uint32(a))
 		s.spill()
 	}
 }
@@ -331,28 +326,41 @@ func writeTokens(s *sink, img *Image) {
 	}
 }
 
-func writeOrgBodies(s *sink, img *Image) { writeRendered(s, img, AppendOrg) }
+func writeOrgBodies(s *sink, img *Image) { writeRendered(s, img, false) }
 
-func writeASTails(s *sink, img *Image) { writeRendered(s, img, appendTail) }
+func writeASTails(s *sink, img *Image) { writeRendered(s, img, true) }
 
-// writeRendered emits a section of one render per cluster: the count,
-// each render's length, then the renders. A length is learned by
-// rendering past the sink's buffered bytes and cutting the render off
-// again, so sizing a section allocates nothing.
-func writeRendered(s *sink, img *Image, render func([]byte, *cluster.Cluster) []byte) {
-	s.u32(uint32(len(img.Clusters)))
-	for i := range img.Clusters {
+// writeRendered emits a section of one render per organization (see
+// render): the count, each render's length, then the renders. A length
+// is learned by rendering past the sink's buffered bytes and cutting
+// the render off again, so sizing a section allocates nothing.
+func writeRendered(s *sink, img *Image, tails bool) {
+	n := img.Orgs.Len()
+	s.u32(uint32(n))
+	for i := range n {
+		c := img.Orgs.At(i)
 		end := len(s.buf)
-		s.buf = render(s.buf, &img.Clusters[i])
+		s.buf = render(s.buf, &c, tails)
 		l := len(s.buf) - end
 		s.buf = s.buf[:end]
 		s.u32(uint32(l))
 		s.spill()
 	}
-	for i := range img.Clusters {
-		s.buf = render(s.buf, &img.Clusters[i])
+	for i := range n {
+		c := img.Orgs.At(i)
+		s.buf = render(s.buf, &c, tails)
 		s.spill()
 	}
+}
+
+// render appends c's blob of an org-bodies section, or with tails of an
+// AS-tails section. A direct call, unlike one through a func value,
+// lets c stay on the caller's stack.
+func render(dst []byte, c *cluster.Cluster, tails bool) []byte {
+	if tails {
+		return appendTail(dst, c)
+	}
+	return AppendOrg(dst, c)
 }
 
 // HashImage computes the content hash of an image: the hash the
@@ -751,54 +759,50 @@ func readClusters(r *reader, img *Image) error {
 	if err != nil {
 		return err
 	}
-	counts := make([]uint32, n)
-	total := 0
-	for i := range counts {
+	// The counts become the member table's offsets.
+	off := make([]uint32, n+1)
+	var total uint64
+	for i := range n {
 		c, err := r.u32()
 		if err != nil {
 			return err
 		}
-		counts[i] = c
-		total += int(c)
+		if total += uint64(c); total > math.MaxUint32 {
+			return r.fail("member counts exceed the table's 4 Gi entries")
+		}
+		off[i+1] = uint32(total)
 	}
 	featBytes, err := r.bytes(n)
 	if err != nil {
 		return err
 	}
-	img.Clusters = make([]cluster.Cluster, n)
-	for i := range img.Clusters {
-		img.Clusters[i].ID = i
-		for f := 0; f < cluster.NumFeatures; f++ {
-			img.Clusters[i].Features[f] = featBytes[i]&(1<<f) != 0
+	for i, b := range featBytes {
+		if b>>cluster.NumFeatures != 0 {
+			return r.fail("organization %d has unknown feature bits %#x", i, b)
 		}
 	}
-	// The display names are substrings of one names table.
 	names, err := r.strings(n)
 	if err != nil {
 		return err
 	}
-	for i := range img.Clusters {
-		img.Clusters[i].Name = names.At(i)
-	}
 	if img.LowerNames, err = r.strings(n); err != nil {
 		return err
 	}
-	if total > r.remaining()/4 {
+	if total > uint64(r.remaining()/4) {
 		return r.fail("ASN pool needs %d entries, %d bytes remain", total, r.remaining())
 	}
-	pool := make([]asnum.ASN, total)
-	raw, err := r.bytes(4 * total)
+	raw, err := r.bytes(4 * int(total))
 	if err != nil {
 		return err
 	}
+	pool := make([]asnum.ASN, total)
 	for i := range pool {
 		pool[i] = asnum.ASN(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
-	off := 0
-	for i := range img.Clusters {
-		c := int(counts[i])
-		img.Clusters[i].ASNs = pool[off : off+c : off+c]
-		off += c
+	img.Orgs = Orgs{
+		Names:    names,
+		Members:  Members{Items: pool, Off: off},
+		Features: bytes.Clone(featBytes),
 	}
 	return nil
 }
@@ -852,13 +856,13 @@ func readTokens(r *reader, img *Image) error {
 		total += c
 	}
 	r.pos = start
-	p := Postings{IDs: make([]int32, total), Off: make([]uint32, n+1)}
+	p := Postings{Items: make([]int32, total), Off: make([]uint32, n+1)}
 	at := 0
 	for i := 1; i <= n; i++ {
 		c, _ := r.count(4)
 		raw, _ := r.bytes(4 * c)
 		for j := range c {
-			p.IDs[at+j] = int32(binary.LittleEndian.Uint32(raw[4*j:]))
+			p.Items[at+j] = int32(binary.LittleEndian.Uint32(raw[4*j:]))
 		}
 		at += c
 		p.Off[i] = uint32(at)
@@ -869,12 +873,12 @@ func readTokens(r *reader, img *Image) error {
 
 // crossCheck validates the relationships between sections that no
 // single section decoder can see: declared counts agree, per-cluster
-// arrays are parallel, and every posting or index val names a real
-// cluster. Membership-level verification (index ↔ cluster ASNs) is
+// tables are parallel, and every posting or index val names a real
+// cluster. Membership-level verification (index ↔ member table) is
 // cluster.Restore's job; this keeps slice indexing in the serving
 // layer provably in-bounds.
 func crossCheck(img *Image) error {
-	n := len(img.Clusters)
+	n := img.Orgs.Len()
 	if img.statOrgs != n {
 		return fmt.Errorf("%w: stats declare %d orgs, clusters section has %d", ErrCorrupt, img.statOrgs, n)
 	}
@@ -884,9 +888,9 @@ func crossCheck(img *Image) error {
 	if len(img.Vals) != len(img.Keys) {
 		return fmt.Errorf("%w: %d index keys but %d vals", ErrCorrupt, len(img.Keys), len(img.Vals))
 	}
-	if img.LowerNames.Len() != n {
-		return fmt.Errorf("%w: per-cluster arrays disagree: %d clusters, %d names",
-			ErrCorrupt, n, img.LowerNames.Len())
+	if img.LowerNames.Len() != n || img.Orgs.Names.Len() != n || img.Orgs.Members.Len() != n {
+		return fmt.Errorf("%w: per-cluster tables disagree: %d clusters, %d names, %d lowercase names, %d member lists",
+			ErrCorrupt, n, img.Orgs.Names.Len(), img.LowerNames.Len(), img.Orgs.Members.Len())
 	}
 	for i, v := range img.Vals {
 		if v < 0 || int(v) >= n {

@@ -18,11 +18,9 @@ import (
 	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
-// testImage hand-builds a small, internally consistent image: two
-// clusters in canonical order with a matching packed index and token
-// index. statOrgs/statASNs are preset so a decoded image DeepEquals
-// this one.
-func testImage() *Image {
+// testClusters are the two organizations of testImage, in canonical
+// order.
+func testClusters() []cluster.Cluster {
 	clusters := []cluster.Cluster{
 		{ID: 0, Name: "Lumen", ASNs: []asnum.ASN{209, 3356, 3549}},
 		{ID: 1, Name: "Tiny Net", ASNs: []asnum.ASN{65000}},
@@ -30,6 +28,23 @@ func testImage() *Image {
 	clusters[0].Features[cluster.FeatureOIDW] = true
 	clusters[0].Features[cluster.FeatureRR] = true
 	clusters[1].Features[cluster.FeatureFavicon] = true
+	return clusters
+}
+
+// orgsOf packs clusters into organization tables.
+func orgsOf(clusters []cluster.Cluster) Orgs {
+	var b OrgsBuilder
+	for i := range clusters {
+		b.Add(&clusters[i])
+	}
+	return b.Table()
+}
+
+// testImage hand-builds a small, internally consistent image: two
+// clusters in canonical order with a matching packed index and token
+// index. statOrgs/statASNs are preset so a decoded image DeepEquals
+// this one.
+func testImage() *Image {
 	img := &Image{
 		Source:       "test.jsonl",
 		LoadedAt:     time.Unix(0, 1723000000000000000),
@@ -40,7 +55,7 @@ func testImage() *Image {
 		MultiASOrgs:  1,
 		LargestOrg:   3,
 		Histogram:    []Bucket{{Lo: 1, Hi: 1, Orgs: 1}, {Lo: 2, Hi: 2, Orgs: 0}, {Lo: 3, Hi: 4, Orgs: 1}},
-		Clusters:     clusters,
+		Orgs:         orgsOf(testClusters()),
 		Keys:         []asnum.ASN{209, 3356, 3549, 65000},
 		Vals:         []int32{0, 0, 0, 1},
 		LowerNames:   stringsOf("lumen", "tiny net"),
@@ -123,12 +138,14 @@ func TestHashImageAllocs(t *testing.T) {
 	small := testImage()
 	large := testImage()
 	var lower, tokens StringsBuilder
+	clusters := testClusters()
 	for i := 0; i < 2000; i++ {
 		lower.Add("org")
 		tokens.Add(fmt.Sprintf("tok%05d", i))
 		large.Postings.Append(0, 1)
-		large.Clusters = append(large.Clusters, large.Clusters[1])
+		clusters = append(clusters, clusters[1])
 	}
+	large.Orgs = orgsOf(clusters)
 	large.LowerNames, large.Tokens = lower.Table(), tokens.Table()
 	HashImage(large) // warm the buffer pool
 	want := testing.AllocsPerRun(20, func() { HashImage(small) })
@@ -151,7 +168,9 @@ func TestHashExcludesProvenance(t *testing.T) {
 		t.Fatal("encoded hashes differ across provenance-only changes")
 	}
 	c := testImage()
-	c.Clusters[0].Name = "Lumen Technologies"
+	clusters := testClusters()
+	clusters[0].Name = "Lumen Technologies"
+	c.Orgs = orgsOf(clusters)
 	if HashImage(c) == HashImage(a) {
 		t.Fatal("content change did not change the hash")
 	}
@@ -194,11 +213,20 @@ func TestTypedErrors(t *testing.T) {
 		resign(d)
 		return d
 	})
+	// A feature byte with a bit no feature owns would re-encode to
+	// other bytes than it was read from.
+	unknownFeature := mut(func(d []byte) []byte {
+		off := binary.LittleEndian.Uint64(d[headerSize+2*sectionEntrySize+4:])
+		d[int(off)+4+4*2] |= 0x80 // the first organization's feature byte
+		resign(d)
+		return d
+	})
 	cases = append(cases, []struct {
 		name string
 		data []byte
 		want error
 	}{
+		{"unknown feature bits", unknownFeature, ErrCorrupt},
 		{"body disagrees with cluster", bodyMismatch, ErrCorrupt},
 		{"tail disagrees with body", tailMismatch, ErrCorrupt},
 	}...)

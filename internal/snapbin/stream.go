@@ -10,8 +10,6 @@ import (
 	"hash"
 	"io"
 	"slices"
-
-	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
 // Read decodes an artifact from r section by section: each payload is
@@ -98,7 +96,7 @@ func decodeStream(r io.Reader, avail int64) (*Image, string, error) {
 		case bad != nil:
 			d.skip(sp.length)
 		case sp.id == secOrgBodies || sp.id == secASTails:
-			bad = d.rendered(sp, img.Clusters)
+			bad = d.rendered(sp, &img.Orgs)
 		default:
 			d.scratch = d.fill(d.scratch, sp.length)
 			bad = decodeSection(sp.id, d.scratch, img)
@@ -181,23 +179,23 @@ func (d *streamDecoder) skip(n uint64) {
 }
 
 // rendered checks an org-bodies or AS-tails section against renders of
-// clusters as it streams: the count must be the number of clusters and
-// the lengths must add up to the section, then each blob must be its
-// cluster's render, length and bytes. The blobs are read a window at a
-// time into a reused buffer and compared where they lie; none is kept.
-// A blob is read only once its declared length has matched the render,
-// so the window is bounded by the clusters, never by a declared length.
-// The whole section is consumed even after a mismatch, so the content
-// hash still covers it.
-func (d *streamDecoder) rendered(sp sectionSpan, clusters []cluster.Cluster) error {
-	render, what := AppendOrg, "org body"
-	if sp.id == secASTails {
-		render, what = appendTail, "AS tail"
+// the organizations as it streams: the count must be the number of
+// organizations and the lengths must add up to the section, then each
+// blob must be its organization's render, length and bytes. The blobs
+// are read a window at a time into a reused buffer and compared where
+// they lie; none is kept. A blob is read only once its declared length
+// has matched the render, so the window is bounded by the
+// organizations, never by a declared length. The whole section is
+// consumed even after a mismatch, so the content hash still covers it.
+func (d *streamDecoder) rendered(sp sectionSpan, orgs *Orgs) error {
+	tails, what := sp.id == secASTails, "org body"
+	if tails {
+		what = "AS tail"
 	}
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: section %d: %s", ErrCorrupt, sp.id, fmt.Sprintf(format, args...))
 	}
-	n := uint64(len(clusters))
+	n := uint64(orgs.Len())
 	table := 4 + 4*n
 	if sp.length < table {
 		d.skip(sp.length)
@@ -224,8 +222,9 @@ func (d *streamDecoder) rendered(sp sectionSpan, clusters []cluster.Cluster) err
 	// win[off:] holds read bytes not yet checked.
 	win, off := d.win[:0], 0
 	defer func() { d.win = win[:0] }()
-	for i := range clusters {
-		d.render = render(d.render[:0], &clusters[i])
+	for i := range orgs.Len() {
+		c := orgs.At(i)
+		d.render = render(d.render[:0], &c, tails)
 		l := len(d.render)
 		if binary.LittleEndian.Uint32(lens[4*i:]) != uint32(l) {
 			d.skip(left)

@@ -3,6 +3,9 @@ package snapbin
 import (
 	"slices"
 	"strings"
+
+	"github.com/nu-aqualab/borges/internal/asnum"
+	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
 // Strings is a table of strings stored back to back in one string:
@@ -56,29 +59,101 @@ func (b *StringsBuilder) Table() Strings {
 	return Strings{Text: b.text.String(), Off: b.off}
 }
 
-// Postings is a table of int32 lists stored back to back in one slab:
-// list i is IDs[Off[i]:Off[i+1]]. Off holds Len()+1 ascending offsets,
-// the first 0, so a table of any length is two heap objects.
-type Postings struct {
-	IDs []int32
-	Off []uint32
+// Lists is a table of lists stored back to back in one slab: list i is
+// Items[Off[i]:Off[i+1]]. Off holds Len()+1 ascending offsets, the
+// first 0, so a table of any length is two heap objects.
+type Lists[T any] struct {
+	Items []T
+	Off   []uint32
 }
 
+// Postings holds a token index's posting lists: ascending organization
+// IDs per token.
+type Postings = Lists[int32]
+
+// Members holds organizations' member lists: ascending ASNs per
+// organization.
+type Members = Lists[asnum.ASN]
+
 // Len is the number of lists in the table.
-func (p Postings) Len() int { return max(len(p.Off)-1, 0) }
+func (p Lists[T]) Len() int { return max(len(p.Off)-1, 0) }
 
 // At returns list i, capped so that appending to it copies instead of
 // overwriting the next list.
-func (p Postings) At(i int) []int32 {
+func (p Lists[T]) At(i int) []T {
 	lo, hi := p.Off[i], p.Off[i+1]
-	return p.IDs[lo:hi:hi]
+	return p.Items[lo:hi:hi]
 }
 
-// Append adds ids as the table's next list.
-func (p *Postings) Append(ids ...int32) {
+// Append adds items as the table's next list.
+func (p *Lists[T]) Append(items ...T) {
 	if len(p.Off) == 0 {
 		p.Off = append(p.Off, 0)
 	}
-	p.IDs = append(p.IDs, ids...)
-	p.Off = append(p.Off, uint32(len(p.IDs)))
+	p.Items = append(p.Items, items...)
+	p.Off = append(p.Off, uint32(len(p.Items)))
+}
+
+// Orgs holds a snapshot's organizations in canonical order as three
+// flat tables: organization i (its ID is i) is named Names.At(i), has
+// the members Members.At(i), and carries in Features[i] bit f for each
+// cluster.Feature f that contributed to it. However many organizations
+// it holds, the table is five heap objects.
+type Orgs struct {
+	Names    Strings
+	Members  Members
+	Features []byte
+}
+
+// Len is the number of organizations.
+func (o *Orgs) Len() int { return len(o.Features) }
+
+// At returns organization i as a cluster value whose name and members
+// alias the tables. Renderers take its address; the value stays on the
+// caller's stack.
+func (o *Orgs) At(i int) cluster.Cluster {
+	c := cluster.Cluster{ID: i, Name: o.Names.At(i), ASNs: o.Members.At(i)}
+	for f := range c.Features {
+		c.Features[f] = o.Features[i]&(1<<f) != 0
+	}
+	return c
+}
+
+// OrgsBuilder assembles an Orgs table one organization at a time.
+type OrgsBuilder struct {
+	names    StringsBuilder
+	members  Members
+	features []byte
+}
+
+// Grow reserves room for n more organizations with asns members and
+// nameBytes bytes of names in all.
+func (b *OrgsBuilder) Grow(n, asns, nameBytes int) {
+	b.names.Grow(n, nameBytes)
+	b.members.Items = slices.Grow(b.members.Items, asns)
+	b.members.Off = slices.Grow(b.members.Off, n+1)
+	b.features = slices.Grow(b.features, n)
+}
+
+// Add appends c as the next organization, copying its name and
+// members. c's ID is not stored: it is the organization's position.
+func (b *OrgsBuilder) Add(c *cluster.Cluster) {
+	b.names.Add(c.Name)
+	b.members.Append(c.ASNs...)
+	var bits byte
+	for f, on := range c.Features {
+		if on {
+			bits |= 1 << f
+		}
+	}
+	b.features = append(b.features, bits)
+}
+
+// Table returns the organizations added so far. The builder must not be
+// used afterwards.
+func (b *OrgsBuilder) Table() Orgs {
+	if len(b.members.Off) == 0 {
+		b.members.Off = append(b.members.Off, 0)
+	}
+	return Orgs{Names: b.names.Table(), Members: b.members, Features: b.features}
 }
