@@ -77,9 +77,9 @@ type (
 	Features = core.Features
 	// Inputs are the pipeline's data sources and backends.
 	Inputs = core.Inputs
-	// Options tune the pipeline, including ConsolidateWorkers — the
-	// parallelism of the sharded sibling-set consolidation, whose
-	// output is byte-identical at any worker count.
+	// Options tune the pipeline: features, crawl and LLM settings,
+	// the cache, retries and circuit breakers. Consolidation has no
+	// options: one builder merges each sibling set as it arrives.
 	Options = core.Options
 	// Result is a pipeline run's output: the mapping plus retained
 	// artifacts and corpus statistics.

@@ -50,8 +50,6 @@ func main() {
 	maxRetries := flag.Int("max-retries", 2, "retries per transient fault before quarantining the item (0 = no retries)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures before a host/model circuit opens (0 = no breakers)")
 	reportPath := flag.String("report", "", "write the run's fault report (JSON) to this file ('-' = stderr)")
-	consolidateWorkers := flag.Int("consolidate-workers", 0, "workers for the sharded sibling-set consolidation (0 = GOMAXPROCS); output is identical at any count")
-	spillDir := flag.String("spill-dir", "", "spool sibling sets to shard files under this directory during consolidation, bounding peak memory at mega-scale corpora; output is identical to the in-memory build")
 	flag.Parse()
 
 	// Bound -scale up front with a readable message: the generator
@@ -125,11 +123,9 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := borges.Options{
-		Features:           &feats,
-		MaxRetries:         *maxRetries,
-		BreakerThreshold:   *breakerThreshold,
-		ConsolidateWorkers: *consolidateWorkers,
-		SpillDir:           *spillDir,
+		Features:         &feats,
+		MaxRetries:       *maxRetries,
+		BreakerThreshold: *breakerThreshold,
 	}
 	if !*noCache {
 		store, err := borges.NewCache(borges.CacheOptions{Dir: *cacheDir})

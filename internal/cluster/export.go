@@ -92,14 +92,16 @@ func ReadJSONL(r io.Reader) (*Mapping, error) {
 			}
 			p.features = append(p.features, f)
 		}
-		// Register membership; one set per recorded feature keeps the
-		// provenance bits, with a default OID_W set when none were
-		// recorded.
-		if len(p.features) == 0 {
-			b.Add(SiblingSet{ASNs: asns, Source: FeatureOIDW})
+		// Register membership under the first recorded feature (OID_W
+		// when none were recorded); the first member alone carries every
+		// recorded feature to the organization.
+		src := FeatureOIDW
+		if len(p.features) > 0 {
+			src = p.features[0]
 		}
+		b.Add(SiblingSet{ASNs: asns, Source: src})
 		for _, f := range p.features {
-			b.Add(SiblingSet{ASNs: asns, Source: f})
+			b.Add(SiblingSet{ASNs: asns[:1], Source: f})
 		}
 		pendings = append(pendings, p)
 	}

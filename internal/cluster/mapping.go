@@ -1,8 +1,16 @@
+// Package cluster implements the sibling-set consolidation engine of
+// Borges. Each inference feature (organization keys, NER extraction,
+// final-URL matching, favicon analysis) produces sets of ASNs believed to
+// be under common administration; this package merges partially
+// overlapping sets transitively — "we consolidate partially overlapping
+// clusters into a single organization" (§4.1). A Builder merges each set
+// into one dense union-find (union by size, path halving) as it arrives
+// and keeps no set; Build orders the resulting partition canonically
+// into a Mapping.
 package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -156,112 +164,10 @@ func (m *Mapping) Sizes() []int {
 // return "" when no name is known.
 type Namer func(members []asnum.ASN) string
 
-// Builder accumulates sibling sets and consolidates them into a Mapping.
-// Consolidation is deferred: Add only records sets, and Build (or
-// BuildSharded) replays them through a union-find, so repeated builds
-// and the sharded strategy see the same inputs.
-type Builder struct {
-	universe   []asnum.ASN
-	inUniverse map[asnum.ASN]bool
-	sets       []SiblingSet
-	// spill, when non-nil, redirects Add to shard files on disk; see
-	// SpillToDisk in spill.go.
-	spill *spillState
-}
-
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{inUniverse: make(map[asnum.ASN]bool)}
-}
-
-// AddUniverse declares ASNs that must appear in the final mapping even if
-// no sibling set mentions them (they become singletons). The paper's θ
-// computation uses "all networks appearing in the WHOIS records" as the
-// universe (§5.4).
-func (b *Builder) AddUniverse(asns ...asnum.ASN) {
-	for _, a := range asns {
-		if !b.inUniverse[a] {
-			b.inUniverse[a] = true
-			b.universe = append(b.universe, a)
-		}
-	}
-}
-
-// Add records one sibling set. Sets with fewer than one ASN are ignored;
-// singleton sets still register the ASN in the mapping.
-func (b *Builder) Add(s SiblingSet) {
-	if len(s.ASNs) == 0 {
-		return
-	}
-	if b.spill != nil {
-		b.spill.add(s)
-		return
-	}
-	b.sets = append(b.sets, s)
-}
-
-// AddAll records many sibling sets.
-func (b *Builder) AddAll(sets []SiblingSet) {
-	for _, s := range sets {
-		b.Add(s)
-	}
-}
-
-// Build consolidates everything added so far into a Mapping with the
-// sequential union-find. The namer, if non-nil, assigns display names.
-// Build may be called repeatedly; each call reflects the current state.
-func (b *Builder) Build(namer Namer) *Mapping {
-	if b.spill != nil {
-		// The sets live on disk; consolidate through the spill reader.
-		// Build stays error-free for API compatibility — spill I/O
-		// errors are observable via BuildShardedChecked.
-		m, _ := b.BuildShardedChecked(namer, 1)
-		return m
-	}
-	uf := NewUnionFind()
-	for _, a := range b.universe {
-		uf.Add(a)
-	}
-	for _, s := range b.sets {
-		uf.UnionAll(s.ASNs)
-	}
-	return b.materialize(uf.Components(), namer)
-}
-
-// BuildSharded consolidates with the sharded strategy: sibling sets are
-// partitioned across workers (GOMAXPROCS when workers <= 0), each shard
-// runs a local dense union-find, and the per-shard frontiers merge into
-// a global structure. The result is identical to Build's — same cluster
-// IDs, same WriteJSONL bytes — a property the shard_test suite asserts
-// over random inputs.
-func (b *Builder) BuildSharded(namer Namer, workers int) *Mapping {
-	m, _ := b.BuildShardedChecked(namer, workers)
-	return m
-}
-
-// BuildShardedChecked is BuildSharded with an error return: in
-// spill-to-disk mode (SpillToDisk) a sticky spill write error or a
-// shard-file read error surfaces here instead of being swallowed. The
-// in-memory path never errors. The result is byte-identical across
-// modes, shard sizes, and worker counts.
-func (b *Builder) BuildShardedChecked(namer Namer, workers int) (*Mapping, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if b.spill != nil {
-		comps, err := b.spilledComponents(workers)
-		if err != nil {
-			return nil, err
-		}
-		return b.materialize(comps, namer), nil
-	}
-	return b.materialize(shardedComponents(b.sets, b.universe, workers), namer), nil
-}
-
-// materialize turns deterministic components into a Mapping: clusters,
-// the sorted two-level ASN index, the cached size slice, feature
-// provenance replay, and interned display names.
-func (b *Builder) materialize(comps [][]asnum.ASN, namer Namer) *Mapping {
+// materialize turns canonically ordered components into a Mapping:
+// clusters, the sorted two-level ASN index, the cached size slice, and
+// interned display names. The caller credits the features.
+func materialize(comps [][]asnum.ASN, namer Namer) *Mapping {
 	m := &Mapping{Clusters: make([]Cluster, len(comps))}
 	total := 0
 	for _, members := range comps {
@@ -286,15 +192,6 @@ func (b *Builder) materialize(comps [][]asnum.ASN, namer Namer) *Mapping {
 		vals[i] = int32(uint32(p))
 	}
 	m.index = newIndex(keys, vals)
-	// Replay feature provenance through the finished index: every set
-	// member landed in exactly one cluster, so the set's first ASN
-	// locates it. In spill mode the members are on disk, but the
-	// retained (first, source) residue is all this pass needs.
-	b.forEachProv(func(first asnum.ASN, src Feature) {
-		if id, ok := m.index.Lookup(first); ok {
-			m.Clusters[id].Features[src] = true
-		}
-	})
 	if namer != nil {
 		// Intern display names: namers commonly re-derive the same
 		// string for many clusters (shared WHOIS org names), and the
@@ -315,20 +212,3 @@ func (b *Builder) materialize(comps [][]asnum.ASN, namer Namer) *Mapping {
 	}
 	return m
 }
-
-// forEachProv yields the (first member, source feature) residue of every
-// recorded set, whether the members live in memory or in spill shards.
-func (b *Builder) forEachProv(f func(first asnum.ASN, src Feature)) {
-	if b.spill != nil {
-		for _, p := range b.spill.prov {
-			f(p.first, p.src)
-		}
-		return
-	}
-	for _, s := range b.sets {
-		f(s.ASNs[0], s.Source)
-	}
-}
-
-// Universe returns the declared universe size.
-func (b *Builder) Universe() int { return len(b.universe) }

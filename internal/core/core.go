@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -153,18 +152,6 @@ type Options struct {
 	// BreakerCooldown is how long an open circuit rejects calls before
 	// admitting a probe (default 30s).
 	BreakerCooldown time.Duration
-	// ConsolidateWorkers caps the workers used by the sharded sibling-
-	// set consolidation (0 = GOMAXPROCS). The sharded build is
-	// byte-identical to the sequential one at any worker count; lowering
-	// this only trades consolidation latency for less CPU contention.
-	ConsolidateWorkers int
-	// SpillDir, when non-empty, spools every sibling set to shard
-	// files under a run-private subdirectory of this directory instead
-	// of holding them in memory until consolidation, bounding peak RSS
-	// by the shard size rather than the set count. The resulting
-	// mapping is byte-identical to the in-memory build; the
-	// subdirectory is removed when the run finishes.
-	SpillDir string
 }
 
 // retryPolicy builds the run's shared retry policy, or nil when
@@ -202,16 +189,13 @@ func (o Options) progress(format string, args ...any) {
 	}
 }
 
-// Artifacts are the intermediate products of a run, retained for
-// evaluation and auditing.
+// Artifacts are the intermediate products of a run that evaluation
+// reads. The organization-key sets are not kept: they are pure
+// functions of the inputs (Inputs.WHOIS and Inputs.PDB SiblingSets).
 type Artifacts struct {
 	Extractions      []ner.Extraction
-	CrawlResults     []crawler.Result
-	FaviconIndex     *favicon.Index
 	ClassifyOutcomes []classify.Outcome
 
-	OIDWSets    []cluster.SiblingSet
-	OIDPSets    []cluster.SiblingSet
 	NASets      []cluster.SiblingSet
 	RRSets      []cluster.SiblingSet
 	FaviconSets []cluster.SiblingSet
@@ -333,29 +317,16 @@ func Run(ctx context.Context, in Inputs, opts Options) (*Result, error) {
 	}
 
 	opts.progress("universe: %d WHOIS ASNs in %d organizations", res.Stats.WHOISASNs, res.Stats.WHOISOrgs)
+	// The builder merges each feature's sets as they arrive and keeps
+	// none, so the organization keys are consolidated before the NER
+	// and web stages start and their sets are garbage by then.
 	b := cluster.NewBuilder()
-	if opts.SpillDir != "" {
-		if err := os.MkdirAll(opts.SpillDir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: spill dir: %w", err)
-		}
-		dir, err := os.MkdirTemp(opts.SpillDir, "borges-spill-*")
-		if err != nil {
-			return nil, fmt.Errorf("core: spill dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		if err := b.SpillToDisk(nil, dir, 0); err != nil {
-			return nil, err
-		}
-		opts.progress("consolidation spilling sibling sets under %s", dir)
-	}
 	b.AddUniverse(in.WHOIS.ASNs()...)
-	res.Artifacts.OIDWSets = in.WHOIS.SiblingSets()
-	b.AddAll(res.Artifacts.OIDWSets)
-
+	b.AddAll(in.WHOIS.SiblingSets())
 	if feats.OIDP {
-		res.Artifacts.OIDPSets = in.PDB.SiblingSets()
-		b.AddAll(res.Artifacts.OIDPSets)
-		opts.progress("org keys: %d PeeringDB organizations joined", len(res.Artifacts.OIDPSets))
+		sets := in.PDB.SiblingSets()
+		b.AddAll(sets)
+		opts.progress("org keys: %d PeeringDB organizations joined", len(sets))
 	}
 
 	// Fault-tolerance plumbing: one retry budget and one breaker
@@ -388,9 +359,8 @@ func Run(ctx context.Context, in Inputs, opts Options) (*Result, error) {
 	// The NER stage (LLM extraction over notes/aka) and the web stage
 	// (crawl → R&R → favicons) are independent until consolidation, so
 	// they overlap: each accumulates its own Stats and progress lines
-	// and hands its sibling sets back here. The Builder is touched only
-	// from this goroutine, in the fixed feature order, so cluster IDs
-	// stay deterministic. The stages are isolated failure domains: one
+	// and hands its sibling sets back here, where only this goroutine
+	// touches the Builder. The stages are isolated failure domains: one
 	// chain's failure leaves the other running and is quarantined in the
 	// report, and per-item failures are quarantined within each chain.
 	var (
@@ -429,22 +399,16 @@ func Run(ctx context.Context, in Inputs, opts Options) (*Result, error) {
 	res.Artifacts.NASets = nerOut.sets
 	b.AddAll(res.Artifacts.NASets)
 
-	res.Artifacts.CrawlResults = webOut.crawls
 	res.Artifacts.RRSets = webOut.rrSets
-	res.Artifacts.FaviconIndex = webOut.faviconIndex
 	res.Artifacts.ClassifyOutcomes = webOut.outcomes
 	res.Artifacts.FaviconSets = webOut.faviconSets
 	b.AddAll(res.Artifacts.RRSets)
 	b.AddAll(res.Artifacts.FaviconSets)
 
-	// Checked build: in spill mode a sticky shard I/O error surfaces
-	// here instead of silently producing a partial mapping.
-	m, err := b.BuildShardedChecked(namer(in), opts.ConsolidateWorkers)
-	if err != nil {
-		return nil, err
-	}
-	res.Mapping = m
+	// The report is the crawl results' last reader; taking it first
+	// lets the collector free them while Build runs.
 	res.Report = buildReport(feats, nerOut, webOut, nerErr, webErr, opts.Crawler.Breakers, llmExec)
+	res.Mapping = b.Build(namer(in))
 	opts.progress("consolidated: %d networks in %d organizations",
 		res.Mapping.NumASNs(), res.Mapping.NumOrgs())
 	return res, nil
@@ -524,13 +488,12 @@ func runNER(ctx context.Context, in Inputs, opts Options, provider llm.Provider,
 
 // webOutput is everything the crawl → R&R → favicon stage produces.
 type webOutput struct {
-	crawls       []crawler.Result
-	rrSets       []cluster.SiblingSet
-	faviconIndex *favicon.Index
-	outcomes     []classify.Outcome
-	faviconSets  []cluster.SiblingSet
-	stats        Stats
-	exec         resilience.ExecStats
+	crawls      []crawler.Result
+	rrSets      []cluster.SiblingSet
+	outcomes    []classify.Outcome
+	faviconSets []cluster.SiblingSet
+	stats       Stats
+	exec        resilience.ExecStats
 }
 
 func runWeb(ctx context.Context, in Inputs, opts Options, feats Features, provider llm.Provider, log *stageLog) (webOutput, error) {
@@ -591,8 +554,8 @@ func runWeb(ctx context.Context, in Inputs, opts Options, feats Features, provid
 				idx.Add(r.FinalURL, r.FaviconHash, r.Task.ASN)
 			}
 		}
-		out.faviconIndex = idx
-		out.stats.FaviconStats = idx.Stats()
+		shared := idx.SharedGroups()
+		out.stats.FaviconStats = idx.StatsOf(shared)
 
 		cls := &classify.Classifier{
 			Provider:     provider,
@@ -601,7 +564,7 @@ func runWeb(ctx context.Context, in Inputs, opts Options, feats Features, provid
 			DisableStep2: opts.DisableClassifierStep2,
 			Concurrency:  opts.LLMConcurrency,
 		}
-		out.outcomes = cls.ClassifyAll(ctx, idx.SharedGroups())
+		out.outcomes = cls.ClassifyAll(ctx, shared)
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
@@ -647,5 +610,5 @@ func hasDigit(s string) bool {
 func FeatureMapping(sets []cluster.SiblingSet) *cluster.Mapping {
 	b := cluster.NewBuilder()
 	b.AddAll(sets)
-	return b.BuildSharded(nil, 0)
+	return b.Build(nil)
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -108,8 +109,9 @@ func TestWarmCacheRunMakesNoBackendCalls(t *testing.T) {
 }
 
 // TestBadURLsCounted builds a corpus whose PDB nets include websites
-// that cannot canonicalize; they must be counted in Stats.BadURLs,
-// excluded from the task list, and absent from CrawlResults.
+// that cannot canonicalize; they must be counted in Stats.BadURLs and
+// never become crawl tasks: the report counts one crawl item, and the
+// transport sees requests for the good site only.
 func TestBadURLsCounted(t *testing.T) {
 	w := whois.NewSnapshot("20240701")
 	w.AddOrg(whois.Org{ID: "ORG-1", Name: "One"})
@@ -127,11 +129,22 @@ func TestBadURLsCounted(t *testing.T) {
 	p.AddOrg(peeringdb.Org{ID: 3, Name: "Three"})
 	p.AddNet(peeringdb.Net{ID: 3, OrgID: 3, ASN: 3, Website: "://also-bad"})
 
+	web := websim.New()
+	var (
+		mu    sync.Mutex
+		hosts []string
+	)
+	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		mu.Lock()
+		hosts = append(hosts, req.URL.Host)
+		mu.Unlock()
+		return web.RoundTrip(req)
+	})
 	f := core.Features{RR: true}
 	res, err := core.Run(context.Background(), core.Inputs{
 		WHOIS:     w,
 		PDB:       p,
-		Transport: websim.New(),
+		Transport: transport,
 	}, core.Options{Features: &f})
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +158,26 @@ func TestBadURLsCounted(t *testing.T) {
 	if res.Stats.UniqueURLs != 1 {
 		t.Errorf("UniqueURLs = %d, want 1", res.Stats.UniqueURLs)
 	}
-	if len(res.Artifacts.CrawlResults) != 1 {
-		t.Errorf("CrawlResults = %d tasks, want 1 (bad URLs never become tasks)",
-			len(res.Artifacts.CrawlResults))
+	crawled := -1
+	for _, src := range res.Report.Sources {
+		if src.Name == core.SourceCrawl {
+			crawled = src.Items
+		}
+	}
+	if crawled != 1 {
+		t.Errorf("crawl items = %d, want 1 (bad URLs never become tasks)", crawled)
+	}
+	if len(hosts) == 0 {
+		t.Error("the good site was never requested")
+	}
+	for _, h := range hosts {
+		if h != "ok.example" {
+			t.Errorf("request to %q: only ok.example is a task", h)
+		}
 	}
 }
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }

@@ -48,7 +48,7 @@ func TestSmokeFullPipeline(t *testing.T) {
 
 	// Per-feature Table 3 view.
 	for name, sets := range map[string]int{
-		"OID_P":    len(res.Artifacts.OIDPSets),
+		"OID_P":    len(ds.PDB.SiblingSets()),
 		"N&A":      len(res.Artifacts.NASets),
 		"R&R":      len(res.Artifacts.RRSets),
 		"Favicons": len(res.Artifacts.FaviconSets),

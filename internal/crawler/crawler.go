@@ -592,31 +592,29 @@ func (c *Crawler) throttle(ctx context.Context, host string) error {
 	}
 }
 
-// metaRefreshRe matches <meta http-equiv="refresh" content="N; url=…">
-// in either attribute order, with flexible quoting — the minimum a
-// browser would honour.
+// The scanners find <meta> and <link> start tags with one regexp each
+// and read their attributes with tagAttr.
 var (
 	metaTagRe    = regexp.MustCompile(`(?is)<meta\s[^>]*>`)
-	httpEquivRe  = regexp.MustCompile(`(?i)http-equiv\s*=\s*["']?\s*refresh\s*["']?`)
-	contentRe    = regexp.MustCompile(`(?i)content\s*=\s*("([^"]*)"|'([^']*)'|([^\s>]+))`)
+	linkTagRe    = regexp.MustCompile(`(?is)<link\s[^>]*>`)
 	refreshURLRe = regexp.MustCompile(`(?i)^\s*\d+\s*(?:;\s*url\s*=\s*(.+))?\s*$`)
 )
 
 // MetaRefreshTarget extracts the redirect target of the first
 // meta-refresh tag in an HTML page, or "" if none. A refresh without a
-// url= clause (a pure self-reload) yields "". Character references in
-// the content attribute are decoded first, as a browser does, so a
-// target written `?a=1&amp;b=2` is `?a=1&b=2`.
+// url= clause (a pure self-reload) yields "". Only the whole attribute
+// names http-equiv and content count, and character references in
+// their values are decoded first, as a browser does, so a target
+// written `?a=1&amp;b=2` is `?a=1&b=2`.
 func MetaRefreshTarget(page string) string {
 	for _, tag := range metaTagRe.FindAllString(page, -1) {
-		if !httpEquivRe.MatchString(tag) {
+		if equiv, _ := tagAttr(tag, "http-equiv"); !strings.EqualFold(strings.TrimSpace(equiv), "refresh") {
 			continue
 		}
-		m := contentRe.FindStringSubmatch(tag)
-		if m == nil {
+		content, ok := tagAttr(tag, "content")
+		if !ok {
 			continue
 		}
-		content := html.UnescapeString(m[2] + m[3] + m[4]) // whichever quoting variant matched
 		um := refreshURLRe.FindStringSubmatch(content)
 		if um == nil || um[1] == "" {
 			continue
@@ -630,23 +628,92 @@ func MetaRefreshTarget(page string) string {
 	return ""
 }
 
-// faviconLinkRe extracts <link rel="icon" href="…"> (and shortcut icon).
-var faviconLinkRe = regexp.MustCompile(`(?is)<link\s[^>]*rel\s*=\s*["']?(?:shortcut\s+)?icon["']?[^>]*>`)
-var hrefRe = regexp.MustCompile(`(?i)href\s*=\s*("([^"]*)"|'([^']*)'|([^\s>]+))`)
-
 // FaviconLink extracts the favicon href declared in an HTML page, or ""
-// if none is declared, with its character references decoded.
+// if none is declared, with its character references decoded. It takes
+// the first <link> whose rel attribute lists the token "icon" (in any
+// case, e.g. "icon", "shortcut icon", "alternate icon") and has a
+// non-empty href.
 func FaviconLink(page string) string {
-	tag := faviconLinkRe.FindString(page)
-	if tag == "" {
-		return ""
+	for _, tag := range linkTagRe.FindAllString(page, -1) {
+		rel, _ := tagAttr(tag, "rel")
+		if !hasToken(rel, "icon") {
+			continue
+		}
+		if href, _ := tagAttr(tag, "href"); strings.TrimSpace(href) != "" {
+			return strings.TrimSpace(href)
+		}
 	}
-	m := hrefRe.FindStringSubmatch(tag)
-	if m == nil {
-		return ""
-	}
-	return strings.TrimSpace(html.UnescapeString(m[2] + m[3] + m[4]))
+	return ""
 }
+
+// hasToken reports whether list, split at HTML's ASCII whitespace,
+// holds tok in any case.
+func hasToken(list, tok string) bool {
+	for _, t := range strings.FieldsFunc(list, func(r rune) bool { return r < utf8.RuneSelf && isHTMLSpace(byte(r)) }) {
+		if strings.EqualFold(t, tok) {
+			return true
+		}
+	}
+	return false
+}
+
+// tagAttr returns the value of attribute name in one start tag (from
+// '<' through '>'), with its character references decoded, reading
+// attributes as the HTML tokenizer does: a name runs to whitespace,
+// '/', '>' or '=' and matches in any case, a value is double-quoted,
+// single-quoted or bare, and the first of duplicate names wins. A
+// quoted value is consumed whole, so a name is never read out of
+// another attribute's value. ok is false when the tag has no such
+// attribute. The scan is linear in the tag and allocates nothing
+// unless the value holds a character reference.
+func tagAttr(tag, name string) (value string, ok bool) {
+	tag = strings.TrimSuffix(tag, ">")
+	i := strings.IndexAny(tag, htmlSpace) // the tag name ends here
+	if i < 0 {
+		return "", false
+	}
+	for i < len(tag) {
+		for i < len(tag) && (isHTMLSpace(tag[i]) || tag[i] == '/') {
+			i++
+		}
+		start := i
+		for i < len(tag) && !isHTMLSpace(tag[i]) && tag[i] != '/' && tag[i] != '=' {
+			i++
+		}
+		key := tag[start:i]
+		for i < len(tag) && isHTMLSpace(tag[i]) {
+			i++
+		}
+		val := ""
+		if i < len(tag) && tag[i] == '=' {
+			for i++; i < len(tag) && isHTMLSpace(tag[i]); i++ {
+			}
+			end := len(tag)
+			if i < len(tag) && (tag[i] == '"' || tag[i] == '\'') {
+				q := tag[i]
+				i++
+				if n := strings.IndexByte(tag[i:], q); n >= 0 {
+					end = i + n
+				}
+				val, i = tag[i:end], min(end+1, len(tag))
+			} else {
+				if n := strings.IndexAny(tag[i:], htmlSpace); n >= 0 {
+					end = i + n
+				}
+				val, i = tag[i:end], end
+			}
+		}
+		if strings.EqualFold(key, name) {
+			return html.UnescapeString(val), true
+		}
+	}
+	return "", false
+}
+
+// htmlSpace is ASCII whitespace as HTML defines it.
+const htmlSpace = " \t\n\f\r"
+
+func isHTMLSpace(c byte) bool { return strings.IndexByte(htmlSpace, c) >= 0 }
 
 // favicon fetches and hashes the favicon for a final page. It prefers
 // the page's declared <link rel="icon"> and falls back to /favicon.ico.

@@ -70,6 +70,35 @@ func TestAttributeCharacterReferences(t *testing.T) {
 	}
 }
 
+// TestScannersReadAttributesLikeBrowser: the scanners match the
+// attribute names rel, href, http-equiv and content only whole, and
+// read rel as a list of tokens, so each page yields what a browser
+// uses.
+func TestScannersReadAttributesLikeBrowser(t *testing.T) {
+	for _, c := range []struct{ page, icon, refresh string }{
+		{page: `<link rel="alternate icon" href="/a.ico">`, icon: "/a.ico"},
+		{page: `<link data-rel="icon" rel="stylesheet" href="/s.css">`},
+		{page: `<link rel="icon" data-href="/x.ico" href="/y.ico">`, icon: "/y.ico"},
+		{page: `<meta data-http-equiv="refresh" content="0; url=https://x.test/">`},
+		{page: `<meta http-equiv="refresh" data-content="0; url=https://x.test/" content="0; url=https://y.test/">`, refresh: "https://y.test/"},
+		// Further tokenizer rules: case, spacing around '=', bare
+		// values, the first of duplicate names, a rel with no icon
+		// token, and an icon link without an href.
+		{page: `<LINK Rel = "Shortcut ICON" HREF=/up.ico>`, icon: "/up.ico"},
+		{page: `<link rel="icon" href="/first.ico" href="/second.ico">`, icon: "/first.ico"},
+		{page: `<link rel="apple-touch-icon" href="/t.png"><link rel=iconic href=/i.png>`},
+		{page: `<link rel="icon"><link rel="icon" href="/later.ico">`, icon: "/later.ico"},
+		{page: `<meta http-equiv=REFRESH content=0;url=https://z.test/>`, refresh: "https://z.test/"},
+	} {
+		if got := FaviconLink(c.page); got != c.icon {
+			t.Errorf("FaviconLink(%s) = %q, want %q", c.page, got, c.icon)
+		}
+		if got := MetaRefreshTarget(c.page); got != c.refresh {
+			t.Errorf("MetaRefreshTarget(%s) = %q, want %q", c.page, got, c.refresh)
+		}
+	}
+}
+
 // TestMetaRefreshAndRedirectConverge: a host that meta-refreshes to a
 // target whose query holds '&' (which the page writes as &amp;) and a
 // host that 301s to the same target end on one final URL, so R&R

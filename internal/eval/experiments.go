@@ -31,8 +31,8 @@ func (d *Data) Table3() *Table {
 			NumOrgs() int
 		}
 	}{
-		{"OID_P", core.FeatureMapping(d.Borges.Artifacts.OIDPSets)},
-		{"OID_W", core.FeatureMapping(d.Borges.Artifacts.OIDWSets)},
+		{"OID_P", core.FeatureMapping(d.DS.PDB.SiblingSets())},
+		{"OID_W", core.FeatureMapping(d.DS.WHOIS.SiblingSets())},
 		{"notes and aka", core.FeatureMapping(d.Borges.Artifacts.NASets)},
 		{"R&R", core.FeatureMapping(d.Borges.Artifacts.RRSets)},
 		{"Favicons", core.FeatureMapping(d.Borges.Artifacts.FaviconSets)},

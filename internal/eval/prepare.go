@@ -44,15 +44,16 @@ func Prepare(ctx context.Context, ds *synth.Dataset, provider llm.Provider) (*Da
 }
 
 // ComboMapping consolidates the WHOIS universe plus the selected
-// feature's sibling sets from an existing run's artifacts — the cheap
+// features' sibling sets — the organization keys derived from the
+// corpus, the rest from an existing run's artifacts. It is the cheap
 // way to produce every Table 6 configuration without re-crawling or
 // re-prompting.
 func (d *Data) ComboMapping(f core.Features) *cluster.Mapping {
 	b := cluster.NewBuilder()
 	b.AddUniverse(d.DS.WHOIS.ASNs()...)
-	b.AddAll(d.Borges.Artifacts.OIDWSets)
+	b.AddAll(d.DS.WHOIS.SiblingSets())
 	if f.OIDP {
-		b.AddAll(d.Borges.Artifacts.OIDPSets)
+		b.AddAll(d.DS.PDB.SiblingSets())
 	}
 	if f.NotesAka {
 		b.AddAll(d.Borges.Artifacts.NASets)

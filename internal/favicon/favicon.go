@@ -97,9 +97,21 @@ func (x *Index) HashOf(finalURL string) string { return x.hashOf[finalURL] }
 
 // Groups returns every favicon group, sorted by descending URL count and
 // then hash, with fully sorted members.
-func (x *Index) Groups() []Group {
-	out := make([]Group, 0, len(x.byHash))
+func (x *Index) Groups() []Group { return x.groups(1) }
+
+// SharedGroups returns only groups whose favicon is displayed by more
+// than one final URL — the candidates for sibling inference — in
+// Groups' order.
+func (x *Index) SharedGroups() []Group { return x.groups(2) }
+
+// groups builds the groups of hashes displayed by at least minURLs
+// final URLs; no member of a smaller group is built.
+func (x *Index) groups(minURLs int) []Group {
+	var out []Group
 	for hash, urls := range x.byHash {
+		if len(urls) < minURLs {
+			continue
+		}
 		g := Group{Hash: hash, ASNsByURL: make(map[string][]asnum.ASN, len(urls))}
 		for u := range urls {
 			g.URLs = append(g.URLs, u)
@@ -124,18 +136,6 @@ func (x *Index) Groups() []Group {
 	return out
 }
 
-// SharedGroups returns only groups whose favicon is displayed by more
-// than one final URL — the candidates for sibling inference.
-func (x *Index) SharedGroups() []Group {
-	var out []Group
-	for _, g := range x.Groups() {
-		if len(g.URLs) > 1 {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // Stats summarises the index in the terms of Table 3 / §5.2.
 type Stats struct {
 	// FinalURLs is the number of distinct final URLs observed.
@@ -153,9 +153,13 @@ type Stats struct {
 }
 
 // Stats computes summary statistics.
-func (x *Index) Stats() Stats {
+func (x *Index) Stats() Stats { return x.StatsOf(x.SharedGroups()) }
+
+// StatsOf computes summary statistics from shared, which must be
+// x.SharedGroups(), for a caller that already holds them.
+func (x *Index) StatsOf(shared []Group) Stats {
 	s := Stats{FinalURLs: x.FinalURLs(), UniqueFavicons: x.UniqueFavicons()}
-	for _, g := range x.SharedGroups() {
+	for _, g := range shared {
 		s.SharedFavicons++
 		s.URLsInSharedGroups += len(g.URLs)
 		if g.SameBrandLabel() {

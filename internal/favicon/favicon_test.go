@@ -1,6 +1,9 @@
 package favicon
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -132,5 +135,47 @@ func TestAddEdgeCases(t *testing.T) {
 	g := x.Groups()
 	if len(g) != 1 || len(g[0].ASNs) != 1 {
 		t.Errorf("groups = %+v", g)
+	}
+}
+
+// TestSharedGroupsMatchGroupsFilter: on random indexes, SharedGroups is
+// exactly the groups of Groups with more than one URL, in the same
+// order, and Stats and StatsOf agree with statistics computed from
+// that filter.
+func TestSharedGroupsMatchGroupsFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	brands := []string{"orange", "claro", "lumen", "edg"}
+	for trial := 0; trial < 200; trial++ {
+		x := NewIndex()
+		for i := rng.Intn(60); i >= 0; i-- {
+			u := fmt.Sprintf("https://www.%s.test%d/", brands[rng.Intn(len(brands))], rng.Intn(8))
+			hash := ""
+			if rng.Intn(5) > 0 {
+				hash = fmt.Sprintf("h%d", rng.Intn(6))
+			}
+			x.Add(u, hash, asnum.ASN(1+rng.Intn(30)))
+		}
+		var want []Group
+		stats := Stats{FinalURLs: x.FinalURLs(), UniqueFavicons: x.UniqueFavicons()}
+		for _, g := range x.Groups() {
+			if len(g.URLs) > 1 {
+				want = append(want, g)
+				stats.SharedFavicons++
+				stats.URLsInSharedGroups += len(g.URLs)
+				if g.SameBrandLabel() {
+					stats.SharedSameBrand++
+				}
+			}
+		}
+		shared := x.SharedGroups()
+		if !reflect.DeepEqual(shared, want) {
+			t.Fatalf("trial %d: SharedGroups = %+v, want %+v", trial, shared, want)
+		}
+		if got := x.Stats(); got != stats {
+			t.Fatalf("trial %d: Stats = %+v, want %+v", trial, got, stats)
+		}
+		if got := x.StatsOf(shared); got != stats {
+			t.Fatalf("trial %d: StatsOf = %+v, want %+v", trial, got, stats)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Mega-scale memory benchmarks: peak RSS and wall-clock for the
-// streaming corpus generator, spill-to-disk vs in-memory
-// consolidation, snapshot build, and binary-artifact cold start, at
+// streaming corpus generator, consolidation, snapshot build, and
+// binary-artifact cold start, at
 // n=131072 and n=1M ASNs. Each benchmark records a
 // machine-readable observation that TestMain serializes to
 // BENCH_megascale.json, the committed artifact backing the bounded-
@@ -26,7 +26,6 @@ import (
 	"github.com/nu-aqualab/borges/internal/memprobe"
 	"github.com/nu-aqualab/borges/internal/serve"
 	"github.com/nu-aqualab/borges/internal/synth"
-	"github.com/nu-aqualab/borges/internal/vfs"
 )
 
 // benchRecord is one serialized benchmark observation.
@@ -139,9 +138,9 @@ func addUniverse(b *cluster.Builder, n int) {
 // addMegaSets feeds 4n seeded sibling sets of 2–7 members drawn from
 // 64-ASN blocks (the serve bench workload shape: heavy overlap
 // collapses each block into one organization, so union-find cost
-// dominates). Each set gets a fresh backing slice — exactly what a
-// real ingest hands the builder, and what the in-memory path must
-// retain until Build.
+// dominates). Each set gets a fresh backing slice, as a real ingest
+// hands the builder; the builder merges the set and keeps none of it,
+// so every set is garbage once Add returns.
 func addMegaSets(b *cluster.Builder, n int) {
 	const blockSize = 64
 	rng := rand.New(rand.NewSource(99))
@@ -221,8 +220,8 @@ func BenchmarkMegaGenerateBuffered(b *testing.B) {
 }
 
 // BenchmarkMegaConsolidateInMemory ingests 4n sibling sets into the
-// buffered builder and consolidates: the builder retains every set
-// until Build, so peak RSS carries the full ingest.
+// builder and consolidates. The builder merges each set as it arrives
+// and keeps none, so peak RSS follows the networks, not the sets.
 func BenchmarkMegaConsolidateInMemory(b *testing.B) {
 	for _, n := range megaScales {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -232,7 +231,7 @@ func BenchmarkMegaConsolidateInMemory(b *testing.B) {
 					builder := cluster.NewBuilder()
 					addUniverse(builder, n)
 					addMegaSets(builder, n)
-					m = builder.BuildSharded(benchNamer, 1)
+					m = builder.Build(benchNamer)
 				}
 			})
 			b.StopTimer()
@@ -245,45 +244,6 @@ func BenchmarkMegaConsolidateInMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkMegaConsolidateSpill is the bounded-memory path: the same
-// ingest flows through spill-to-disk shard files, so peak RSS is
-// bounded by the shard buffer plus the consolidation structures — not
-// by the number of sets.
-func BenchmarkMegaConsolidateSpill(b *testing.B) {
-	for _, n := range megaScales {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var m *cluster.Mapping
-			var shards, spilled int
-			var spillBytes int64
-			rss, ok, reset := measurePeak(func() {
-				for i := 0; i < b.N; i++ {
-					builder := cluster.NewBuilder()
-					addUniverse(builder, n)
-					if err := builder.SpillToDisk(vfs.OS, b.TempDir(), 0); err != nil {
-						b.Fatal(err)
-					}
-					addMegaSets(builder, n)
-					shards, spilled, spillBytes = builder.SpillStats()
-					var err error
-					m, err = builder.BuildShardedChecked(benchNamer, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			recordBench(b, rssMetrics(map[string]float64{
-				"networks":    float64(n),
-				"sets":        float64(4 * n),
-				"orgs":        float64(m.NumOrgs()),
-				"shards":      float64(shards),
-				"spill_sets":  float64(spilled),
-				"spill_bytes": float64(spillBytes),
-			}, rss, ok, reset))
-		})
-	}
-}
-
 // megaMapping consolidates the standard workload once per scale for
 // the snapshot-build and cold-start benchmarks.
 func megaMapping(b *testing.B, n int) *cluster.Mapping {
@@ -291,7 +251,7 @@ func megaMapping(b *testing.B, n int) *cluster.Mapping {
 	builder := cluster.NewBuilder()
 	addUniverse(builder, n)
 	addMegaSets(builder, n)
-	return builder.BuildSharded(benchNamer, 0)
+	return builder.Build(benchNamer)
 }
 
 // BenchmarkMegaSnapshotBuild measures the snapshot build

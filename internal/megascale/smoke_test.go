@@ -5,15 +5,15 @@ import (
 
 	"github.com/nu-aqualab/borges/internal/cluster"
 	"github.com/nu-aqualab/borges/internal/synth"
-	"github.com/nu-aqualab/borges/internal/vfs"
 )
 
 // smokeRSSCeiling is the hard peak-RSS bound for the scaled-down
-// streaming pipeline below. Calibrated on a race-detector run: the
-// streaming path peaks at ~50 MiB, while the buffered equivalent
-// (full Generate + in-memory set ingest) peaks at ~240 MiB — so
-// 128 MiB gives ~2.5x headroom against allocator noise yet still
-// trips on a regression back to O(corpus) buffering.
+// streaming pipeline below. The streaming generator and a builder
+// that keeps no set stay well under it, while the buffered
+// equivalent (full Generate, and a builder holding every set until
+// Build) peaked at ~240 MiB under the race detector — so 128 MiB
+// leaves headroom against allocator noise yet still trips on a
+// regression back to O(corpus) buffering.
 const smokeRSSCeiling = 128 << 20
 
 // smokeN is the scaled-down universe: big enough that an accidental
@@ -23,10 +23,10 @@ const smokeN = 32768
 
 // TestStreamingBoundedRSS is the megascale-smoke assertion: streaming
 // generation (chunks discarded as they are yielded) followed by a
-// spill-backed consolidation with a deliberately tiny 1 MiB shard
-// budget must stay under a hard RSS ceiling. The full-scale numbers
-// live in BENCH_megascale.json; this is the cheap guard that the
-// constant-memory property survives day-to-day changes.
+// consolidation that merges each of 4n sets on arrival and keeps none
+// must stay under a hard RSS ceiling. The full-scale numbers live in
+// BENCH_megascale.json; this is the cheap guard that the bounded-memory
+// property survives day-to-day changes.
 func TestStreamingBoundedRSS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mega-scale smoke skipped in -short mode")
@@ -40,15 +40,8 @@ func TestStreamingBoundedRSS(t *testing.T) {
 		}
 		builder := cluster.NewBuilder()
 		addUniverse(builder, smokeN)
-		if err := builder.SpillToDisk(vfs.OS, t.TempDir(), 1<<20); err != nil {
-			t.Fatal(err)
-		}
 		addMegaSets(builder, smokeN)
-		m, err := builder.BuildShardedChecked(benchNamer, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.NumOrgs() == 0 {
+		if m := builder.Build(benchNamer); m.NumOrgs() == 0 {
 			t.Fatal("consolidation produced no organizations")
 		}
 	})

@@ -23,7 +23,7 @@ import (
 // real HTTP listener.
 func benchBulkServer(b *testing.B, n int) (*Server, *httptest.Server) {
 	b.Helper()
-	snap, err := newSnapshotWorkers(benchBuilder(n).BuildSharded(benchNamer, 0),
+	snap, err := newSnapshotWorkers(benchBuilder(n).Build(benchNamer),
 		"bench", Health{}, time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC),
 		runtime.GOMAXPROCS(0))
 	if err != nil {

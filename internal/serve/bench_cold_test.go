@@ -24,7 +24,7 @@ import (
 func BenchmarkSnapshotColdStartJSONL(b *testing.B) {
 	for _, n := range consolidationScales {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := benchBuilder(n).BuildSharded(benchNamer, 0)
+			m := benchBuilder(n).Build(benchNamer)
 			path := filepath.Join(b.TempDir(), "mapping.jsonl")
 			f, err := os.Create(path)
 			if err != nil {
@@ -59,7 +59,7 @@ func BenchmarkSnapshotColdStartJSONL(b *testing.B) {
 func BenchmarkSnapshotColdStartBinary(b *testing.B) {
 	for _, n := range consolidationScales {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := benchBuilder(n).BuildSharded(benchNamer, 0)
+			m := benchBuilder(n).Build(benchNamer)
 			snap, err := NewSnapshot(m, "bench")
 			if err != nil {
 				b.Fatal(err)
@@ -92,7 +92,7 @@ func BenchmarkSnapshotColdStartBinary(b *testing.B) {
 func BenchmarkDeltaReload(b *testing.B) {
 	for _, n := range consolidationScales {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := benchBuilder(n).BuildSharded(benchNamer, 0)
+			m := benchBuilder(n).Build(benchNamer)
 			base, err := NewSnapshot(m, "bench")
 			if err != nil {
 				b.Fatal(err)

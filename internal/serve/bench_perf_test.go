@@ -1,8 +1,8 @@
-// Benchmarks for the sharded consolidation, the parallel snapshot
-// build, and the zero-allocation serving hot path. Besides the
-// standard -bench output, each records a machine-readable observation
-// that TestMain serializes to BENCH_serve.json, so CI smoke runs leave
-// a comparable artifact.
+// Benchmarks for consolidation, the parallel snapshot build, and the
+// zero-allocation serving hot path. Besides the standard -bench
+// output, each records a machine-readable observation that TestMain
+// serializes to BENCH_serve.json, so CI smoke runs leave a comparable
+// artifact.
 //
 //	go test -run=NONE -bench='Consolidate|SnapshotBuild|LookupAllocs' -benchtime=1x ./internal/serve/
 package serve
@@ -87,19 +87,15 @@ func TestMain(m *testing.M) {
 // the acceptance scale.
 var consolidationScales = []int{2048, 8192, 32768}
 
-// benchBuilder generates a seeded consolidation workload over n
+// benchSets generates a seeded consolidation workload over n
 // networks: 4n sibling sets of 2–7 members drawn from 64-network
 // blocks, so heavily overlapping sets collapse each block into one
-// organization (≈ n/64 orgs) — union-find cost dominates, and the
-// dense-DSU advantage is visible even on one core.
-func benchBuilder(n int) *cluster.Builder {
+// organization (≈ n/64 orgs) and union-find cost dominates.
+func benchSets(n int) []cluster.SiblingSet {
 	const blockSize = 64
 	rng := rand.New(rand.NewSource(42))
-	b := cluster.NewBuilder()
-	for a := 1; a <= n; a++ {
-		b.AddUniverse(asnum.ASN(a))
-	}
-	for i := 0; i < 4*n; i++ {
+	sets := make([]cluster.SiblingSet, 4*n)
+	for i := range sets {
 		size := rng.Intn(6) + 2
 		set := cluster.SiblingSet{Source: cluster.Feature(i % cluster.NumFeatures)}
 		base := rng.Intn(n) + 1
@@ -115,57 +111,46 @@ func benchBuilder(n int) *cluster.Builder {
 			}
 			set.ASNs = append(set.ASNs, asnum.ASN(a))
 		}
-		b.Add(set)
+		sets[i] = set
 	}
+	return sets
+}
+
+// ingest returns a builder holding networks 1..n and sets.
+func ingest(n int, sets []cluster.SiblingSet) *cluster.Builder {
+	b := cluster.NewBuilder()
+	for a := 1; a <= n; a++ {
+		b.AddUniverse(asnum.ASN(a))
+	}
+	b.AddAll(sets)
 	return b
 }
+
+// benchBuilder is a builder over the benchSets workload.
+func benchBuilder(n int) *cluster.Builder { return ingest(n, benchSets(n)) }
 
 func benchNamer(members []asnum.ASN) string {
 	return fmt.Sprintf("Org #%d", members[0])
 }
 
-// BenchmarkConsolidateSeq is the baseline: the map-based union-find
-// replay behind Builder.Build.
-func BenchmarkConsolidateSeq(b *testing.B) {
+// BenchmarkConsolidate prices consolidation end to end: a fresh
+// builder takes the universe and the 4n sets, merging each set as it
+// arrives, and Build orders the partition into a mapping.
+func BenchmarkConsolidate(b *testing.B) {
 	for _, n := range consolidationScales {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			builder := benchBuilder(n)
+			sets := benchSets(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var m *cluster.Mapping
 			for i := 0; i < b.N; i++ {
-				m = builder.Build(benchNamer)
+				m = ingest(n, sets).Build(benchNamer)
 			}
 			b.StopTimer()
 			recordBench(b, map[string]float64{
 				"networks": float64(n),
 				"sets":     float64(4 * n),
 				"orgs":     float64(m.NumOrgs()),
-			})
-		})
-	}
-}
-
-// BenchmarkConsolidateSharded is the tentpole path: per-shard dense
-// DSUs over contiguous set chunks, frontier-merged into a global
-// dense DSU. Byte-identical output to the sequential build (see
-// TestShardedEquivalence*), at a fraction of the cost.
-func BenchmarkConsolidateSharded(b *testing.B) {
-	for _, n := range consolidationScales {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			builder := benchBuilder(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var m *cluster.Mapping
-			for i := 0; i < b.N; i++ {
-				m = builder.BuildSharded(benchNamer, 0)
-			}
-			b.StopTimer()
-			recordBench(b, map[string]float64{
-				"networks": float64(n),
-				"sets":     float64(4 * n),
-				"orgs":     float64(m.NumOrgs()),
-				"workers":  float64(runtime.GOMAXPROCS(0)),
 			})
 		})
 	}
@@ -178,7 +163,7 @@ func BenchmarkConsolidateSharded(b *testing.B) {
 func BenchmarkSnapshotBuild(b *testing.B) {
 	now := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
 	for _, n := range consolidationScales {
-		m := benchBuilder(n).BuildSharded(benchNamer, 0)
+		m := benchBuilder(n).Build(benchNamer)
 		for _, mode := range []struct {
 			name    string
 			workers int
@@ -211,7 +196,7 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 // form: an ASN point lookup rendering the full /v1/as response of a
 // 64-network organization must report 0 allocs/op.
 func BenchmarkLookupAllocs(b *testing.B) {
-	snap, err := newSnapshotWorkers(benchBuilder(8192).BuildSharded(benchNamer, 0),
+	snap, err := newSnapshotWorkers(benchBuilder(8192).Build(benchNamer),
 		"bench", Health{}, time.Now(), runtime.GOMAXPROCS(0))
 	if err != nil {
 		b.Fatal(err)

@@ -53,7 +53,7 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 		m    *cluster.Mapping
 	}{
 		{"small", testMapping(t)},
-		{"large", benchBuilder(2048).BuildSharded(benchNamer, 0)},
+		{"large", benchBuilder(2048).Build(benchNamer)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
