@@ -1,14 +1,18 @@
-// Command benchguard compares two benchmark JSON artifacts (the
+// Command benchguard compares two sets of benchmark JSON artifacts (the
 // BENCH_*.json files the bench suites emit) and fails when a selected
-// cell's ns/op regresses beyond a threshold against the committed
-// baseline. CI runs it after the bench smoke step so a cold-start or
-// lookup regression fails the build instead of landing silently.
+// cell's ns/op regresses beyond a threshold. Each side is one or more
+// runs of the same benchmark command: CI runs it on the commit's first
+// parent and on the commit, interleaved, in one job on one machine, and
+// compares the median ns/op of each cell per side, so that neither
+// another machine's speed nor one noisy run decides the verdict.
 //
 // Usage:
 //
-//	benchguard -baseline internal/serve/BENCH_baseline.json \
-//	           -current internal/serve/BENCH_serve.json \
+//	benchguard -baseline 'runs/parent-*.json' \
+//	           -current 'runs/change-*.json' \
 //	           -match 'ColdStart|Lookup' -max-regress 20
+//
+// -baseline and -current are file paths or glob patterns.
 package main
 
 import (
@@ -17,7 +21,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 )
 
 type benchFile struct {
@@ -30,30 +36,46 @@ type benchRecord struct {
 	NsPerOp float64 `json:"ns_per_op"`
 }
 
-func load(path string) (map[string]benchRecord, error) {
-	blob, err := os.ReadFile(path)
+// load reads every run the pattern names and returns each cell's
+// median ns/op over the runs that recorded it, and the number of runs.
+func load(pattern string) (map[string]float64, int, error) {
+	paths, err := filepath.Glob(pattern)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var f benchFile
-	if err := json.Unmarshal(blob, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if len(paths) == 0 {
+		return nil, 0, fmt.Errorf("%s: no such file", pattern)
 	}
-	m := make(map[string]benchRecord, len(f.Benchmarks))
-	for _, r := range f.Benchmarks {
-		m[r.Name] = r
+	samples := map[string][]float64{}
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		var f benchFile
+		if err := json.Unmarshal(blob, &f); err != nil {
+			return nil, 0, fmt.Errorf("%s: %w", path, err)
+		}
+		for _, r := range f.Benchmarks {
+			samples[r.Name] = append(samples[r.Name], r.NsPerOp)
+		}
 	}
-	return m, nil
+	medians := make(map[string]float64, len(samples))
+	for name, v := range samples {
+		slices.Sort(v)
+		medians[name] = (v[(len(v)-1)/2] + v[len(v)/2]) / 2
+	}
+	return medians, len(paths), nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchguard: ")
 
-	baselinePath := flag.String("baseline", "", "committed baseline BENCH json")
-	currentPath := flag.String("current", "", "freshly produced BENCH json")
+	baselinePath := flag.String("baseline", "", "baseline BENCH json runs (path or glob)")
+	currentPath := flag.String("current", "", "current BENCH json runs (path or glob)")
 	match := flag.String("match", ".", "regexp selecting benchmark names to compare")
-	maxRegress := flag.Float64("max-regress", 20, "maximum allowed ns/op regression, percent")
+	maxRegress := flag.Float64("max-regress", 20, "maximum allowed ns/op regression of the medians, percent")
 	flag.Parse()
 
 	if *baselinePath == "" || *currentPath == "" {
@@ -63,37 +85,44 @@ func main() {
 	if err != nil {
 		log.Fatalf("-match: %v", err)
 	}
-	baseline, err := load(*baselinePath)
+	baseline, baseRuns, err := load(*baselinePath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	current, err := load(*currentPath)
+	current, curRuns, err := load(*currentPath)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("benchguard: medians of %d baseline and %d current runs\n", baseRuns, curRuns)
 
+	names := make([]string, 0, len(baseline))
+	for name := range baseline {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 	compared, failed := 0, 0
-	for name, base := range baseline {
-		if !re.MatchString(name) || base.NsPerOp <= 0 {
+	for _, name := range names {
+		base := baseline[name]
+		if !re.MatchString(name) || base <= 0 {
 			continue
 		}
 		cur, ok := current[name]
 		if !ok {
-			// A cell missing from the fresh run means the benchmark was
-			// renamed or dropped; that must be a deliberate baseline
-			// update, not a silent pass.
-			fmt.Printf("MISSING  %-55s baseline %.0f ns/op, absent from current\n", name, base.NsPerOp)
+			// A cell missing from the current runs means the benchmark
+			// was renamed or dropped; that must be deliberate, not a
+			// silent pass.
+			fmt.Printf("MISSING  %-55s baseline %.0f ns/op, absent from current\n", name, base)
 			failed++
 			continue
 		}
 		compared++
-		delta := (cur.NsPerOp - base.NsPerOp) / base.NsPerOp * 100
+		delta := (cur - base) / base * 100
 		status := "ok"
 		if delta > *maxRegress {
 			status = "FAIL"
 			failed++
 		}
-		fmt.Printf("%-8s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)\n", status, name, base.NsPerOp, cur.NsPerOp, delta)
+		fmt.Printf("%-8s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)\n", status, name, base, cur, delta)
 	}
 	if compared == 0 && failed == 0 {
 		log.Fatalf("no baseline cells matched %q — guard is vacuous", *match)

@@ -151,11 +151,20 @@ type Crawler struct {
 	// keyOpts are the option parts of every cache key, formatted once.
 	keyOpts [4]string
 
-	mu        sync.Mutex
+	// Three locks, one per piece of shared state, so that a fetch
+	// waits only for fetches touching the same piece: hitMu guards the
+	// per-host clock, favMu the favicon memo and its in-flight fetches,
+	// and iconMu the icon bytes, which every cache fill and classifier
+	// prompt reads. iconMu is a plain Mutex: every icon fetch writes
+	// under it, and as an RWMutex it made a paper-scale crawl's mutex
+	// delay half as large again.
+	hitMu     sync.Mutex
 	lastHit   map[string]time.Time
+	favMu     sync.Mutex
 	favCache  map[string]string        // final host -> favicon hash
 	favBusy   map[string]chan struct{} // final host -> closed when its favicon fetch ends
-	iconBytes map[string][]byte        // favicon hash -> icon payload
+	iconMu    sync.Mutex
+	iconBytes map[string][]byte // favicon hash -> icon payload
 }
 
 // New returns a Crawler with defaults applied.
@@ -317,12 +326,12 @@ func (c *Crawler) fromCached(t Task, ce cachedCrawl) Result {
 		Hops: ce.Hops, FaviconHash: ce.FaviconHash, Err: decodedErr(ce.Err),
 	}
 	if ce.FaviconHash != "" {
-		c.mu.Lock()
+		c.favMu.Lock()
 		c.favCache[urlmatch.Host(ce.FinalURL)] = ce.FaviconHash
-		if _, ok := c.iconBytes[ce.FaviconHash]; !ok && len(ce.Icon) > 0 {
-			c.iconBytes[ce.FaviconHash] = ce.Icon
+		c.favMu.Unlock()
+		if len(ce.Icon) > 0 {
+			c.keepIcon(ce.FaviconHash, ce.Icon)
 		}
-		c.mu.Unlock()
 	}
 	return r
 }
@@ -576,38 +585,106 @@ func (c *Crawler) throttle(ctx context.Context, host string) error {
 		return nil
 	}
 	for {
-		c.mu.Lock()
+		c.hitMu.Lock()
 		last, ok := c.lastHit[host]
 		now := time.Now()
 		if !ok || now.Sub(last) >= c.opts.PerHostDelay {
 			c.lastHit[host] = now
-			c.mu.Unlock()
+			c.hitMu.Unlock()
 			return nil
 		}
 		wait := c.opts.PerHostDelay - now.Sub(last)
-		c.mu.Unlock()
+		c.hitMu.Unlock()
 		if err := resilience.Sleep(ctx, wait); err != nil {
 			return err
 		}
 	}
 }
 
-// The scanners find <meta> and <link> start tags with one regexp each
-// and read their attributes with tagAttr.
-var (
-	metaTagRe    = regexp.MustCompile(`(?is)<meta\s[^>]*>`)
-	linkTagRe    = regexp.MustCompile(`(?is)<link\s[^>]*>`)
-	refreshURLRe = regexp.MustCompile(`(?i)^\s*\d+\s*(?:;\s*url\s*=\s*(.+))?\s*$`)
-)
+// refreshURLRe reads a meta refresh's content value.
+var refreshURLRe = regexp.MustCompile(`(?i)^\s*\d+\s*(?:;\s*url\s*=\s*(.+))?\s*$`)
+
+// nextTag returns the first start tag named name, from its '<' through
+// the next '>', at or after page[i:], and the offset to continue from;
+// tag is "" when there is none. The name matches in any case and must
+// be followed by whitespace. As in a browser, a comment ("<!--" to
+// "-->", or "<!-->" and "<!--->" alone) and the text of a <script> or
+// <style> element (up to its end tag) hold no tags. The scan is linear
+// in the page: it looks at each '<' once, and each skip resumes past
+// what it skipped.
+func nextTag(page string, i int, name string) (tag string, next int) {
+	for {
+		j := strings.IndexByte(page[i:], '<')
+		if j < 0 {
+			return "", len(page)
+		}
+		i += j + 1 // past the '<'
+		rest := page[i:]
+		if strings.HasPrefix(rest, "!--") {
+			if strings.HasPrefix(rest[3:], ">") || strings.HasPrefix(rest[3:], "->") {
+				continue
+			}
+			k := strings.Index(rest[3:], "-->")
+			if k < 0 {
+				return "", len(page)
+			}
+			i += 3 + k + 3
+			continue
+		}
+		if elem := rawTextElement(rest); elem != "" {
+			i += len(elem)
+			for {
+				k := strings.Index(page[i:], "</")
+				if k < 0 {
+					return "", len(page)
+				}
+				if i += k + 2; tagNamed(page[i:], elem) {
+					break
+				}
+			}
+			continue
+		}
+		if len(rest) > len(name) && strings.EqualFold(rest[:len(name)], name) && isHTMLSpace(rest[len(name)]) {
+			k := strings.IndexByte(rest, '>')
+			if k < 0 {
+				return "", len(page)
+			}
+			return page[i-1 : i+k+1], i + k + 1
+		}
+	}
+}
+
+// rawTextElement returns "script" or "style" when s, read just after a
+// '<', starts that element, whose text holds no tags, and "" otherwise.
+func rawTextElement(s string) string {
+	for _, elem := range [...]string{"script", "style"} {
+		if tagNamed(s, elem) {
+			return elem
+		}
+	}
+	return ""
+}
+
+// tagNamed reports whether s, read just after a '<' or "</", starts
+// with the tag name elem in any case, ended by whitespace, '/' or '>'.
+func tagNamed(s, elem string) bool {
+	if len(s) <= len(elem) || !strings.EqualFold(s[:len(elem)], elem) {
+		return false
+	}
+	c := s[len(elem)]
+	return isHTMLSpace(c) || c == '/' || c == '>'
+}
 
 // MetaRefreshTarget extracts the redirect target of the first
 // meta-refresh tag in an HTML page, or "" if none. A refresh without a
 // url= clause (a pure self-reload) yields "". Only the whole attribute
 // names http-equiv and content count, and character references in
 // their values are decoded first, as a browser does, so a target
-// written `?a=1&amp;b=2` is `?a=1&b=2`.
+// written `?a=1&amp;b=2` is `?a=1&b=2`. A tag a browser would not
+// parse, in a comment or a script or style element's text, is not
+// read (see nextTag).
 func MetaRefreshTarget(page string) string {
-	for _, tag := range metaTagRe.FindAllString(page, -1) {
+	for tag, i := nextTag(page, 0, "meta"); tag != ""; tag, i = nextTag(page, i, "meta") {
 		if equiv, _ := tagAttr(tag, "http-equiv"); !strings.EqualFold(strings.TrimSpace(equiv), "refresh") {
 			continue
 		}
@@ -630,11 +707,11 @@ func MetaRefreshTarget(page string) string {
 
 // FaviconLink extracts the favicon href declared in an HTML page, or ""
 // if none is declared, with its character references decoded. It takes
-// the first <link> whose rel attribute lists the token "icon" (in any
-// case, e.g. "icon", "shortcut icon", "alternate icon") and has a
-// non-empty href.
+// the first <link> a browser would parse (see nextTag) whose rel
+// attribute lists the token "icon" (in any case, e.g. "icon", "shortcut
+// icon", "alternate icon") and has a non-empty href.
 func FaviconLink(page string) string {
-	for _, tag := range linkTagRe.FindAllString(page, -1) {
+	for tag, i := nextTag(page, 0, "link"); tag != ""; tag, i = nextTag(page, i, "link") {
 		rel, _ := tagAttr(tag, "rel")
 		if !hasToken(rel, "icon") {
 			continue
@@ -725,27 +802,27 @@ func isHTMLSpace(c byte) bool { return strings.IndexByte(htmlSpace, c) >= 0 }
 // number of icon requests does not depend on scheduling.
 func (c *Crawler) favicon(ctx context.Context, final *url.URL, finalURL, page string) (string, error) {
 	host := final.Hostname()
-	c.mu.Lock()
+	c.favMu.Lock()
 	for busy := c.favBusy[host]; busy != nil; busy = c.favBusy[host] {
-		c.mu.Unlock()
+		c.favMu.Unlock()
 		select {
 		case <-busy:
 		case <-ctx.Done():
 			return "", ctx.Err()
 		}
-		c.mu.Lock()
+		c.favMu.Lock()
 	}
 	if h, ok := c.favCache[host]; ok {
-		c.mu.Unlock()
+		c.favMu.Unlock()
 		return h, nil
 	}
 	done := make(chan struct{})
 	c.favBusy[host] = done
-	c.mu.Unlock()
+	c.favMu.Unlock()
 	defer func() {
-		c.mu.Lock()
+		c.favMu.Lock()
 		delete(c.favBusy, host)
-		c.mu.Unlock()
+		c.favMu.Unlock()
 		close(done)
 	}()
 
@@ -779,9 +856,9 @@ func (c *Crawler) favicon(ctx context.Context, final *url.URL, finalURL, page st
 	if hash == "" && transient != nil {
 		return "", transient
 	}
-	c.mu.Lock()
+	c.favMu.Lock()
 	c.favCache[host] = hash
-	c.mu.Unlock()
+	c.favMu.Unlock()
 	return hash, nil
 }
 
@@ -824,14 +901,7 @@ func (c *Crawler) fetchIcon(ctx context.Context, cand *url.URL) (string, error) 
 		}
 		sum := sha256.Sum256(raw)
 		hash = hex.EncodeToString(sum[:])
-		c.mu.Lock()
-		if _, ok := c.iconBytes[hash]; !ok && len(raw) <= maxRetainedIcon {
-			// Copy out of the pooled read buffer, which is reused.
-			icon := make([]byte, len(raw))
-			copy(icon, raw)
-			c.iconBytes[hash] = icon
-		}
-		c.mu.Unlock()
+		c.keepIcon(hash, raw)
 		return nil
 	})
 	if err != nil {
@@ -859,9 +929,23 @@ const maxRetainedIcon = 64 << 10
 // crawling, or nil. The classifier's step 2 attaches these bytes to its
 // LLM prompts.
 func (c *Crawler) IconBytes(hash string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.iconMu.Lock()
+	defer c.iconMu.Unlock()
 	return c.iconBytes[hash]
+}
+
+// keepIcon retains a copy of icon, which may be a pooled read buffer,
+// as hash's payload, unless one is already kept or icon is larger than
+// maxRetainedIcon.
+func (c *Crawler) keepIcon(hash string, icon []byte) {
+	if len(icon) > maxRetainedIcon {
+		return
+	}
+	c.iconMu.Lock()
+	if _, ok := c.iconBytes[hash]; !ok {
+		c.iconBytes[hash] = append(make([]byte, 0, len(icon)), icon...)
+	}
+	c.iconMu.Unlock()
 }
 
 // CrawlAll resolves all tasks on Concurrency workers. Tasks whose

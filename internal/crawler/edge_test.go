@@ -262,3 +262,64 @@ func TestNoFaviconAnywhere(t *testing.T) {
 		t.Errorf("res = %+v", res)
 	}
 }
+
+// TestScannersSkipCommentsAndRawText: a tag a browser does not parse,
+// in a comment or in the text of a <script> or <style> element, is not
+// read, so the tag that follows it is.
+func TestScannersSkipCommentsAndRawText(t *testing.T) {
+	for _, c := range []struct{ page, icon, refresh string }{
+		{page: `<!-- <meta http-equiv="refresh" content="0; url=https://old.test/"> -->`},
+		{page: `<script>document.write('<meta http-equiv="refresh" content="0; url=https://js.test/">')</script>`},
+		{page: `<style>/* <link rel="icon" href="/old.ico"> */</style><link rel="icon" href="/real.ico">`, icon: "/real.ico"},
+		// A comment ends at its first "-->", or at once as "<!-->" and
+		// "<!--->"; raw text ends at its own end tag, in any case.
+		{page: `<!-- a -- b --><meta http-equiv="refresh" content="0; url=https://after.test/">`, refresh: "https://after.test/"},
+		{page: `<!--><link rel="icon" href="/a.ico"><!---><link rel="icon" href="/b.ico">`, icon: "/a.ico"},
+		{page: `<SCRIPT type="text/javascript">x = "</scripts>"; y = "<link rel=icon href=/js.ico>"</Script ><link rel="icon" href="/ok.ico">`, icon: "/ok.ico"},
+		{page: `<style><meta http-equiv="refresh" content="0; url=https://css.test/"></style>` +
+			`<meta http-equiv="refresh" content="0; url=https://real.test/">`, refresh: "https://real.test/"},
+		// An unclosed comment or script hides the rest of the page.
+		{page: `<!-- <link rel="icon" href="/x.ico">`},
+		{page: `<script><link rel="icon" href="/x.ico">`},
+		// Names that only start like script or style are other tags.
+		{page: `<scripted><styles><link rel="icon" href="/s.ico">`, icon: "/s.ico"},
+	} {
+		if got := FaviconLink(c.page); got != c.icon {
+			t.Errorf("FaviconLink(%s) = %q, want %q", c.page, got, c.icon)
+		}
+		if got := MetaRefreshTarget(c.page); got != c.refresh {
+			t.Errorf("MetaRefreshTarget(%s) = %q, want %q", c.page, got, c.refresh)
+		}
+	}
+}
+
+// FuzzScanners holds the HTML scanners to their never-panic contract on
+// any page, and checks that a page hidden whole in a comment, or in the
+// text of a script or style element, yields nothing.
+func FuzzScanners(f *testing.F) {
+	f.Add(`<meta http-equiv="refresh" content="0; url=https://x.test/"><link rel="icon" href="/i.ico">`)
+	f.Add(`<!-- <meta http-equiv=refresh content="0;url=/a"> --><link rel=icon href=/b>`)
+	f.Add(`<script>"<link rel=icon href=/c>"</script><style>`)
+	f.Add(`<!--><!---><META HTTP-EQUIV=REFRESH CONTENT=0;URL=/d>`)
+	f.Add(`<link <meta <!-- </script`)
+	f.Fuzz(func(t *testing.T, page string) {
+		MetaRefreshTarget(page)
+		FaviconLink(page)
+		hidden := map[string]bool{
+			"<!--" + page + "-->":                !strings.Contains(page, "-->") && !strings.HasPrefix(page, ">") && !strings.HasPrefix(page, "->"),
+			"<script>" + page + "</script>":      !strings.Contains(page, "</"),
+			"<style type=x>" + page + "</style>": !strings.Contains(page, "</"),
+		}
+		for p, applies := range hidden {
+			if !applies {
+				continue
+			}
+			if got := MetaRefreshTarget(p); got != "" {
+				t.Fatalf("MetaRefreshTarget(%q) = %q, want nothing", p, got)
+			}
+			if got := FaviconLink(p); got != "" {
+				t.Fatalf("FaviconLink(%q) = %q, want nothing", p, got)
+			}
+		}
+	})
+}

@@ -296,9 +296,10 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// parseASNDigits parses a non-empty all-digit slice as a 32-bit ASN.
+// parseASNDigits parses a non-empty all-digit slice as a 32-bit ASN,
+// leading zeros included, as strconv.ParseUint(s, 10, 32) does.
 func parseASNDigits(b []byte) (asnum.ASN, bool) {
-	if len(b) == 0 || len(b) > 10 {
+	if len(b) == 0 {
 		return 0, false
 	}
 	var n uint64
@@ -306,10 +307,9 @@ func parseASNDigits(b []byte) (asnum.ASN, bool) {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		n = n*10 + uint64(c-'0')
-	}
-	if n > 1<<32-1 {
-		return 0, false
+		if n = n*10 + uint64(c-'0'); n > 1<<32-1 {
+			return 0, false
+		}
 	}
 	return asnum.ASN(n), true
 }

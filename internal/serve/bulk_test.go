@@ -11,6 +11,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -404,4 +406,37 @@ func TestBulkShedsWithRetryAfter(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Errorf("post-release bulk status = %d, want 200", rec.Code)
 	}
+}
+
+// bulkLineForms are /v1/bulk's documented input forms, one submatch
+// each for the digits: a bare decimal, one with an AS or ASN prefix in
+// any case, and {"asn":N} with ASCII spaces (space, tab, CR, LF)
+// between its tokens.
+var bulkLineForms = regexp.MustCompile(`^(?:(?i:asn?)?([0-9]+)|\{[ \t\r\n]*"asn"[ \t\r\n]*:[ \t\r\n]*([0-9]+)[ \t\r\n]*\})$`)
+
+// FuzzParseBulkLine holds parseBulkLine, on any trimmed non-empty line,
+// to the documented forms: it accepts exactly the lines bulkLineForms
+// matches whose digits are a decimal that fits in 32 bits, and returns
+// that number.
+func FuzzParseBulkLine(f *testing.F) {
+	for _, s := range []string{"3356", "AS3356", "as3356", "AsN3356", "ASN 3356", "{\"asn\":3356}",
+		"{ \"asn\" :\t3356 \r}", "4294967295", "4294967296", "00000000004294967295", "AS", "ASNN1",
+		"{\"asn\":\"3356\"}", "{\"asn\":3356,\"x\":1}", "{\"asn\":}", "-1", "+1", "3356}", "\xff"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		line = trimSpaceBytes(line)
+		if len(line) == 0 {
+			return // the handler skips blank lines
+		}
+		want, wantOK := uint64(0), false
+		if m := bulkLineForms.FindSubmatch(line); m != nil {
+			n, err := strconv.ParseUint(string(m[1])+string(m[2]), 10, 32)
+			want, wantOK = n, err == nil
+		}
+		got, ok := parseBulkLine(line)
+		if ok != wantOK || ok && uint64(got) != want {
+			t.Fatalf("parseBulkLine(%q) = %d, %v; want %d, %v", line, got, ok, want, wantOK)
+		}
+	})
 }

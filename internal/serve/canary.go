@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
 )
@@ -129,11 +130,12 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 		if !json.Valid(scratch) {
 			return fmt.Errorf("%w: /v1/org body for org %d is not valid JSON", ErrCanaryRejected, c.ID)
 		}
-		if err := canaryCheckTokens(next, c.ID); err != nil {
+		lower := strings.ToLower(c.Name)
+		if err := canaryCheckTokens(next, c.ID, lower); err != nil {
 			return err
 		}
 		if i < searches {
-			if err := canaryCheckSearch(next, c.ID); err != nil {
+			if err := canaryCheckSearch(next, c.ID, lower); err != nil {
 				return err
 			}
 		}
@@ -141,14 +143,11 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 	return nil
 }
 
-// canaryCheckTokens proves every token of cluster id's name resolves
-// back to id through the token index — the postings a /v1/search for
-// that organization's name would merge.
-func canaryCheckTokens(s *Snapshot, id int) error {
-	if id < 0 || id >= s.lowerNames.Len() {
-		return fmt.Errorf("%w: cluster %d outside name table", ErrCanaryRejected, id)
-	}
-	for _, tok := range tokenize(s.lowerNames.At(id)) {
+// canaryCheckTokens proves every token of cluster id's name, lowered,
+// resolves back to id through the token index — the postings a
+// /v1/search for that organization's name would merge.
+func canaryCheckTokens(s *Snapshot, id int, lower string) error {
+	for _, tok := range tokenize(lower) {
 		ti := s.findToken(tok)
 		if ti == s.tokens.Len() || s.tokens.At(ti) != tok {
 			return fmt.Errorf("%w: org %d name token %q missing from search index", ErrCanaryRejected, id, tok)
@@ -164,8 +163,8 @@ func canaryCheckTokens(s *Snapshot, id int) error {
 // name token and requires a non-empty result — the full query path
 // (scratch pool, posting merge, materialization), bounded so the
 // canary stays cheap on large snapshots.
-func canaryCheckSearch(s *Snapshot, id int) error {
-	tok, _ := nextToken(s.lowerNames.At(id))
+func canaryCheckSearch(s *Snapshot, id int, lower string) error {
+	tok, _ := nextToken(lower)
 	if tok == "" {
 		return nil // unnamed cluster; nothing searchable
 	}

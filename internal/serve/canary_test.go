@@ -7,19 +7,21 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 )
 
-// poisonSearchIndex encodes snap as a snapbin artifact, breaks the
-// first letter of every organization's lowercase name (the search
-// index's copy; the display name the responses render from is left
-// alone) so that no name token resolves through the index, and
-// re-signs the content hash, modeling an artifact altered after
-// hashing (a buggy writer, a tampering proxy). Every structural check
-// passes: magic, version, size, section table, the re-signed hash, the
-// body and tail checks against the clusters, and cluster.Restore's
-// index↔membership verification. Only replaying live traffic against
-// the candidate can catch it, which is exactly the canary's job.
+// poisonSearchIndex encodes snap as a snapbin artifact, shifts every
+// posting of the token index to the next organization (the last wraps
+// to the first, so each list stays ascending and in range) so that no
+// name token resolves back to its own organization, and re-signs the
+// content hash, modeling an artifact altered after hashing (a buggy
+// writer, a tampering proxy). Every structural check passes: magic,
+// version, size, section table, the re-signed hash, the lowercase-name,
+// body and tail checks against the clusters, the posting range and
+// order checks, and cluster.Restore's index↔membership verification.
+// Only replaying live traffic against the candidate can catch it, which
+// is exactly the canary's job.
 func poisonSearchIndex(t testing.TB, snap *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -27,19 +29,27 @@ func poisonSearchIndex(t testing.TB, snap *Snapshot) []byte {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
-	// The clusters section is table entry 2 {id u32, offset u64,
-	// length u64}. Its payload: count n, n member counts, n feature
-	// bytes, then n display names and n lowercase names, each
-	// length-prefixed.
-	at := int(binary.LittleEndian.Uint64(data[64+2*20+4:]))
-	n := int(binary.LittleEndian.Uint32(data[at:]))
-	at += 4 + 4*n + n
-	for i := 0; i < 2*n; i++ {
-		l := int(binary.LittleEndian.Uint32(data[at:]))
-		if i >= n && l > 0 {
-			data[at+4] = 'Q' // not a token rune, so the name's first token shrinks
+	n := uint32(snap.NumOrgs())
+	// The tokens section is table entry 4 {id u32, offset u64, length
+	// u64}. Its payload: the token count, the length-prefixed tokens,
+	// then each token's posting count and postings.
+	at := int(binary.LittleEndian.Uint64(data[64+4*20+4:]))
+	tokens := int(binary.LittleEndian.Uint32(data[at:]))
+	at += 4
+	for i := 0; i < tokens; i++ {
+		at += 4 + int(binary.LittleEndian.Uint32(data[at:]))
+	}
+	for i := 0; i < tokens; i++ {
+		c := int(binary.LittleEndian.Uint32(data[at:]))
+		ids := make([]uint32, c)
+		for j := range ids {
+			ids[j] = (binary.LittleEndian.Uint32(data[at+4+4*j:]) + 1) % n
 		}
-		at += 4 + l
+		slices.Sort(ids)
+		for j, id := range ids {
+			binary.LittleEndian.PutUint32(data[at+4+4*j:], id)
+		}
+		at += 4 + 4*c
 	}
 	// Re-sign: the content hash covers sections 2..7, which run from
 	// the stats section (table entry 1) to the end of the file.

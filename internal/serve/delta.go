@@ -23,8 +23,8 @@ var ErrDeltaMismatch = errors.New("serve: delta does not apply to the serving sn
 // ApplyDelta produces a new snapshot by patching only what the delta
 // touches: survivors keep their names, additions are tokenized. The
 // patched snapshot owns its tables — one merge pass writes its names,
-// members, feature bytes and lowercase names — so nothing of the base
-// stays reachable once the base is retired. The result is deep-equal
+// members and feature bytes — so nothing of the base stays reachable
+// once the base is retired. The result is deep-equal
 // to a from-scratch build of the patched mapping:
 //
 //   - Canonical cluster order (descending size, ties by smallest
@@ -114,32 +114,23 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		return cluster.CompareCanonical(entries[a].members, entries[b].members) < 0
 	})
 
-	// Write the patched organization tables and lowercase names in one
-	// pass over the new order. A survivor copies its base name, members,
-	// features and lowercase name whatever its new ID; an addition
-	// lowercases its own name. Every table is sized exactly first.
+	// Write the patched organization tables in one pass over the new
+	// order. A survivor copies its base name, members and features
+	// whatever its new ID. Every table is sized exactly first.
 	n := len(entries)
-	addLower := make([]string, len(d.Added))
-	nameBytes, lowerBytes := 0, 0
+	nameBytes := 0
 	for _, e := range entries {
 		if e.oldID >= 0 {
 			nameBytes += len(s.orgs.Names.At(e.oldID))
-			lowerBytes += len(s.lowerNames.At(e.oldID))
-			continue
+		} else {
+			nameBytes += len(d.Added[e.addIdx].Name)
 		}
-		addLower[e.addIdx] = strings.ToLower(d.Added[e.addIdx].Name)
-		nameBytes += len(d.Added[e.addIdx].Name)
-		lowerBytes += len(addLower[e.addIdx])
 	}
 	if err := namesFit(nameBytes); err != nil {
 		return nil, err
 	}
 	var orgs snapbin.OrgsBuilder
 	orgs.Grow(n, s.index.Len()-delASNs+addASNs, nameBytes)
-	var names snapbin.StringsBuilder
-	if err := growNames(&names, n, lowerBytes); err != nil {
-		return nil, err
-	}
 	remap := make([]int32, nOld) // base ID → patched ID, -1 if deleted
 	for i := range remap {
 		remap[i] = -1
@@ -148,12 +139,10 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		if e.oldID >= 0 {
 			c := s.orgs.At(e.oldID)
 			orgs.Add(&c)
-			names.Add(s.lowerNames.At(e.oldID))
 			remap[e.oldID] = int32(i)
 			continue
 		}
 		orgs.Add(&d.Added[e.addIdx])
-		names.Add(addLower[e.addIdx])
 	}
 	table := orgs.Table()
 
@@ -212,7 +201,7 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		if entries[i].addIdx < 0 {
 			continue
 		}
-		for _, tok := range tokenize(addLower[entries[i].addIdx]) {
+		for _, tok := range tokenize(strings.ToLower(d.Added[entries[i].addIdx].Name)) {
 			if ids := added[tok]; len(ids) == 0 || ids[len(ids)-1] != int32(i) {
 				added[tok] = append(ids, int32(i))
 			}
@@ -226,6 +215,9 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		addIDs += len(ids)
 	}
 	sort.Strings(addToks)
+	if err := namesFit(len(s.tokens.Text) + addBytes); err != nil {
+		return nil, err
+	}
 	var tokens snapbin.StringsBuilder
 	tokens.Grow(s.tokens.Len()+len(addToks), len(s.tokens.Text)+addBytes)
 	postings := snapbin.Postings{
@@ -275,16 +267,15 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	}
 
 	ns := &Snapshot{
-		orgs:       table,
-		index:      idx,
-		stats:      stats,
-		tokens:     tokens.Table(),
-		postings:   postings,
-		lowerNames: names.Table(),
-		source:     s.source,
-		loadedAt:   now,
-		health:     s.health,
-		loadMode:   LoadModeDelta,
+		orgs:     table,
+		index:    idx,
+		stats:    stats,
+		tokens:   tokens.Table(),
+		postings: postings,
+		source:   s.source,
+		loadedAt: now,
+		health:   s.health,
+		loadMode: LoadModeDelta,
 	}
 	ns.scratchPool.New = func() any {
 		return &searchScratch{bits: make([]uint64, (n+63)/64)}

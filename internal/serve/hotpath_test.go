@@ -37,9 +37,6 @@ func TestParallelSnapshotBuildEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(seq.postings, par.postings) {
 			t.Fatalf("workers=%d: posting lists diverge", workers)
 		}
-		if !reflect.DeepEqual(seq.lowerNames, par.lowerNames) {
-			t.Fatalf("workers=%d: lowercase names diverge", workers)
-		}
 	}
 }
 
@@ -113,24 +110,28 @@ func TestLookupZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSearchZeroSteadyStateAllocs: after warm-up, a limited
-// single-word search allocates only its result slice.
+// TestSearchZeroSteadyStateAllocs: after warm-up, a limited search, a
+// single word or a phrase, allocates only its result slice.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool items, inflating alloc counts")
 	}
 	s := mustSnapshot(t, variantMapping(2, 4096))
-	for i := 0; i < 8; i++ { // prime the scratch pool
-		s.Search("org", 10)
-	}
-	got := testing.AllocsPerRun(500, func() {
-		if hits := s.Search("org", 10); len(hits) == 0 {
-			t.Fatal("no hits")
+	// A token query, and a phrase whose candidates are confirmed against
+	// their names lowered into the scratch.
+	for _, q := range []string{"org", "org v2 #1"} {
+		for i := 0; i < 8; i++ { // prime the scratch pool
+			s.Search(q, 10)
 		}
-	})
-	// One allocation for the returned []*Cluster is inherent to the API.
-	if got > 1 {
-		t.Fatalf("limited search allocates %v times per op, want <= 1", got)
+		got := testing.AllocsPerRun(500, func() {
+			if hits := s.Search(q, 10); len(hits) == 0 {
+				t.Fatalf("%q: no hits", q)
+			}
+		})
+		// One allocation for the returned []*Cluster is inherent to the API.
+		if got > 1 {
+			t.Fatalf("limited search for %q allocates %v times per op, want <= 1", q, got)
+		}
 	}
 }
 
@@ -140,7 +141,7 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 func TestSearchLimitSemantics(t *testing.T) {
 	s := mustSnapshot(t, variantMapping(1, 512))
 	// "1" matches many tokens ("v1", "1", "10", …) so it exercises the
-	// multi-list merge; "org v1" takes the multi-word substring scan.
+	// multi-list merge; "org v1" takes the phrase path.
 	for _, q := range []string{"org", "v1", "org v1", "1"} {
 		full := s.Search(q, 0)
 		for i := 1; i < len(full) && i < 8; i++ {

@@ -228,10 +228,11 @@ func TestLoadedSnapshotHeapObjects(t *testing.T) {
 
 // maxSnapshotBytesPerOrg bounds what a serving snapshot of
 // TestSnapshotHeapBytes's mapping retains per organization. With
-// organizations in flat tables a snapshot retains 88–97 bytes per
-// organization there; with a cluster.Cluster header and a size per
-// organization, a loaded or patched one retained 151.
-const maxSnapshotBytesPerOrg = 120
+// organizations in flat tables and no lowercase names a snapshot
+// retains 63–72 bytes per organization there; with a lowercase-name
+// table it retained 88–97, and with a cluster.Cluster header and a size
+// per organization as well, a loaded or patched one retained 151.
+const maxSnapshotBytesPerOrg = 85
 
 // TestSnapshotHeapBytes: a serving snapshot keeps its organizations in
 // flat tables however it was made — loaded from an artifact, built by
@@ -311,7 +312,8 @@ var searchSink []cluster.Cluster
 // names, a short fragment occurs in thousands of distinct tokens. By
 // query shape, limit 50: whole tokens (what the benchmark workloads
 // send), 3-character fragments (many posting lists to merge) and
-// two-word phrases (a scan of the lowercase names).
+// two-word phrases (the postings of the tokens starting with the second
+// word, each candidate's name lowered and confirmed).
 //
 //	go test -run=NONE -bench=BenchmarkSearch ./internal/serve/
 func BenchmarkSearch(b *testing.B) {

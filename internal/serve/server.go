@@ -225,19 +225,21 @@ func NewServer(snap *Snapshot, opts Options) (*Server, error) {
 		s.admission = admission.New(cfg)
 	}
 	s.snap.Store(snap)
-	s.mux.HandleFunc("GET /v1/as/{asn}", s.instrument("as", admission.Point, s.handleAS))
-	s.mux.HandleFunc("GET /v1/org/{id}", s.instrument("org", admission.Point, s.handleOrg))
-	s.mux.HandleFunc("GET /v1/search", s.instrument("search", admission.Search, s.handleSearch))
-	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", admission.Point, s.handleStats))
-	// Bulk and watch are streaming endpoints: instrumented without the
-	// per-request timeout (a 1M-line bulk stream or a long-lived watch
-	// would be killed by it; both bound themselves instead — bulk by
-	// MaxBodyBytes/BulkMaxLines, watch by client disconnect/shutdown).
-	s.mux.HandleFunc("POST /v1/bulk", s.instrumentStreaming("bulk", admission.Bulk, s.handleBulk))
-	s.mux.HandleFunc("GET /v1/watch", s.instrumentStreaming("watch", admission.Critical, s.handleWatch))
-	s.mux.HandleFunc("POST /admin/reload", s.instrument("reload", admission.Critical, s.handleReload))
-	s.mux.HandleFunc("POST /admin/rollback", s.instrument("rollback", admission.Critical, s.handleRollback))
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", admission.Critical, s.handleHealthz))
+	// Whatever made the snapshot is garbage now; see collectRetired.
+	collectRetired()
+	timeout := opts.RequestTimeout
+	s.mux.HandleFunc("GET /v1/as/{asn}", s.instrument("as", admission.Point, timeout, s.handleAS))
+	s.mux.HandleFunc("GET /v1/org/{id}", s.instrument("org", admission.Point, timeout, s.handleOrg))
+	s.mux.HandleFunc("GET /v1/search", s.instrument("search", admission.Search, timeout, s.handleSearch))
+	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", admission.Point, timeout, s.handleStats))
+	// Bulk and watch stream, so they get no per-request timeout (see
+	// instrument): bulk is bounded by MaxBodyBytes/BulkMaxLines, watch
+	// by client disconnect/shutdown.
+	s.mux.HandleFunc("POST /v1/bulk", s.instrument("bulk", admission.Bulk, 0, s.handleBulk))
+	s.mux.HandleFunc("GET /v1/watch", s.instrument("watch", admission.Critical, 0, s.handleWatch))
+	s.mux.HandleFunc("POST /admin/reload", s.instrument("reload", admission.Critical, timeout, s.handleReload))
+	s.mux.HandleFunc("POST /admin/rollback", s.instrument("rollback", admission.Critical, timeout, s.handleRollback))
+	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", admission.Critical, timeout, s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if opts.EnablePprof {
 		// Mounted directly on the mux, not via instrument: the
@@ -405,17 +407,20 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 	return next, nil
 }
 
-// collectRetired starts one garbage collection cycle once a swap has
-// dropped a snapshot: the one it replaced, or a candidate it refused.
-// Go sets each heap goal to twice the heap its last cycle marked. A
-// cycle that lands mid-reload marks the outgoing snapshot, the
-// incoming one and everything allocated during the mark, and serving
-// traffic then fills the heap to that inflated goal, so each reload
-// would peak higher than the last. A cycle started after the retire
-// marks only what is still reachable, and the next goal is twice the
-// snapshot now serving. The cycle runs on its own goroutine, which
-// ends with it and which nothing waits for, so a reload's caller never
-// pays for it; calls that arrive before a cycle starts share it.
+// collectRetired starts one garbage collection cycle once NewServer's
+// first snapshot serves, and once a swap has dropped a snapshot: the
+// one it replaced, or a candidate it refused. Go sets each heap goal to
+// twice the heap its last cycle marked. A cycle that lands mid-load
+// marks the buffers the load still holds, and one that lands
+// mid-reload marks the outgoing snapshot, the incoming one and
+// everything allocated during the mark; serving traffic then fills the
+// heap to that inflated goal, so each reload would peak higher than
+// the last. A cycle started once the load or retire is done marks only
+// what is still reachable, and the next goal is twice the snapshot now
+// serving. The cycle runs on its own goroutine, which ends with it and
+// which nothing waits for, so neither NewServer's nor a reload's
+// caller pays for it; calls that arrive before a cycle starts share
+// it.
 func collectRetired() { go runtime.GC() }
 
 // persistSwap records the freshly published snapshot into the
@@ -512,49 +517,20 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// instrument wraps a handler with admission control, the per-request
-// timeout, metrics observation, and structured request logging.
-func (s *Server) instrument(endpoint string, class admission.Class, h http.HandlerFunc) http.HandlerFunc {
+// instrument wraps a handler with admission control, a per-request
+// timeout, metrics observation, and structured request logging. A
+// timeout of 0 sets no deadline: /v1/bulk and /v1/watch stream, and a
+// bulk pass over a million lines or a watch held open for hours is the
+// intended behaviour, not a hung request. Those handlers bound
+// themselves (body size caps, line caps, hub shutdown) and extend the
+// connection's read/write deadlines as they make progress.
+func (s *Server) instrument(endpoint string, class admission.Class, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-		defer cancel()
-		start := s.opts.now()
-		sw := &statusWriter{ResponseWriter: w}
-		if s.admission != nil {
-			release, dec := s.admission.Admit(ctx, class, clientKey(r))
-			if !dec.Admitted {
-				writeRetryableError(sw, dec.Status, dec.RetryAfter,
-					"overloaded: request shed (%s), retry later", dec.Reason)
-				s.metrics.ObserveShed(endpoint, sw.status)
-				s.logf(`{"event":"shed","endpoint":%q,"class":%q,"reason":%q,"status":%d,"retry_after_s":%d}`,
-					endpoint, class, dec.Reason, sw.status, int(dec.RetryAfter.Seconds()))
-				return
-			}
-			defer func() { release(s.opts.now().Sub(start)) }()
+		if timeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), timeout)
+			defer cancel()
+			r = r.WithContext(ctx)
 		}
-		if s.opts.testHold != nil {
-			s.opts.testHold(endpoint)
-		}
-		h(sw, r.WithContext(ctx))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		d := s.opts.now().Sub(start)
-		s.metrics.Observe(endpoint, sw.status, d)
-		s.logf(`{"event":"request","endpoint":%q,"method":%q,"path":%q,"status":%d,"duration_us":%d}`,
-			endpoint, r.Method, r.URL.RequestURI(), sw.status, d.Microseconds())
-	}
-}
-
-// instrumentStreaming is instrument for endpoints whose response is a
-// stream (/v1/bulk, /v1/watch): same admission, metrics, and logging,
-// but no per-request timeout — a bulk pass over a million lines or a
-// watch held open for hours is the intended behaviour, not a hung
-// request. The handlers bound themselves (body size caps, line caps,
-// hub shutdown) and extend the connection's read/write deadlines as
-// they make progress.
-func (s *Server) instrumentStreaming(endpoint string, class admission.Class, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
 		start := s.opts.now()
 		sw := &statusWriter{ResponseWriter: w}
 		if s.admission != nil {

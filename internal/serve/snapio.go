@@ -35,7 +35,6 @@ func (s *Snapshot) image() *snapbin.Image {
 		Orgs:         s.orgs,
 		Keys:         s.index.Keys(),
 		Vals:         s.index.Vals(),
-		LowerNames:   s.lowerNames,
 		Tokens:       s.tokens,
 		Postings:     s.postings,
 	}
@@ -72,7 +71,6 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	s := &Snapshot{
 		orgs:        img.Orgs,
 		index:       idx,
-		lowerNames:  img.LowerNames,
 		source:      img.Source,
 		loadedAt:    img.LoadedAt,
 		health:      health,
@@ -119,8 +117,8 @@ func WriteSnapshotFileFS(fsys vfs.FS, path string, s *Snapshot) (string, error) 
 
 // LoadSnapshot decodes a snapbin artifact from r into a serving
 // snapshot through the streaming decoder (snapbin.Read): sections are
-// decoded as they arrive, and the org-bodies and AS-tails sections are
-// checked against renders of the clusters and dropped. The content
+// decoded as they arrive, and the lowercase names, org bodies and AS
+// tails are checked against the clusters and dropped. The content
 // hash is checked over every byte before the snapshot is built.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	img, hash, err := snapbin.Read(r)

@@ -29,9 +29,6 @@ func snapEqual(t *testing.T, want, got *Snapshot) {
 	if !reflect.DeepEqual(want.stats, got.stats) {
 		t.Fatalf("stats diverged:\n want %+v\n  got %+v", want.stats, got.stats)
 	}
-	if !reflect.DeepEqual(want.lowerNames, got.lowerNames) {
-		t.Fatal("lowercase names diverged")
-	}
 	if !reflect.DeepEqual(want.tokens, got.tokens) {
 		t.Fatal("token list diverged")
 	}

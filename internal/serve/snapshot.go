@@ -21,9 +21,9 @@
 // histogram come from the member offsets.
 //
 // Snapshot construction fans out across GOMAXPROCS workers: each takes
-// a contiguous cluster range and produces its lowercase names and token
-// postings, while another goroutine copies the organizations into the
-// flat tables and computes θ and the size histogram. /v1/org and /v1/as
+// a contiguous cluster range and produces its token postings, while
+// another goroutine copies the organizations into the flat tables and
+// computes θ and the size histogram. /v1/org and /v1/as
 // responses are rendered from the tables per request (snapbin.AppendOrg
 // and snapbin.AppendAS), so a snapshot stores no response bytes.
 // Contiguous ranges keep per-token posting lists ascending when merged
@@ -32,6 +32,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
@@ -123,14 +124,13 @@ type Snapshot struct {
 	// tokens holds every lowercase name token, sorted, for
 	// deterministic substring scans and prefix binary searches;
 	// postings.At(i) lists, ascending, the cluster IDs whose display
-	// name contains token i. lowerNames.At(i) is the lowercase display
-	// name of cluster i, for queries that are not one token. All three
-	// are flat tables in the token section's own layout: a binary load
-	// adopts them without conversion, and they cost six heap objects
-	// however many organizations the snapshot holds.
-	tokens     snapbin.Strings
-	postings   snapbin.Postings
-	lowerNames snapbin.Strings
+	// name contains token i. Both are flat tables in the token
+	// section's own layout: a binary load adopts them without
+	// conversion, and they cost four heap objects however many
+	// organizations the snapshot holds. No lowercase name is kept: one
+	// is a function of its display name, lowered when a search needs it.
+	tokens   snapbin.Strings
+	postings snapbin.Postings
 
 	// scratchPool recycles per-query search state (dedup bitset, posting
 	// heads, result ids) so Search and SearchBrownout stay off the heap.
@@ -207,7 +207,6 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	if workers > n {
 		workers = n
 	}
-	lower := make([]string, n)
 	s := &Snapshot{
 		index:    m.Index(),
 		source:   source,
@@ -252,7 +251,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	chunk := (n + workers - 1) / workers
 	if workers == 1 {
 		stats()
-		buildRange(m, &shards[0], lower, 0, n)
+		buildRange(m, &shards[0], 0, n)
 	} else {
 		go stats()
 		var wg sync.WaitGroup
@@ -266,7 +265,7 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 			wg.Add(1)
 			go func(sh *indexShard, lo, hi int) {
 				defer wg.Done()
-				buildRange(m, sh, lower, lo, hi)
+				buildRange(m, sh, lo, hi)
 			}(&shards[w], lo, hi)
 		}
 		wg.Wait()
@@ -300,28 +299,22 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	}
 	slices.SortFunc(toks, func(a, b posting) int { return strings.Compare(a.tok, b.tok) })
 
-	// Pack the names, tokens and postings into exact-size flat tables,
-	// the layout a binary load and a delta patch produce. There are
-	// never more tokens' bytes or posting entries than names' bytes, so
-	// the names' check keeps every uint32 offset in range.
-	var names, tokens snapbin.StringsBuilder
-	nameBytes := 0
-	for _, name := range lower {
-		nameBytes += len(name)
-	}
-	if err := growNames(&names, n, nameBytes); err != nil {
+	// Pack the tokens and postings into exact-size flat tables, the
+	// layout a binary load and a delta patch produce. Each posting holds
+	// at least one byte of a name, so the names' check keeps the posting
+	// offsets in range; lowering can lengthen a name, so the tokens'
+	// bytes are checked on their own.
+	if err := namesFit(tokBytes); err != nil {
 		return nil, err
 	}
-	for _, name := range lower {
-		names.Add(name)
-	}
+	var tokens snapbin.StringsBuilder
 	tokens.Grow(len(toks), tokBytes)
 	s.postings = snapbin.Postings{Items: make([]int32, 0, ids), Off: make([]uint32, 1, len(toks)+1)}
 	for _, t := range toks {
 		tokens.Add(t.tok)
 		s.postings.Append(t.ids...)
 	}
-	s.lowerNames, s.tokens = names.Table(), tokens.Table()
+	s.tokens = tokens.Table()
 	return s, nil
 }
 
@@ -331,16 +324,6 @@ func namesFit(total int) error {
 	if uint64(total) > math.MaxUint32 {
 		return fmt.Errorf("serve: %d bytes of names exceed a names table's 4 GiB", total)
 	}
-	return nil
-}
-
-// growNames sizes a names table for n names of total bytes, refusing
-// names that overflow the table's uint32 offsets.
-func growNames(b *snapbin.StringsBuilder, n, total int) error {
-	if err := namesFit(total); err != nil {
-		return err
-	}
-	b.Grow(n, total)
 	return nil
 }
 
@@ -368,13 +351,11 @@ func orgStats(orgs *snapbin.Orgs, asns int) (Stats, error) {
 	}, nil
 }
 
-// buildRange indexes m's clusters [lo, hi): lowercase names and token
-// postings. Workers write disjoint index ranges of lower.
-func buildRange(m *cluster.Mapping, sh *indexShard, lower []string, lo, hi int) {
+// buildRange indexes the tokens of m's clusters [lo, hi).
+func buildRange(m *cluster.Mapping, sh *indexShard, lo, hi int) {
 	sh.tokens = make(map[string][]int32, (hi-lo)/2+1)
 	for i := lo; i < hi; i++ {
-		lower[i] = strings.ToLower(m.Clusters[i].Name)
-		for _, tok := range tokenize(lower[i]) {
+		for _, tok := range tokenize(strings.ToLower(m.Clusters[i].Name)) {
 			ids := sh.tokens[tok]
 			if len(ids) == 0 || ids[len(ids)-1] != int32(i) {
 				sh.tokens[tok] = append(ids, int32(i))
@@ -582,6 +563,9 @@ type searchScratch struct {
 	bits  []uint64
 	lists [][]int32
 	ids   []int
+	// q is a phrase query and lower the name of the candidate it is
+	// confirmed against, lowered.
+	q, lower []byte
 }
 
 func (sc *searchScratch) mark(id int) bool {
@@ -605,12 +589,22 @@ func (s *Snapshot) release(sc *searchScratch) {
 }
 
 // Search returns up to limit organizations whose display name contains
-// the query (case-insensitive), in ascending cluster-ID order. A query
-// made only of token runes lies inside one token of any name holding
-// it, so it scans the token index and merges the matching sorted
-// posting lists; any other query (spaces, punctuation) can span tokens
-// and is matched against whole lowercase names. Both stop as soon as
-// limit ids are gathered. limit <= 0 means no limit.
+// the query (case-insensitive), in ascending cluster-ID order, reading
+// only the token index and the display names:
+//
+//   - A query made only of token runes lies inside one token of any
+//     name holding it, so it scans the token index and merges the
+//     matching sorted posting lists.
+//   - A query with no token rune is ASCII punctuation and spaces, which
+//     lowering neither makes nor removes: only U+0130 and U+212A lower
+//     into ASCII, and both to letters. It is matched against the
+//     display names as they are.
+//   - Any other query is a phrase. The postings of the tokens that can
+//     hold its most selective token run (see phraseLists) are its
+//     candidates, each confirmed against its name lowered.
+//
+// All stop as soon as limit ids are gathered. limit <= 0 means no
+// limit.
 func (s *Snapshot) Search(query string, limit int) []cluster.Cluster {
 	q := strings.ToLower(strings.TrimSpace(query))
 	if q == "" {
@@ -620,7 +614,8 @@ func (s *Snapshot) Search(query string, limit int) []cluster.Cluster {
 		limit = s.orgs.Len()
 	}
 	sc := s.scratchPool.Get().(*searchScratch)
-	if isToken(q) {
+	switch {
+	case isToken(q):
 		// Walk the offsets with a running start: an At call per token
 		// costs a measurable share of the scan.
 		text, start := s.tokens.Text, uint32(0)
@@ -630,10 +625,10 @@ func (s *Snapshot) Search(query string, limit int) []cluster.Cluster {
 			}
 			start = end
 		}
-		s.mergePostings(sc, limit)
-	} else {
-		text, start := s.lowerNames.Text, uint32(0)
-		for i, end := range s.lowerNames.Off[1:] {
+		s.mergePostings(sc, limit, false)
+	case strings.IndexFunc(q, tokenRune) < 0:
+		text, start := s.orgs.Names.Text, uint32(0)
+		for i, end := range s.orgs.Names.Off[1:] {
 			if strings.Contains(text[start:end], q) {
 				if sc.ids = append(sc.ids, i); len(sc.ids) == limit {
 					break
@@ -641,26 +636,76 @@ func (s *Snapshot) Search(query string, limit int) []cluster.Cluster {
 			}
 			start = end
 		}
+	default:
+		s.phraseLists(sc, q)
+		sc.q = append(sc.q[:0], q...)
+		s.mergePostings(sc, limit, true)
 	}
 	out := s.materialize(sc.ids)
 	s.release(sc)
 	return out
 }
 
-// mergePostings gathers into sc.ids the smallest limit distinct ids of
-// the sorted posting lists in sc.lists, ascending. A single list is
-// already sorted and unique, so its prefix is the answer. Several are
-// marked into the bitset, whose set bits are then read in ascending
-// order and cleared word by word: the cost is the lists' total length
-// plus the words they span, however many lists there are.
-func (s *Snapshot) mergePostings(sc *searchScratch, limit int) {
-	if len(sc.lists) == 1 {
-		ids := sc.lists[0]
-		if len(ids) > limit {
-			ids = ids[:limit]
+// phraseLists gathers into sc.lists the posting lists of the tokens
+// that can hold the most selective token run of the phrase q. A name
+// holding q holds a run with other runes on both sides as a whole
+// token, the last run (another rune only before it) at a token's start,
+// and the first run (another rune only after it) at a token's end.
+// Whole and starting runs resolve by binary search over the sorted
+// tokens, and the one whose tokens have the fewest postings wins; only a
+// phrase with neither scans the tokens for those ending with its first
+// run. A run that no token holds gathers nothing, and the phrase finds
+// nothing.
+func (s *Snapshot) phraseLists(sc *searchScratch, q string) {
+	lo, hi, best := 0, 0, -1 // the winning run's tokens, and their postings
+	first := ""
+	for tok, rest := nextToken(q); tok != ""; tok, rest = nextToken(rest) {
+		if len(tok)+len(rest) == len(q) {
+			first = tok
+			continue
 		}
-		for _, id := range ids {
-			sc.ids = append(sc.ids, int(id))
+		l := s.findToken(tok)
+		h := l
+		if rest == "" {
+			h += sort.Search(s.tokens.Len()-l, func(i int) bool { return !strings.HasPrefix(s.tokens.At(l+i), tok) })
+		} else if l < s.tokens.Len() && s.tokens.At(l) == tok {
+			h++
+		}
+		if n := int(s.postings.Off[h] - s.postings.Off[l]); best < 0 || n < best {
+			lo, hi, best = l, h, n
+		}
+	}
+	if best < 0 {
+		text, start := s.tokens.Text, uint32(0)
+		for i, end := range s.tokens.Off[1:] {
+			if strings.HasSuffix(text[start:end], first) {
+				sc.lists = append(sc.lists, s.postings.At(i))
+			}
+			start = end
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		sc.lists = append(sc.lists, s.postings.At(i))
+	}
+}
+
+// mergePostings gathers into sc.ids the smallest limit distinct ids of
+// the sorted posting lists in sc.lists, ascending, keeping with confirm
+// only those whose lowered name holds the phrase sc.q. A single list is
+// already sorted and unique, so it is read in order. Several are marked
+// into the bitset, whose set bits are then read in ascending order and
+// cleared word by word: the cost is the lists' total length plus the
+// words they span, however many lists there are.
+func (s *Snapshot) mergePostings(sc *searchScratch, limit int, confirm bool) {
+	if len(sc.lists) == 1 {
+		for _, id := range sc.lists[0] {
+			if len(sc.ids) == limit {
+				break
+			}
+			if !confirm || s.holdsPhrase(sc, int(id)) {
+				sc.ids = append(sc.ids, int(id))
+			}
 		}
 		return
 	}
@@ -676,10 +721,19 @@ func (s *Snapshot) mergePostings(sc *searchScratch, limit int) {
 	}
 	for w := lo; w < hi; w++ {
 		for b := sc.bits[w]; b != 0 && len(sc.ids) < limit; b &= b - 1 {
-			sc.ids = append(sc.ids, w<<6|bits.TrailingZeros64(b))
+			if id := w<<6 | bits.TrailingZeros64(b); !confirm || s.holdsPhrase(sc, id) {
+				sc.ids = append(sc.ids, id)
+			}
 		}
 		sc.bits[w] = 0
 	}
+}
+
+// holdsPhrase reports whether organization id's name, lowered into
+// sc.lower, contains the phrase sc.q.
+func (s *Snapshot) holdsPhrase(sc *searchScratch, id int) bool {
+	sc.lower = snapbin.AppendLower(sc.lower[:0], s.orgs.Names.At(id))
+	return bytes.Contains(sc.lower, sc.q)
 }
 
 // materialize converts cluster ids into cluster values, one

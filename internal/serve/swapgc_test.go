@@ -38,13 +38,15 @@ func waitForCollection(t *testing.T, event string, before uint64, read func() ui
 	}
 }
 
-// TestSwapCollectsRetired: every swap that retires a snapshot starts a
-// garbage collection, and so does a prepared candidate the canary
-// refuses. Without it the next heap goal stays at twice whatever a
-// mid-reload cycle marked, outgoing and incoming snapshot together,
-// and borgesd's peak RSS climbs with each reload. The events cover the
-// callers of the one swap path: a full reload, a delta reload, a
-// rollback through the generation ring and a canary refusal.
+// TestSwapCollectsRetired: NewServer starts a garbage collection once
+// its first snapshot serves, every swap that retires a snapshot starts
+// one, and so does a prepared candidate the canary refuses. Without
+// them the next heap goal stays at twice whatever a mid-load cycle
+// marked (a decode's buffers, or outgoing and incoming snapshot
+// together), and borgesd's peak RSS climbs with each reload. The
+// events cover NewServer and the callers of the one swap path: a full
+// reload, a delta reload, a rollback through the generation ring and a
+// canary refusal.
 func TestSwapCollectsRetired(t *testing.T) {
 	m1, m2 := variantMapping(1, 256), variantMapping(2, 256)
 	v1, v2 := mustSnapshot(t, m1), mustSnapshot(t, m2)
@@ -54,6 +56,7 @@ func TestSwapCollectsRetired(t *testing.T) {
 	}
 	poisoned := poisonSearchIndex(t, v2)
 	var candidate func() (*Snapshot, error)
+	before := forcedGCs()
 	srv, err := NewServer(v1, Options{
 		Generations: ring,
 		Prepared:    func(context.Context) (*Snapshot, error) { return candidate() },
@@ -64,6 +67,7 @@ func TestSwapCollectsRetired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitForCollection(t, "first snapshot", before, forcedGCs)
 	ctx := context.Background()
 	events := []struct {
 		name  string
@@ -108,6 +112,8 @@ func TestSwapCollectsRetired(t *testing.T) {
 // of its declared kind, and the forced-collection counter rises across
 // a reload.
 func TestMemMetricsExposition(t *testing.T) {
+	// The reload's collection must not be NewServer's: wait that out.
+	first := forcedGCs()
 	srv, err := NewServer(mustSnapshot(t, variantMapping(1, 64)), Options{
 		Prepared: func(context.Context) (*Snapshot, error) {
 			return NewSnapshot(variantMapping(2, 64), "v2")
@@ -116,6 +122,7 @@ func TestMemMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitForCollection(t, "first snapshot", first, forcedGCs)
 	const forced = "borgesd_mem_gc_forced_cycles_total"
 	scrape := func() map[string]uint64 {
 		t.Helper()

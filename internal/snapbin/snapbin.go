@@ -2,8 +2,9 @@
 // serving artifacts: a single self-describing file holding everything
 // internal/serve pre-computes at snapshot-build time — the packed
 // ASN→cluster index, cluster membership and interned names, the
-// token index with sorted posting lists, the rendered /v1/org bodies
-// and /v1/as tails, and the θ/size-histogram statistics — so a daemon
+// token index with sorted posting lists, and the θ/size-histogram
+// statistics, beside runs derived from the organizations (lowercase
+// names, rendered /v1/org bodies and /v1/as tails) — so a daemon
 // cold-starts by decoding large flat sections instead of re-parsing
 // JSONL, replaying a union-find and re-tokenizing every name.
 //
@@ -26,16 +27,19 @@
 // ending exactly at the file size. Version 1 requires exactly the
 // sections declared below.
 //
-// # Bodies and tails
+// # Derived runs: lowercase names, bodies and tails
 //
-// The org-bodies section holds every organization's complete /v1/org
-// response and the AS-tails section every /v1/as tail. Both are pure
-// functions of the organization (see AppendOrg and AppendAS), so an
-// Image holds neither: the writers render both sections from the
-// organization tables as they stream, and the decoder checks every
-// stored body and tail against a render of its organization and keeps
-// none of them. A body or tail that disagrees with its organization is
-// ErrCorrupt.
+// The clusters section holds, after the display names, a run of their
+// lowercase forms; the org-bodies section holds every organization's
+// complete /v1/org response and the AS-tails section every /v1/as
+// tail. All three are pure functions of the organization
+// (strings.ToLower of its name, AppendOrg, AppendAS), so each is
+// derived on write, checked on read and never held: an Image holds
+// none of them, the writers derive them from the organization tables
+// as they stream (the lowercase run through AppendLower), and the
+// decoder checks every stored lowercase name, body and tail against its
+// organization where it lies. One that disagrees with its organization
+// is ErrCorrupt.
 //
 // # Content hash
 //
@@ -116,7 +120,7 @@ var (
 	ErrTruncated = errors.New("snapbin: truncated artifact")
 	// ErrCorrupt: structural damage — a malformed section table, a
 	// length field pointing outside its section, an out-of-range ID, a
-	// body or tail that disagrees with its cluster.
+	// lowercase name, body or tail that disagrees with its cluster.
 	ErrCorrupt = errors.New("snapbin: corrupt artifact")
 	// ErrHashMismatch: the content hash does not cover the payload
 	// bytes present; the artifact was altered or torn mid-section.
@@ -155,13 +159,11 @@ type Image struct {
 	Keys []asnum.ASN
 	Vals []int32
 
-	// Search index: LowerNames.At(i) is the lowercase display name of
-	// cluster i; Tokens is sorted ascending with Postings parallel. Each
-	// is one flat table, so the index costs a handful of heap objects
-	// however many organizations it covers.
-	LowerNames Strings
-	Tokens     Strings
-	Postings   Postings
+	// Search index: Tokens is sorted ascending with Postings parallel.
+	// Each is one flat table, so the index costs a handful of heap
+	// objects however many organizations it covers.
+	Tokens   Strings
+	Postings Postings
 
 	// statOrgs/statASNs are the counts the stats section declared,
 	// held for the cross-section consistency check after decode.
@@ -279,9 +281,11 @@ func writeStats(s *sink, img *Image) {
 }
 
 // writeClusters lays membership out columnar — counts, features,
-// name lengths, name bytes, lowercase variants, then one flat ASN
-// pool — so the decoder's inner loops run over homogeneous runs. The
-// organization tables already hold every column but the counts.
+// names, their lowercase forms, then one flat ASN pool — so the
+// decoder's inner loops run over homogeneous runs. The organization
+// tables already hold every column but the counts and the lowercase
+// forms, which are rendered into the buffer behind a length patched in
+// afterwards.
 func writeClusters(s *sink, img *Image) {
 	o := &img.Orgs
 	s.u32(uint32(o.Len()))
@@ -294,7 +298,15 @@ func writeClusters(s *sink, img *Image) {
 		s.spill()
 	}
 	s.strs(o.Names)
-	s.strs(img.LowerNames)
+	start := uint32(0)
+	for _, end := range o.Names.Off[min(len(o.Names.Off), 1):] {
+		at := len(s.buf)
+		s.u32(0)
+		s.buf = AppendLower(s.buf, o.Names.Text[start:end])
+		binary.LittleEndian.PutUint32(s.buf[at:], uint32(len(s.buf)-at-4))
+		s.spill()
+		start = end
+	}
 	for _, a := range o.Members.Items {
 		s.u32(uint32(a))
 		s.spill()
@@ -785,8 +797,21 @@ func readClusters(r *reader, img *Image) error {
 	if err != nil {
 		return err
 	}
-	if img.LowerNames, err = r.strings(n); err != nil {
-		return err
+	// The lowercase run is derived from the names: each is checked where
+	// it lies, and none is kept.
+	var scratch []byte
+	for i := range n {
+		l, err := r.count(1)
+		if err != nil {
+			return err
+		}
+		lower, err := r.bytes(l)
+		if err != nil {
+			return err
+		}
+		if !isLowerOf(lower, names.At(i), &scratch) {
+			return r.fail("lowercase name %d disagrees with its name", i)
+		}
 	}
 	if total > uint64(r.remaining()/4) {
 		return r.fail("ASN pool needs %d entries, %d bytes remain", total, r.remaining())
@@ -888,9 +913,9 @@ func crossCheck(img *Image) error {
 	if len(img.Vals) != len(img.Keys) {
 		return fmt.Errorf("%w: %d index keys but %d vals", ErrCorrupt, len(img.Keys), len(img.Vals))
 	}
-	if img.LowerNames.Len() != n || img.Orgs.Names.Len() != n || img.Orgs.Members.Len() != n {
-		return fmt.Errorf("%w: per-cluster tables disagree: %d clusters, %d names, %d lowercase names, %d member lists",
-			ErrCorrupt, n, img.Orgs.Names.Len(), img.LowerNames.Len(), img.Orgs.Members.Len())
+	if img.Orgs.Names.Len() != n || img.Orgs.Members.Len() != n {
+		return fmt.Errorf("%w: per-cluster tables disagree: %d clusters, %d names, %d member lists",
+			ErrCorrupt, n, img.Orgs.Names.Len(), img.Orgs.Members.Len())
 	}
 	for i, v := range img.Vals {
 		if v < 0 || int(v) >= n {

@@ -58,7 +58,6 @@ func testImage() *Image {
 		Orgs:         orgsOf(testClusters()),
 		Keys:         []asnum.ASN{209, 3356, 3549, 65000},
 		Vals:         []int32{0, 0, 0, 1},
-		LowerNames:   stringsOf("lumen", "tiny net"),
 		Tokens:       stringsOf("lumen", "net", "tiny"),
 		Postings:     postingsOf([]int32{0}, []int32{1}, []int32{1}),
 		statOrgs:     2,
@@ -137,16 +136,15 @@ func TestRoundTrip(t *testing.T) {
 func TestHashImageAllocs(t *testing.T) {
 	small := testImage()
 	large := testImage()
-	var lower, tokens StringsBuilder
+	var tokens StringsBuilder
 	clusters := testClusters()
 	for i := 0; i < 2000; i++ {
-		lower.Add("org")
 		tokens.Add(fmt.Sprintf("tok%05d", i))
 		large.Postings.Append(0, 1)
 		clusters = append(clusters, clusters[1])
 	}
 	large.Orgs = orgsOf(clusters)
-	large.LowerNames, large.Tokens = lower.Table(), tokens.Table()
+	large.Tokens = tokens.Table()
 	HashImage(large) // warm the buffer pool
 	want := testing.AllocsPerRun(20, func() { HashImage(small) })
 	if got := testing.AllocsPerRun(20, func() { HashImage(large) }); got > want || got > 8 {
@@ -213,6 +211,19 @@ func TestTypedErrors(t *testing.T) {
 		resign(d)
 		return d
 	})
+	// A re-signed artifact whose stored lowercase name is not its
+	// display name lowered: "lumen" becomes "lUmen".
+	lowerMismatch := mut(func(d []byte) []byte {
+		off := binary.LittleEndian.Uint64(d[headerSize+2*sectionEntrySize+4:])
+		// count, two member counts, two feature bytes, the two names.
+		at := int(off) + 4 + 4*2 + 2 + (4 + len("Lumen")) + (4 + len("Tiny Net"))
+		if got := string(d[at+4 : at+4+len("lumen")]); got != "lumen" {
+			t.Fatalf("lowercase run starts with %q, want %q", got, "lumen")
+		}
+		d[at+5] = 'U'
+		resign(d)
+		return d
+	})
 	// A feature byte with a bit no feature owns would re-encode to
 	// other bytes than it was read from.
 	unknownFeature := mut(func(d []byte) []byte {
@@ -227,6 +238,7 @@ func TestTypedErrors(t *testing.T) {
 		want error
 	}{
 		{"unknown feature bits", unknownFeature, ErrCorrupt},
+		{"lowercase name disagrees with name", lowerMismatch, ErrCorrupt},
 		{"body disagrees with cluster", bodyMismatch, ErrCorrupt},
 		{"tail disagrees with body", tailMismatch, ErrCorrupt},
 	}...)
@@ -340,4 +352,31 @@ func TestCrashedHalfWriteRejected(t *testing.T) {
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("torn artifact: %v, want %v", err, ErrTruncated)
 	}
+}
+
+// FuzzAppendLower holds AppendLower to strings.ToLower, byte for byte,
+// on any string: invalid UTF-8, runes that lower into ASCII (U+0130,
+// U+212A), into fewer bytes (U+1E9E) or not at all. isLowerOf must
+// accept exactly that lowering, after any prefix already in dst.
+func FuzzAppendLower(f *testing.F) {
+	for _, s := range []string{"", "Lumen", "AT&T Services", "\xff\xfeABC", "İstanbul",
+		"Kelvin", "STRAẞE", "Telefónica", "a\xc3", "�\xef\xbf", "ÆTHER"} {
+		f.Add("prefix ", s)
+	}
+	f.Fuzz(func(t *testing.T, prefix, s string) {
+		want := strings.ToLower(s)
+		if got := AppendLower(nil, s); string(got) != want {
+			t.Fatalf("AppendLower(%q) = %q, strings.ToLower %q", s, got, want)
+		}
+		if got := AppendLower([]byte(prefix), s); string(got) != prefix+want {
+			t.Fatalf("AppendLower(%q, %q) = %q, want %q", prefix, s, got, prefix+want)
+		}
+		var scratch []byte
+		if !isLowerOf([]byte(want), s, &scratch) {
+			t.Fatalf("isLowerOf refuses strings.ToLower(%q) = %q", s, want)
+		}
+		if other := strings.ToLower(prefix); other != want && isLowerOf([]byte(other), s, &scratch) {
+			t.Fatalf("isLowerOf accepts %q as the lowercase of %q (%q)", other, s, want)
+		}
+	})
 }
