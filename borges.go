@@ -228,8 +228,14 @@ func NewOpenAIProvider(baseURL, apiKey string, httpClient *http.Client) LLMProvi
 // requests return the stored response without touching the backend.
 // Temperature-0 determinism (the paper's configuration) makes this
 // loss-free; incremental re-runs over updated snapshots only pay for
-// records whose text changed.
-func NewCachingProvider(inner LLMProvider) *llm.Caching { return llm.NewCaching(inner) }
+// records whose text changed. The responses live in a memory-only
+// Cache, so its LRU (DefaultMaxEntries) is the memory tier: concurrent
+// identical requests share one backend call, errors are never stored,
+// and the provider's Cache.Stats counts hits and misses.
+func NewCachingProvider(inner LLMProvider) *cache.Provider {
+	c, _ := cache.New(cache.Options{}) // fails only on opening a disk tier
+	return &cache.Provider{Inner: inner, Cache: c}
+}
 
 // NewRateLimitedProvider paces a provider below a requests-per-second
 // budget with the given burst capacity, for batch runs against live

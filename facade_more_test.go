@@ -102,9 +102,8 @@ func TestFacadeProfilesAndProviderStack(t *testing.T) {
 	if _, err := cached.Complete(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, _ := cached.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("cache stats = %d/%d", hits, misses)
+	if st := cached.Cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cache stats = %d/%d", st.Hits, st.Misses)
 	}
 }
 

@@ -24,18 +24,19 @@
 //     the handler to serve a cheaper, capped variant.
 //
 // Every refusal carries a Retry-After hint, and every decision is
-// observable through the borgesd_admission_* metrics the controller
-// renders in Prometheus text form.
+// observable through the borgesd_admission_* families the controller
+// registers on the server's metrics registry (internal/obs).
 package admission
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"github.com/nu-aqualab/borges/internal/obs"
 )
 
 // Class is a request's admission priority.
@@ -297,34 +298,27 @@ func (c *Controller) Stats() Stats {
 	return st
 }
 
-// WriteMetrics renders the borgesd_admission_* family in the
-// Prometheus text exposition format.
-func (c *Controller) WriteMetrics(w io.Writer) {
-	st := c.Stats()
-	fmt.Fprintf(w, "# HELP borgesd_admission_inflight Requests currently holding a limiter slot.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_admission_inflight gauge\n")
-	fmt.Fprintf(w, "borgesd_admission_inflight %d\n", st.Inflight)
-	fmt.Fprintf(w, "# HELP borgesd_admission_limit Current adaptive concurrency limit (AIMD).\n")
-	fmt.Fprintf(w, "# TYPE borgesd_admission_limit gauge\n")
-	fmt.Fprintf(w, "borgesd_admission_limit %.3f\n", st.Limit)
-	fmt.Fprintf(w, "# HELP borgesd_admission_queue_depth Requests waiting for a limiter slot.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_admission_queue_depth gauge\n")
-	fmt.Fprintf(w, "borgesd_admission_queue_depth %d\n", st.QueueDepth)
-	fmt.Fprintf(w, "# HELP borgesd_admission_sheds_total Load-shed refusals (503), by class.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_admission_sheds_total counter\n")
-	fmt.Fprintf(w, "borgesd_admission_sheds_total{class=\"point\"} %d\n", st.ShedPoint)
-	fmt.Fprintf(w, "borgesd_admission_sheds_total{class=\"search\"} %d\n", st.ShedSearch)
-	fmt.Fprintf(w, "borgesd_admission_sheds_total{class=\"bulk\"} %d\n", st.ShedBulk)
-	fmt.Fprintf(w, "# HELP borgesd_admission_queue_timeouts_total Queued requests shed because their deadline fired first.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_admission_queue_timeouts_total counter\n")
-	fmt.Fprintf(w, "borgesd_admission_queue_timeouts_total %d\n", st.QueueTimeouts)
-	fmt.Fprintf(w, "# HELP borgesd_admission_ratelimited_total Per-client rate-limit refusals (429).\n")
-	fmt.Fprintf(w, "# TYPE borgesd_admission_ratelimited_total counter\n")
-	fmt.Fprintf(w, "borgesd_admission_ratelimited_total %d\n", st.RateLimited)
-	fmt.Fprintf(w, "# HELP borgesd_admission_bucket_evictions_total Client token buckets evicted from the LRU.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_admission_bucket_evictions_total counter\n")
-	fmt.Fprintf(w, "borgesd_admission_bucket_evictions_total %d\n", st.BucketEvictions)
-	fmt.Fprintf(w, "# HELP borgesd_admission_brownouts_total Searches served in browned-out (capped, cheap) mode.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_admission_brownouts_total counter\n")
-	fmt.Fprintf(w, "borgesd_admission_brownouts_total %d\n", st.Brownouts)
+// Register declares the borgesd_admission_* families on a server's
+// registry.
+func (c *Controller) Register(reg *obs.Registry) {
+	reg.Gauge("borgesd_admission_inflight", "Requests currently holding a limiter slot.", func() float64 {
+		return float64(c.Stats().Inflight)
+	})
+	reg.Gauge("borgesd_admission_limit", "Current adaptive concurrency limit (AIMD).", func() float64 {
+		return c.Stats().Limit
+	})
+	reg.Gauge("borgesd_admission_queue_depth", "Requests waiting for a limiter slot.", func() float64 {
+		return float64(c.Stats().QueueDepth)
+	})
+	reg.Add("borgesd_admission_sheds_total", obs.Counter, "Load-shed refusals (503), by class.", func(emit obs.Emit) {
+		emit(float64(c.shedPoint.Load()), "class", "point")
+		emit(float64(c.shedSearch.Load()), "class", "search")
+		emit(float64(c.shedBulk.Load()), "class", "bulk")
+	})
+	reg.Counter("borgesd_admission_queue_timeouts_total", "Queued requests shed because their deadline fired first.", obs.Int64(&c.queueTimeouts))
+	reg.Counter("borgesd_admission_ratelimited_total", "Per-client rate-limit refusals (429).", obs.Int64(&c.rateLimited))
+	reg.Counter("borgesd_admission_bucket_evictions_total", "Client token buckets evicted from the LRU.", func() float64 {
+		return float64(c.Stats().BucketEvictions)
+	})
+	reg.Counter("borgesd_admission_brownouts_total", "Searches served in browned-out (capped, cheap) mode.", obs.Int64(&c.brownouts))
 }

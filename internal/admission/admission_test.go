@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/nu-aqualab/borges/internal/obs"
 )
 
 // fakeClock is a manually advanced clock shared with the controller.
@@ -241,8 +243,12 @@ func TestBrownoutTracksPressure(t *testing.T) {
 
 func TestWriteMetricsRendersFullFamily(t *testing.T) {
 	c := New(Config{MaxInflight: 4, Rate: 10})
+	var reg obs.Registry
+	c.Register(&reg)
 	var sb strings.Builder
-	c.WriteMetrics(&sb)
+	if _, err := reg.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	for _, name := range []string{
 		"borgesd_admission_inflight",

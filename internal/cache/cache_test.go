@@ -341,6 +341,40 @@ func TestProviderMemoizes(t *testing.T) {
 	if inner.calls.Load() != 2 {
 		t.Errorf("backend calls = %d, want 2", inner.calls.Load())
 	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
+		t.Errorf("stats = %d hits, %d misses, %d entries; want 1, 2, 2", st.Hits, st.Misses, st.Entries)
+	}
+}
+
+// TestProviderConcurrent: many goroutines asking four distinct
+// questions (run it with -race) reach the backend exactly once per
+// question, whether they share an in-flight call or hit its entry.
+func TestProviderConcurrent(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := &countingProvider{}
+	p := &Provider{Inner: inner, Cache: c}
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := fmt.Sprintf("q%d", i%4)
+			resp, err := p.Complete(context.Background(), llm.Request{Model: "m", Messages: []llm.Message{{Role: llm.RoleUser, Content: q}}})
+			if err != nil || resp.Content != "re: "+q {
+				t.Errorf("%s: %+v, %v", q, resp, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := inner.calls.Load(); n != 4 {
+		t.Errorf("backend calls = %d, want 4", n)
+	}
+	if st := c.Stats(); st.Entries != 4 {
+		t.Errorf("entries = %d, want 4", st.Entries)
+	}
 }
 
 func TestProviderDiskWarmStart(t *testing.T) {

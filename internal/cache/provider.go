@@ -10,10 +10,10 @@ import (
 
 // Provider is an llm.Provider middleware over a Cache: completions are
 // keyed by llm.RequestKey (model + sampling parameters + messages +
-// image bytes) and served from the cache when present. Unlike
-// llm.Caching's per-process map, a Provider shares its Cache — and
-// therefore its singleflight dedup and optional disk tier — with the
-// crawl stage and with every other pipeline run on the same Cache:
+// image bytes) and served from the cache when present. A Provider
+// shares its Cache — and therefore its singleflight dedup and optional
+// disk tier — with the crawl stage and with every other pipeline run
+// on the same Cache:
 // both the NER extractor and the favicon classifier route through one
 // instance, and a warm cache answers a full re-run without a single
 // backend call.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/nu-aqualab/borges/internal/cache"
 	"github.com/nu-aqualab/borges/internal/core"
 	"github.com/nu-aqualab/borges/internal/llm"
 	"github.com/nu-aqualab/borges/internal/simllm"
@@ -99,8 +100,11 @@ func TestIncrementalRerunWithCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend := simllm.NewModel()
-	cached := llm.NewCaching(backend)
-	in := core.Inputs{WHOIS: ds.WHOIS, PDB: ds.PDB, Transport: ds.Web, Provider: cached}
+	c, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := core.Inputs{WHOIS: ds.WHOIS, PDB: ds.PDB, Transport: ds.Web, Provider: &cache.Provider{Inner: backend, Cache: c}}
 
 	if _, err := core.Run(context.Background(), in, core.Options{}); err != nil {
 		t.Fatal(err)
@@ -118,8 +122,7 @@ func TestIncrementalRerunWithCache(t *testing.T) {
 	if secondCalls != 0 {
 		t.Errorf("second run hit the backend %d times, want 0 (all cached)", secondCalls)
 	}
-	hits, _, _ := cached.Stats()
-	if hits == 0 {
+	if c.Stats().Hits == 0 {
 		t.Error("cache reported no hits")
 	}
 

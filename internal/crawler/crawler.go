@@ -480,7 +480,7 @@ func (c *Crawler) fetch(ctx context.Context, u *url.URL, cur string) (nextURL *u
 		if html {
 			if target := MetaRefreshTarget(page); target != "" {
 				var aerr error
-				if nextURL, next, aerr = resolveRef(u, target); aerr == nil {
+				if nextURL, next, aerr = resolveRef(pageBase(u, page), target); aerr == nil {
 					return nil
 				}
 				nextURL, next = nil, ""
@@ -570,8 +570,9 @@ func isHTML(contentType string) bool {
 	return strings.Contains(strings.ToLower(contentType), "text/html")
 }
 
-// resolveRef resolves a redirect target or favicon link against the
-// page it was found on and canonicalizes the result.
+// resolveRef resolves a redirect target or favicon link against base
+// (the URL requested, or for a reference in a page, its pageBase) and
+// canonicalizes the result.
 func resolveRef(base *url.URL, ref string) (*url.URL, string, error) {
 	r, err := url.Parse(strings.TrimSpace(ref))
 	if err != nil {
@@ -723,6 +724,34 @@ func FaviconLink(page string) string {
 	return ""
 }
 
+// BaseHref returns the href of the first <base> a browser would parse
+// (see nextTag) that has one, with its character references decoded,
+// or "" if none has. As in a browser, a page's relative meta-refresh
+// target and favicon link resolve against it (see pageBase).
+func BaseHref(page string) string {
+	for tag, i := nextTag(page, 0, "base"); tag != ""; tag, i = nextTag(page, i, "base") {
+		if href, ok := tagAttr(tag, "href"); ok {
+			return strings.TrimSpace(href)
+		}
+	}
+	return ""
+}
+
+// pageBase returns the URL that the references on the page at u
+// resolve against: its BaseHref resolved against u, or u itself when
+// the page declares no base or one that does not parse.
+func pageBase(u *url.URL, page string) *url.URL {
+	href := BaseHref(page)
+	if href == "" {
+		return u
+	}
+	b, err := url.Parse(href)
+	if err != nil {
+		return u
+	}
+	return u.ResolveReference(b)
+}
+
 // hasToken reports whether list, split at HTML's ASCII whitespace,
 // holds tok in any case.
 func hasToken(list, tok string) bool {
@@ -836,7 +865,7 @@ func (c *Crawler) favicon(ctx context.Context, final *url.URL, finalURL, page st
 				continue
 			}
 			var err error
-			if cand, _, err = resolveRef(final, link); err != nil {
+			if cand, _, err = resolveRef(pageBase(final, page), link); err != nil {
 				continue
 			}
 		} else {

@@ -2,6 +2,8 @@ package crawler
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"strings"
@@ -118,6 +120,56 @@ func TestMetaRefreshAndRedirectConverge(t *testing.T) {
 	}
 	if refresh.FinalURL != moved.FinalURL || refresh.Hops != 1 || moved.Hops != 1 {
 		t.Fatalf("meta refresh ends at %q after %d hops, 301 at %q after %d", refresh.FinalURL, refresh.Hops, moved.FinalURL, moved.Hops)
+	}
+}
+
+// pageTransport serves scripted bodies by URL (scheme, host and path):
+// a path ending in .ico as an icon, anything else as HTML, and a URL
+// it does not hold as 404.
+type pageTransport map[string]string
+
+func (p pageTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	u := *req.URL
+	u.RawQuery = ""
+	body, ok := p[u.String()]
+	status, ct := http.StatusOK, "text/html"
+	if !ok {
+		status = http.StatusNotFound
+	} else if strings.HasSuffix(u.Path, ".ico") {
+		ct = "image/x-icon"
+	}
+	return respWith(status, ct, body, nil)(req)
+}
+
+// TestBaseHrefResolvesRefreshAndFavicon: a relative meta-refresh target
+// and a relative favicon link resolve against the page's first <base
+// href>, as a browser resolves them, not against the page's own URL.
+func TestBaseHrefResolvesRefreshAndFavicon(t *testing.T) {
+	const base = `<base target="_self"><base href="https://b.test/dir/"><base href="https://wrong.test/">`
+	tr := pageTransport{
+		"https://a.test/":              base + `<meta http-equiv="refresh" content="0; url=next.html">`,
+		"https://b.test/dir/next.html": "next",
+		"https://c.test/page":          base + `<link rel="icon" href="i.ico">`,
+		"https://b.test/dir/i.ico":     "ICON",
+	}
+	c := New(Options{Transport: tr})
+	if res := c.Crawl(context.Background(), Task{ASN: 1, URL: "https://a.test/"}); !res.OK || res.FinalURL != "https://b.test/dir/next.html" {
+		t.Errorf("refresh crawl = %+v, want final URL https://b.test/dir/next.html", res)
+	}
+	sum := sha256.Sum256([]byte("ICON"))
+	if res := c.Crawl(context.Background(), Task{ASN: 2, URL: "https://c.test/page"}); !res.OK || res.FaviconHash != hex.EncodeToString(sum[:]) {
+		t.Errorf("icon crawl = %+v, want the icon at https://b.test/dir/i.ico", res)
+	}
+	for _, c := range []struct{ page, want string }{
+		{`<base href="/root/">`, "/root/"},
+		{`<BASE HREF=" rel/&amp;x ">`, "rel/&x"},
+		{`<base><base href=""><base href="/late/">`, ""},
+		{`<!-- <base href="/hidden/"> --><script><base href="/s/"></script><base href="/seen/">`, "/seen/"},
+		{`<link rel="icon" href="/i.ico">`, ""},
+	} {
+		if got := BaseHref(c.page); got != c.want {
+			t.Errorf("BaseHref(%s) = %q, want %q", c.page, got, c.want)
+		}
 	}
 }
 
@@ -302,9 +354,11 @@ func FuzzScanners(f *testing.F) {
 	f.Add(`<script>"<link rel=icon href=/c>"</script><style>`)
 	f.Add(`<!--><!---><META HTTP-EQUIV=REFRESH CONTENT=0;URL=/d>`)
 	f.Add(`<link <meta <!-- </script`)
+	f.Add(`<base href="https://b.test/dir/"><meta http-equiv=refresh content="0;url=next.html">`)
 	f.Fuzz(func(t *testing.T, page string) {
 		MetaRefreshTarget(page)
 		FaviconLink(page)
+		BaseHref(page)
 		hidden := map[string]bool{
 			"<!--" + page + "-->":                !strings.Contains(page, "-->") && !strings.HasPrefix(page, ">") && !strings.HasPrefix(page, "->"),
 			"<script>" + page + "</script>":      !strings.Contains(page, "</"),
@@ -319,6 +373,9 @@ func FuzzScanners(f *testing.F) {
 			}
 			if got := FaviconLink(p); got != "" {
 				t.Fatalf("FaviconLink(%q) = %q, want nothing", p, got)
+			}
+			if got := BaseHref(p); got != "" {
+				t.Fatalf("BaseHref(%q) = %q, want nothing", p, got)
 			}
 		}
 	})

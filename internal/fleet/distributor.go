@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/nu-aqualab/borges/internal/mapdiff"
+	"github.com/nu-aqualab/borges/internal/obs"
 	"github.com/nu-aqualab/borges/internal/serve"
 )
 
@@ -65,10 +66,11 @@ type replicaReport struct {
 	seen time.Time
 }
 
-// NewDistributor builds the serve.Server itself (so it can hook
-// OnSwap/ExtraMetrics into serveOpts) and publishes the initial
-// snapshot as sequence 1. Callers that supplied their own OnSwap or
-// ExtraMetrics keep them — the distributor chains, never replaces.
+// NewDistributor builds the serve.Server itself (so it can hook OnSwap
+// into serveOpts), registers its borgesd_fleet_* families on the
+// server's registry, and publishes the initial snapshot as sequence 1.
+// A caller that supplied its own OnSwap keeps it — the distributor
+// chains, never replaces.
 func NewDistributor(snap *serve.Snapshot, serveOpts serve.Options, opts DistributorOptions) (*Distributor, error) {
 	if opts.ReplicaTTL <= 0 {
 		opts.ReplicaTTL = 30 * time.Second
@@ -86,18 +88,12 @@ func NewDistributor(snap *serve.Snapshot, serveOpts serve.Options, opts Distribu
 			d.logf(`{"event":"fleet_publish","ok":false,"error":%q}`, err.Error())
 		}
 	}
-	innerMetrics := serveOpts.ExtraMetrics
-	serveOpts.ExtraMetrics = func(w io.Writer) {
-		if innerMetrics != nil {
-			innerMetrics(w)
-		}
-		d.writeMetrics(w)
-	}
 	srv, err := serve.NewServer(snap, serveOpts)
 	if err != nil {
 		return nil, err
 	}
 	d.srv = srv
+	d.register(srv.Registry())
 	if err := d.publish(snap); err != nil {
 		return nil, fmt.Errorf("fleet: publishing initial snapshot: %w", err)
 	}
@@ -317,25 +313,24 @@ func (d *Distributor) handleStatus(w http.ResponseWriter, r *http.Request) {
 	fleetJSON(w, http.StatusOK, d.Status())
 }
 
-// writeMetrics appends the distributor's borgesd_fleet_* series to the
-// /metrics response (wired via serve.Options.ExtraMetrics).
-func (d *Distributor) writeMetrics(w io.Writer) {
-	st := d.Status()
-	d.mu.Lock()
-	age := d.opts.now().Sub(d.publishedAt).Seconds()
-	d.mu.Unlock()
-	fmt.Fprintf(w, "# HELP borgesd_fleet_publish_seq Sequence number of the current snapshot publish.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_publish_seq gauge\n")
-	fmt.Fprintf(w, "borgesd_fleet_publish_seq %d\n", st.Seq)
-	fmt.Fprintf(w, "# HELP borgesd_fleet_last_publish_age_seconds Seconds since the current snapshot was published.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_last_publish_age_seconds gauge\n")
-	fmt.Fprintf(w, "borgesd_fleet_last_publish_age_seconds %.3f\n", age)
-	fmt.Fprintf(w, "# HELP borgesd_fleet_replicas Replicas with a live heartbeat.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_replicas gauge\n")
-	fmt.Fprintf(w, "borgesd_fleet_replicas %d\n", len(st.Replicas))
-	fmt.Fprintf(w, "# HELP borgesd_fleet_replicas_divergent Live replicas serving a different content hash than the current publish.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_replicas_divergent gauge\n")
-	fmt.Fprintf(w, "borgesd_fleet_replicas_divergent %d\n", st.Divergent)
+// register declares the distributor's borgesd_fleet_* families.
+func (d *Distributor) register(reg *obs.Registry) {
+	reg.Gauge("borgesd_fleet_publish_seq", "Sequence number of the current snapshot publish.", func() float64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return float64(d.seq)
+	})
+	reg.Gauge("borgesd_fleet_last_publish_age_seconds", "Seconds since the current snapshot was published.", func() float64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.opts.now().Sub(d.publishedAt).Seconds()
+	})
+	reg.Gauge("borgesd_fleet_replicas", "Replicas with a live heartbeat.", func() float64 {
+		return float64(len(d.Status().Replicas))
+	})
+	reg.Gauge("borgesd_fleet_replicas_divergent", "Live replicas serving a different content hash than the current publish.", func() float64 {
+		return float64(d.Status().Divergent)
+	})
 }
 
 func (d *Distributor) logf(format string, args ...any) {

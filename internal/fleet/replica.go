@@ -19,6 +19,7 @@ import (
 
 	"github.com/nu-aqualab/borges/client"
 	"github.com/nu-aqualab/borges/internal/mapdiff"
+	"github.com/nu-aqualab/borges/internal/obs"
 	"github.com/nu-aqualab/borges/internal/resilience"
 	"github.com/nu-aqualab/borges/internal/serve"
 	"github.com/nu-aqualab/borges/internal/vfs"
@@ -74,8 +75,9 @@ type ReplicaOptions struct {
 	// before probing (default 2s).
 	BreakerCooldown time.Duration
 	// Serve configures the replica's local lookup server. Prepared is
-	// owned by the replica (reloads are driven by the sync loop);
-	// OnSwap and ExtraMetrics are chained, not replaced.
+	// owned by the replica (reloads are driven by the sync loop); OnSwap
+	// is kept. The replica's borgesd_fleet_* families are registered on
+	// the server's registry.
 	Serve serve.Options
 	// Logf receives one structured line per sync action. Nil disables.
 	Logf func(format string, args ...any)
@@ -177,18 +179,12 @@ func NewReplica(ctx context.Context, opts ReplicaOptions) (*Replica, error) {
 	// distributor instead of waiting to bite the next cold start.
 	serveOpts.ScrubTargets = append(append([]serve.ScrubTarget(nil), serveOpts.ScrubTargets...),
 		serve.ScrubTargetFunc("fleet-last-good", r.scrubLastGood))
-	innerMetrics := serveOpts.ExtraMetrics
-	serveOpts.ExtraMetrics = func(w io.Writer) {
-		if innerMetrics != nil {
-			innerMetrics(w)
-		}
-		r.writeMetrics(w)
-	}
 	srv, err := serve.NewServer(snap, serveOpts)
 	if err != nil {
 		return nil, err
 	}
 	r.srv = srv
+	r.register(srv.Registry())
 	return r, nil
 }
 
@@ -681,46 +677,33 @@ func fetchStatus(resp *http.Response) error {
 	}
 }
 
-// writeMetrics appends the replica's borgesd_fleet_* series to its
-// /metrics response.
-func (r *Replica) writeMetrics(w io.Writer) {
-	st := r.exec.Stats()
-	fmt.Fprintf(w, "# HELP borgesd_fleet_synced_seq Last distributor manifest sequence this replica converged to.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_synced_seq gauge\n")
-	fmt.Fprintf(w, "borgesd_fleet_synced_seq %d\n", r.syncedSeq.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_fetch_retries_total Fetch attempts retried after transient faults.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_fetch_retries_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_fetch_retries_total %d\n", st.Retries)
-	fmt.Fprintf(w, "# HELP borgesd_fleet_breaker_trips_total Distributor circuit-breaker openings.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_breaker_trips_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_breaker_trips_total %d\n", st.BreakerTrips)
-	fmt.Fprintf(w, "# HELP borgesd_fleet_fetch_full_total Full artifact downloads completed and verified.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_fetch_full_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_fetch_full_total %d\n", r.fullFetches.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_fetch_delta_total Incremental delta syncs completed and verified.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_fetch_delta_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_fetch_delta_total %d\n", r.deltaFetches.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_delta_fallbacks_total Delta syncs abandoned for a full fetch.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_delta_fallbacks_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_delta_fallbacks_total %d\n", r.deltaFallbacks.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_corrupt_rejected_total Downloads rejected by content verification before any swap.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_corrupt_rejected_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_corrupt_rejected_total %d\n", r.corruptRejected.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_resumed_fetches_total Artifact downloads resumed with a ranged request.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_resumed_fetches_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_resumed_fetches_total %d\n", r.resumedFetches.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_watch_reconnects_total Reconnects of the distributor watch stream.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_watch_reconnects_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_watch_reconnects_total %d\n", r.watchReconnects.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_heartbeat_errors_total Heartbeats that failed to reach the distributor.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_heartbeat_errors_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_heartbeat_errors_total %d\n", r.heartbeatErrs.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_lastgood_quarantined_total Corrupt last-good artifacts moved aside by the scrubber.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_lastgood_quarantined_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_lastgood_quarantined_total %d\n", r.lastGoodQuarantined.Load())
-	fmt.Fprintf(w, "# HELP borgesd_fleet_lastgood_repairs_total Last-good artifacts rebuilt from the distributor after quarantine.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_fleet_lastgood_repairs_total counter\n")
-	fmt.Fprintf(w, "borgesd_fleet_lastgood_repairs_total %d\n", r.lastGoodRepairs.Load())
+// register declares the replica's borgesd_fleet_* families.
+func (r *Replica) register(reg *obs.Registry) {
+	reg.Gauge("borgesd_fleet_synced_seq", "Last distributor manifest sequence this replica converged to.", func() float64 {
+		return float64(r.syncedSeq.Load())
+	})
+	reg.Counter("borgesd_fleet_fetch_retries_total", "Fetch attempts retried after transient faults.", func() float64 {
+		return float64(r.exec.Stats().Retries)
+	})
+	reg.Counter("borgesd_fleet_breaker_trips_total", "Distributor circuit-breaker openings.", func() float64 {
+		return float64(r.exec.Stats().BreakerTrips)
+	})
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Int64
+	}{
+		{"borgesd_fleet_fetch_full_total", "Full artifact downloads completed and verified.", &r.fullFetches},
+		{"borgesd_fleet_fetch_delta_total", "Incremental delta syncs completed and verified.", &r.deltaFetches},
+		{"borgesd_fleet_delta_fallbacks_total", "Delta syncs abandoned for a full fetch.", &r.deltaFallbacks},
+		{"borgesd_fleet_corrupt_rejected_total", "Downloads rejected by content verification before any swap.", &r.corruptRejected},
+		{"borgesd_fleet_resumed_fetches_total", "Artifact downloads resumed with a ranged request.", &r.resumedFetches},
+		{"borgesd_fleet_watch_reconnects_total", "Reconnects of the distributor watch stream.", &r.watchReconnects},
+		{"borgesd_fleet_heartbeat_errors_total", "Heartbeats that failed to reach the distributor.", &r.heartbeatErrs},
+		{"borgesd_fleet_lastgood_quarantined_total", "Corrupt last-good artifacts moved aside by the scrubber.", &r.lastGoodQuarantined},
+		{"borgesd_fleet_lastgood_repairs_total", "Last-good artifacts rebuilt from the distributor after quarantine.", &r.lastGoodRepairs},
+	} {
+		reg.Counter(c.name, c.help, obs.Int64(c.v))
+	}
 }
 
 func (r *Replica) logf(format string, args ...any) {

@@ -199,7 +199,10 @@ scan:
 		_, _ = out.Write(buf)
 		buf = buf[:0]
 	}
-	s.metrics.ObserveBulk(lines, errLines, s.opts.now().Sub(start))
+	s.metrics.bulkRequests.Add(1)
+	s.metrics.bulkLines.Add(lines)
+	s.metrics.bulkErrLines.Add(errLines)
+	s.metrics.bulkNanos.Add(int64(s.opts.now().Sub(start)))
 }
 
 // appendUnmapped renders the per-line miss object for a valid but

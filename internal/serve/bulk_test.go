@@ -79,7 +79,7 @@ func TestBulkBasic(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[4]), &bad); err != nil || bad.Line != 5 || bad.Error != "invalid input" {
 		t.Errorf("malformed line = %q (err %v), want line 5 invalid input", lines[4], err)
 	}
-	if _, lines, errLines := srv.Metrics().BulkTotals(); lines != 6 || errLines != 2 {
+	if lines, errLines := srv.metrics.bulkLines.Load(), srv.metrics.bulkErrLines.Load(); lines != 6 || errLines != 2 {
 		t.Errorf("bulk metrics = %d lines / %d errors, want 6 / 2", lines, errLines)
 	}
 }
@@ -386,7 +386,7 @@ func TestBulkShedsWithRetryAfter(t *testing.T) {
 	if st := srv.Admission().Stats(); st.ShedBulk != 1 {
 		t.Errorf("ShedBulk = %d, want 1", st.ShedBulk)
 	}
-	if got := srv.Metrics().Sheds("bulk"); got != 1 {
+	if got := srv.metrics.endpoint("bulk").sheds.Load(); got != 1 {
 		t.Errorf("bulk endpoint sheds = %d, want 1", got)
 	}
 	metrics := do(t, srv, http.MethodGet, "/metrics", nil).Body.String()

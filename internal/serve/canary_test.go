@@ -153,10 +153,10 @@ func TestReloadCanaryGate(t *testing.T) {
 	if srv.Snapshot() != good {
 		t.Fatal("serving snapshot changed despite canary rejection")
 	}
-	if n := srv.Metrics().CanaryRejects(); n != 1 {
+	if n := srv.metrics.canaryRejects.Load(); n != 1 {
 		t.Fatalf("CanaryRejects = %d, want 1", n)
 	}
-	if ok, failed := srv.Metrics().Reloads(); ok != 0 || failed != 1 {
+	if ok, failed := srv.metrics.reloadOK.Load(), srv.metrics.reloadErr.Load(); ok != 0 || failed != 1 {
 		t.Fatalf("Reloads = (%d ok, %d failed), want (0, 1)", ok, failed)
 	}
 }

@@ -139,7 +139,7 @@ func TestDiskChaosStorm(t *testing.T) {
 	if got := srv.Snapshot().ContentHash(); got != v1.ContentHash() {
 		t.Fatalf("phase A: serving %s after rejected reload, want v1", got)
 	}
-	if n := srv.Metrics().CanaryRejects(); n != 1 {
+	if n := srv.metrics.canaryRejects.Load(); n != 1 {
 		t.Fatalf("phase A: CanaryRejects = %d, want 1", n)
 	}
 
@@ -157,7 +157,7 @@ func TestDiskChaosStorm(t *testing.T) {
 	if got := srv.Snapshot().ContentHash(); got != v3.ContentHash() {
 		t.Fatalf("phase B: serving %s, want v3", got)
 	}
-	if n := srv.Metrics().PersistErrors(); n != 2 {
+	if n := srv.metrics.persistErrors.Load(); n != 2 {
 		t.Fatalf("phase B: PersistErrors = %d, want 2 (one torn persist per swap)", n)
 	}
 
@@ -202,7 +202,7 @@ func TestDiskChaosStorm(t *testing.T) {
 	if got := srv.Snapshot().ContentHash(); got != v1.ContentHash() {
 		t.Fatalf("phase D: serving %s after auto rollback, want v1", got)
 	}
-	if n := srv.Metrics().Rollbacks("auto"); n != 1 {
+	if n := srv.metrics.rollbacksAuto.Load(); n != 1 {
 		t.Fatalf(`phase D: Rollbacks("auto") = %d, want 1`, n)
 	}
 	badHash.Store("")
@@ -232,7 +232,7 @@ func TestDiskChaosStorm(t *testing.T) {
 		t.Errorf("QuarantinedTotal = %d, want 1", n)
 	}
 	// The rollback itself tore one more snapshot-out persist.
-	if n := srv.Metrics().PersistErrors(); n != 3 {
+	if n := srv.metrics.persistErrors.Load(); n != 3 {
 		t.Errorf("final PersistErrors = %d, want 3", n)
 	}
 	if n := ffs.Stats().Injected; n < 3 {

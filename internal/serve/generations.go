@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/nu-aqualab/borges/internal/obs"
 	"github.com/nu-aqualab/borges/internal/snapbin"
 	"github.com/nu-aqualab/borges/internal/vfs"
 )
@@ -134,6 +135,14 @@ func (r *GenerationRing) Len() int {
 // QuarantinedTotal counts files the ring has quarantined over its
 // lifetime (startup scan, rollback verification, and scrub passes).
 func (r *GenerationRing) QuarantinedTotal() int64 { return r.quarantined.Load() }
+
+// register declares the ring's families on a server's registry.
+func (r *GenerationRing) register(reg *obs.Registry) {
+	reg.Gauge("borgesd_snapshot_generations", "Verified snapshot generations held by the rollback ring.", func() float64 {
+		return float64(r.Len())
+	})
+	reg.Counter("borgesd_generations_quarantined_total", "Ring artifacts quarantined as corrupt (renamed to .corrupt).", obs.Int64(&r.quarantined))
+}
 
 // Generations returns the ring's lineage, oldest first.
 func (r *GenerationRing) Generations() []Generation {

@@ -238,7 +238,7 @@ func TestRollbackEndpoint(t *testing.T) {
 	if srv.Snapshot().ContentHash() != v1.ContentHash() {
 		t.Fatal("serving snapshot is not v1 after rollback")
 	}
-	if n := srv.Metrics().Rollbacks("admin"); n != 1 {
+	if n := srv.metrics.rollbacksAdmin.Load(); n != 1 {
 		t.Fatalf(`Rollbacks("admin") = %d, want 1`, n)
 	}
 

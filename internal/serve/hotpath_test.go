@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -107,6 +109,52 @@ func TestLookupZeroAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("point lookup path allocates %v times per op, want 0", got)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps one header map and
+// drops the body, so a handler's own allocations are all that counts.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestHandlerAllocs bounds what a /v1/as request costs through
+// Server.Handler with no logger set: routing, the per-request timeout,
+// the status writer and the rendered body, but no request log line,
+// which is built only when Logf is set.
+func TestHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool items, inflating alloc counts")
+	}
+	srv, err := NewServer(mustSnapshot(t, variantMapping(2, 4096)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	req := httptest.NewRequest("GET", "/v1/as/1", nil)
+	w := &discardWriter{h: make(http.Header)}
+	for i := 0; i < 8; i++ { // prime the response buffer pool
+		h.ServeHTTP(w, req)
+	}
+	if got := testing.AllocsPerRun(1000, func() { h.ServeHTTP(w, req) }); got > 8 {
+		t.Fatalf("/v1/as allocates %v times per request, want <= 8", got)
+	}
+}
+
+// TestRequestLogLine: with a logger set, each request logs one line in
+// the format operators parse.
+func TestRequestLogLine(t *testing.T) {
+	var lines []string
+	srv := newTestServer(t, Options{
+		now:  func() time.Time { return time.Unix(1_700_000_000, 0) },
+		Logf: func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+	})
+	do(t, srv, "GET", "/v1/as/3356?x=1", nil)
+	want := `{"event":"request","endpoint":"as","method":"GET","path":"/v1/as/3356?x=1","status":200,"duration_us":0}`
+	if len(lines) != 1 || lines[0] != want {
+		t.Fatalf("log lines = %q, want [%s]", lines, want)
 	}
 }
 

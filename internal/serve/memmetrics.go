@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"io"
 	"runtime/metrics"
+
+	"github.com/nu-aqualab/borges/internal/obs"
 )
 
 // memSeries maps runtime/metrics samples onto the borgesd_mem_*
@@ -35,21 +35,17 @@ var memSeries = []struct {
 		"Completed garbage collection cycles forced by the application; borgesd starts one after each snapshot swap."},
 }
 
-// writeMemMetrics emits the borgesd_mem_* series. Reading a handful of
-// runtime/metrics samples is cheap and lock-free; /metrics is not a
-// hot path, so the per-call sample slice is fine.
-func writeMemMetrics(w io.Writer) {
-	samples := make([]metrics.Sample, len(memSeries))
-	for i := range memSeries {
-		samples[i].Name = memSeries[i].sample
-	}
-	metrics.Read(samples)
-	for i, s := range memSeries {
-		if samples[i].Value.Kind() != metrics.KindUint64 {
-			continue
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n", s.name, s.help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", s.name, s.kind)
-		fmt.Fprintf(w, "%s %d\n", s.name, samples[i].Value.Uint64())
+// registerMemMetrics declares the borgesd_mem_* families. Each scrape
+// reads its sample from runtime/metrics, which is cheap and lock-free;
+// a sample the runtime does not report prints nothing.
+func registerMemMetrics(reg *obs.Registry) {
+	for _, s := range memSeries {
+		reg.Add(s.name, obs.Kind(s.kind), s.help, func(emit obs.Emit) {
+			sample := []metrics.Sample{{Name: s.sample}}
+			metrics.Read(sample)
+			if sample[0].Value.Kind() == metrics.KindUint64 {
+				emit(float64(sample[0].Value.Uint64()))
+			}
+		})
 	}
 }

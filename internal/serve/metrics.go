@@ -1,11 +1,13 @@
 package serve
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"slices"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
+
+	"github.com/nu-aqualab/borges/internal/obs"
 )
 
 // latencyWindow is how many recent request latencies each endpoint
@@ -13,390 +15,202 @@ import (
 // busy endpoint constant regardless of traffic volume.
 const latencyWindow = 1024
 
-// endpointStats accumulates one endpoint's counters and a sliding
-// window of latencies.
+// endpointStats is one endpoint's request accounting. instrument
+// resolves it once, when the route is registered, and a request then
+// touches only atomics: a served request adds one to served, whose
+// previous value picks its slot in the latency ring, and stores its
+// latency there. Requests are served plus sheds, added at scrape time.
 type endpointStats struct {
-	requests  int64
-	errors    int64 // responses with status >= 500, excluding sheds
-	sheds     int64 // admission refusals (429/503 with Retry-After)
-	latencies [latencyWindow]time.Duration
-	n         int // valid entries in latencies
-	next      int // ring cursor
+	name   string
+	served atomic.Uint64 // requests handled (not shed); the ring cursor
+	errors atomic.Int64  // responses with status >= 500, excluding sheds
+	sheds  atomic.Int64  // admission refusals (429/503 with Retry-After)
+	// latency holds nanoseconds; request i lands in slot i%latencyWindow.
+	latency [latencyWindow]atomic.Int64
 }
 
-// Metrics tracks the serving layer's operational counters: per-endpoint
-// request totals and latency quantiles, plus reload outcomes. Snapshot
-// identity metrics (age, θ, sizes) are read from the live snapshot at
-// render time so they are always current.
-type Metrics struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpointStats
-	reloadOK  int64
-	reloadErr int64
-	// lastLoad records the duration and mode of the most recent
-	// successful snapshot load (full rebuild, binary decode, or delta
-	// patch) for the borgesd_snapshot_load_seconds gauge.
-	lastLoad     time.Duration
-	lastLoadMode string
-	// Bulk streaming counters: requests completed, input lines
-	// processed, lines answered with a per-line error object, and the
-	// summed streaming time — lines/sum(duration) is the lifetime
-	// sustained throughput gauge.
-	bulkRequests int64
-	bulkLines    int64
-	bulkErrLines int64
-	bulkDuration time.Duration
-	// Storage-integrity counters: canary-refused swaps, rollbacks by
-	// trigger, failed best-effort snapshot persists, and the background
-	// scrubber's accounting.
-	canaryRejects int64
-	rollbacks     map[string]int64
-	persistErrors int64
-	scrubCycles   int64
-	scrubChecked  int64
-	scrubCorrupt  int64
-	scrubRepaired int64
-	probeFailures int64
-}
-
-// NewMetrics returns an empty metrics registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		endpoints: make(map[string]*endpointStats),
-		rollbacks: make(map[string]int64),
-	}
-}
-
-// ObserveCanaryReject records one swap refused by the pre-promotion
-// canary.
-func (m *Metrics) ObserveCanaryReject() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.canaryRejects++
-}
-
-// CanaryRejects returns the canary refusal count.
-func (m *Metrics) CanaryRejects() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.canaryRejects
-}
-
-// ObserveRollback records one completed rollback, labeled by trigger
-// ("admin" or "auto").
-func (m *Metrics) ObserveRollback(trigger string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rollbacks[trigger]++
-}
-
-// Rollbacks returns the rollback count for a trigger.
-func (m *Metrics) Rollbacks(trigger string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rollbacks[trigger]
-}
-
-// ObservePersistError records one failed best-effort snapshot persist
-// (generation ring or -snapshot-out) after a successful swap.
-func (m *Metrics) ObservePersistError() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.persistErrors++
-}
-
-// PersistErrors returns the failed-persist count.
-func (m *Metrics) PersistErrors() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.persistErrors
-}
-
-// ObserveScrub records one completed scrub cycle.
-func (m *Metrics) ObserveScrub(checked, quarantined, repaired int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.scrubCycles++
-	m.scrubChecked += int64(checked)
-	m.scrubCorrupt += int64(quarantined)
-	m.scrubRepaired += int64(repaired)
-}
-
-// ScrubTotals returns the cumulative scrub counters.
-func (m *Metrics) ScrubTotals() (cycles, checked, quarantined, repaired int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.scrubCycles, m.scrubChecked, m.scrubCorrupt, m.scrubRepaired
-}
-
-// ObserveProbeFailure records one failed post-scrub health probe.
-func (m *Metrics) ObserveProbeFailure() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.probeFailures++
-}
-
-// ProbeFailures returns the failed-probe count.
-func (m *Metrics) ProbeFailures() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.probeFailures
-}
-
-// Observe records one served request.
-func (m *Metrics) Observe(endpoint string, status int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	es := m.stats(endpoint)
-	es.requests++
+// observe records one served request.
+func (es *endpointStats) observe(status int, d time.Duration) {
+	i := es.served.Add(1) - 1
+	es.latency[i%latencyWindow].Store(int64(d))
 	if status >= 500 {
-		es.errors++
-	}
-	es.latencies[es.next] = d
-	es.next = (es.next + 1) % latencyWindow
-	if es.n < latencyWindow {
-		es.n++
+		es.errors.Add(1)
 	}
 }
 
-// ObserveShed records one admission refusal. Sheds count as requests
-// but not as errors — a deliberate 429/503 refusal is the protection
-// working, not the service failing — and their (near-zero) latencies
-// are kept out of the quantile window so shedding cannot flatter the
-// latency a served request actually sees.
-func (m *Metrics) ObserveShed(endpoint string, status int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	es := m.stats(endpoint)
-	es.requests++
-	es.sheds++
-}
+// seen reports whether the endpoint has served or shed a request; an
+// endpoint that has not prints no samples.
+func (es *endpointStats) seen() bool { return es.served.Load() > 0 || es.sheds.Load() > 0 }
 
-// Sheds returns an endpoint's admission-refusal count.
-func (m *Metrics) Sheds(endpoint string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	es := m.endpoints[endpoint]
-	if es == nil {
-		return 0
+// window returns the last ≤latencyWindow served latencies, sorted, in
+// buf's storage. It takes no lock: a scrape that races a request may
+// read that request's slot before its store lands, and so see the
+// latency the slot held before (or zero).
+func (es *endpointStats) window(buf []time.Duration) []time.Duration {
+	buf = buf[:0]
+	for i := range min(es.served.Load(), latencyWindow) {
+		buf = append(buf, time.Duration(es.latency[i].Load()))
 	}
-	return es.sheds
+	slices.Sort(buf)
+	return buf
 }
-
-// stats returns (allocating if needed) an endpoint's entry. Callers
-// hold m.mu.
-func (m *Metrics) stats(endpoint string) *endpointStats {
-	es := m.endpoints[endpoint]
-	if es == nil {
-		es = &endpointStats{}
-		m.endpoints[endpoint] = es
-	}
-	return es
-}
-
-// ObserveBulk records one completed /v1/bulk stream: how many input
-// lines it carried, how many produced per-line error objects, and how
-// long the stream ran.
-func (m *Metrics) ObserveBulk(lines, errLines int64, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.bulkRequests++
-	m.bulkLines += lines
-	m.bulkErrLines += errLines
-	m.bulkDuration += d
-}
-
-// BulkTotals returns the cumulative bulk counters (for tests).
-func (m *Metrics) BulkTotals() (requests, lines, errLines int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bulkRequests, m.bulkLines, m.bulkErrLines
-}
-
-// ObserveReload records a reload outcome.
-func (m *Metrics) ObserveReload(ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		m.reloadOK++
-	} else {
-		m.reloadErr++
-	}
-}
-
-// ObserveLoad records how long a successful snapshot load took and
-// which mode produced it (LoadModeFull, LoadModeBinary, LoadModeDelta).
-func (m *Metrics) ObserveLoad(mode string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lastLoad = d
-	m.lastLoadMode = mode
-}
-
-// LastLoad returns the most recent snapshot load's mode and duration
-// ("" before any load is observed).
-func (m *Metrics) LastLoad() (mode string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastLoadMode, m.lastLoad
-}
-
-// Reloads returns the success and failure counts.
-func (m *Metrics) Reloads() (ok, failed int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reloadOK, m.reloadErr
-}
-
-// Requests returns an endpoint's request count.
-func (m *Metrics) Requests(endpoint string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	es := m.endpoints[endpoint]
-	if es == nil {
-		return 0
-	}
-	return es.requests
-}
-
-// quantiles reported on /metrics.
-var quantileLevels = []float64{0.5, 0.9, 0.99}
 
 // quantile returns the q-th latency quantile of a sorted sample.
 func quantile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
-// WriteTo renders the registry in the Prometheus text exposition
-// format. The snapshot gauges come from snap (may be nil before the
-// first load) evaluated at now.
-func (m *Metrics) WriteTo(w io.Writer, snap *Snapshot, now time.Time) {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// loadRecord is the most recent successful snapshot load: its mode
+// (LoadModeFull, LoadModeBinary, LoadModeDelta) and duration,
+// published together.
+type loadRecord struct {
+	mode string
+	d    time.Duration
+}
 
-	fmt.Fprintf(w, "# HELP borgesd_requests_total Requests served, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_requests_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(w, "borgesd_requests_total{endpoint=%q} %d\n", name, m.endpoints[name].requests)
+// serverMetrics is the server's own accounting. Every counter is an
+// atomic, and endpoints is fixed once NewServer returns, so recording
+// takes no lock and a scrape blocks no request.
+type serverMetrics struct {
+	endpoints []*endpointStats // sorted by name
+	reloadOK  atomic.Int64
+	reloadErr atomic.Int64
+	lastLoad  atomic.Pointer[loadRecord]
+	// Bulk streaming counters: requests completed, input lines
+	// processed, lines answered with a per-line error object, and the
+	// summed streaming time; lines over time is the lifetime sustained
+	// throughput gauge.
+	bulkRequests atomic.Int64
+	bulkLines    atomic.Int64
+	bulkErrLines atomic.Int64
+	bulkNanos    atomic.Int64
+	// Storage-integrity counters: canary-refused swaps, rollbacks by
+	// trigger, failed best-effort snapshot persists, and the background
+	// scrubber's accounting.
+	canaryRejects  atomic.Int64
+	rollbacksAdmin atomic.Int64
+	rollbacksAuto  atomic.Int64
+	persistErrors  atomic.Int64
+	scrubCycles    atomic.Int64
+	scrubChecked   atomic.Int64
+	scrubCorrupt   atomic.Int64
+	scrubRepaired  atomic.Int64
+	probeFailures  atomic.Int64
+}
+
+// endpoint returns the named endpoint's stats, adding them in name
+// order on first use. NewServer adds every endpoint before it serves a
+// request; after that, endpoint only finds them.
+func (m *serverMetrics) endpoint(name string) *endpointStats {
+	i, found := slices.BinarySearchFunc(m.endpoints, name, func(es *endpointStats, name string) int {
+		return strings.Compare(es.name, name)
+	})
+	if !found {
+		m.endpoints = slices.Insert(m.endpoints, i, &endpointStats{name: name})
 	}
-	fmt.Fprintf(w, "# HELP borgesd_errors_total Responses with status >= 500, by endpoint (admission sheds excluded).\n")
-	fmt.Fprintf(w, "# TYPE borgesd_errors_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(w, "borgesd_errors_total{endpoint=%q} %d\n", name, m.endpoints[name].errors)
+	return m.endpoints[i]
+}
+
+// observeRollback counts one completed rollback by its trigger.
+func (m *serverMetrics) observeRollback(trigger string) {
+	switch trigger {
+	case "admin":
+		m.rollbacksAdmin.Add(1)
+	case "auto":
+		m.rollbacksAuto.Add(1)
 	}
-	fmt.Fprintf(w, "# HELP borgesd_sheds_total Requests refused by admission control (429/503 with Retry-After), by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_sheds_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(w, "borgesd_sheds_total{endpoint=%q} %d\n", name, m.endpoints[name].sheds)
+}
+
+// registerMetrics declares the server's request, reload, storage and
+// snapshot families on its registry. The snapshot gauges read the
+// serving snapshot at scrape time, so they are always current.
+func (s *Server) registerMetrics() {
+	m, reg := &s.metrics, &s.registry
+	perEndpoint := func(name, help string, value func(*endpointStats) float64) {
+		reg.Add(name, obs.Counter, help, func(emit obs.Emit) {
+			for _, es := range m.endpoints {
+				if es.seen() {
+					emit(value(es), "endpoint", es.name)
+				}
+			}
+		})
 	}
-	fmt.Fprintf(w, "# HELP borgesd_request_latency_seconds Request latency quantiles over a sliding window.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_request_latency_seconds summary\n")
-	for _, name := range names {
-		es := m.endpoints[name]
-		sample := make([]time.Duration, es.n)
-		copy(sample, es.latencies[:es.n])
-		sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-		for _, q := range quantileLevels {
-			fmt.Fprintf(w, "borgesd_request_latency_seconds{endpoint=%q,quantile=\"%g\"} %.9f\n",
-				name, q, quantile(sample, q).Seconds())
+	perEndpoint("borgesd_requests_total", "Requests served, by endpoint.",
+		func(es *endpointStats) float64 { return float64(es.served.Load()) + float64(es.sheds.Load()) })
+	perEndpoint("borgesd_errors_total", "Responses with status >= 500, by endpoint (admission sheds excluded).",
+		func(es *endpointStats) float64 { return float64(es.errors.Load()) })
+	perEndpoint("borgesd_sheds_total", "Requests refused by admission control (429/503 with Retry-After), by endpoint.",
+		func(es *endpointStats) float64 { return float64(es.sheds.Load()) })
+	reg.Add("borgesd_request_latency_seconds", obs.Summary, "Request latency quantiles over a sliding window.", func(emit obs.Emit) {
+		buf := make([]time.Duration, 0, latencyWindow)
+		for _, es := range m.endpoints {
+			if !es.seen() {
+				continue
+			}
+			buf = es.window(buf)
+			for _, q := range [...]float64{0.5, 0.9, 0.99} {
+				emit(quantile(buf, q).Seconds(), "endpoint", es.name, "quantile", strconv.FormatFloat(q, 'g', -1, 64))
+			}
 		}
-	}
-	fmt.Fprintf(w, "# HELP borgesd_bulk_requests_total Completed /v1/bulk streams.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_bulk_requests_total counter\n")
-	fmt.Fprintf(w, "borgesd_bulk_requests_total %d\n", m.bulkRequests)
-	fmt.Fprintf(w, "# HELP borgesd_bulk_lines_total Input lines processed by /v1/bulk.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_bulk_lines_total counter\n")
-	fmt.Fprintf(w, "borgesd_bulk_lines_total %d\n", m.bulkLines)
-	fmt.Fprintf(w, "# HELP borgesd_bulk_error_lines_total Bulk lines answered with a per-line error object (malformed or unmapped).\n")
-	fmt.Fprintf(w, "# TYPE borgesd_bulk_error_lines_total counter\n")
-	fmt.Fprintf(w, "borgesd_bulk_error_lines_total %d\n", m.bulkErrLines)
-	bulkRate := 0.0
-	if m.bulkDuration > 0 {
-		bulkRate = float64(m.bulkLines) / m.bulkDuration.Seconds()
-	}
-	fmt.Fprintf(w, "# HELP borgesd_bulk_lines_per_second Lifetime sustained bulk throughput (lines / total streaming time).\n")
-	fmt.Fprintf(w, "# TYPE borgesd_bulk_lines_per_second gauge\n")
-	fmt.Fprintf(w, "borgesd_bulk_lines_per_second %.3f\n", bulkRate)
-	var bulkSheds int64
-	if es := m.endpoints["bulk"]; es != nil {
-		bulkSheds = es.sheds
-	}
-	fmt.Fprintf(w, "# HELP borgesd_bulk_sheds_total Bulk requests refused by admission control.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_bulk_sheds_total counter\n")
-	fmt.Fprintf(w, "borgesd_bulk_sheds_total %d\n", bulkSheds)
-	fmt.Fprintf(w, "# HELP borgesd_reloads_total Snapshot reload attempts, by result.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_reloads_total counter\n")
-	fmt.Fprintf(w, "borgesd_reloads_total{result=\"success\"} %d\n", m.reloadOK)
-	fmt.Fprintf(w, "borgesd_reloads_total{result=\"failure\"} %d\n", m.reloadErr)
-	if m.lastLoadMode != "" {
-		fmt.Fprintf(w, "# HELP borgesd_snapshot_load_seconds Duration of the most recent snapshot load, by mode.\n")
-		fmt.Fprintf(w, "# TYPE borgesd_snapshot_load_seconds gauge\n")
-		fmt.Fprintf(w, "borgesd_snapshot_load_seconds{mode=%q} %.9f\n", m.lastLoadMode, m.lastLoad.Seconds())
-	}
-	fmt.Fprintf(w, "# HELP borgesd_canary_rejects_total Snapshot swaps refused by the pre-promotion canary.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_canary_rejects_total counter\n")
-	fmt.Fprintf(w, "borgesd_canary_rejects_total %d\n", m.canaryRejects)
-	fmt.Fprintf(w, "# HELP borgesd_rollbacks_total Completed rollbacks to a previous verified generation, by trigger.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_rollbacks_total counter\n")
-	for _, trigger := range []string{"admin", "auto"} {
-		fmt.Fprintf(w, "borgesd_rollbacks_total{trigger=%q} %d\n", trigger, m.rollbacks[trigger])
-	}
-	fmt.Fprintf(w, "# HELP borgesd_snapshot_persist_errors_total Failed best-effort snapshot persists (generation ring or -snapshot-out) after a successful swap.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_snapshot_persist_errors_total counter\n")
-	fmt.Fprintf(w, "borgesd_snapshot_persist_errors_total %d\n", m.persistErrors)
-	fmt.Fprintf(w, "# HELP borgesd_scrub_cycles_total Completed background integrity scrub cycles.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_scrub_cycles_total counter\n")
-	fmt.Fprintf(w, "borgesd_scrub_cycles_total %d\n", m.scrubCycles)
-	fmt.Fprintf(w, "# HELP borgesd_scrub_checked_total Artifacts integrity-checked by the scrubber.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_scrub_checked_total counter\n")
-	fmt.Fprintf(w, "borgesd_scrub_checked_total %d\n", m.scrubChecked)
-	fmt.Fprintf(w, "# HELP borgesd_scrub_corrupt_total Corrupt artifacts found and quarantined by the scrubber.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_scrub_corrupt_total counter\n")
-	fmt.Fprintf(w, "borgesd_scrub_corrupt_total %d\n", m.scrubCorrupt)
-	fmt.Fprintf(w, "# HELP borgesd_scrub_repaired_total Corrupt artifacts rewritten from an authoritative copy by the scrubber.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_scrub_repaired_total counter\n")
-	fmt.Fprintf(w, "borgesd_scrub_repaired_total %d\n", m.scrubRepaired)
-	fmt.Fprintf(w, "# HELP borgesd_probe_failures_total Failed post-scrub health probes of the serving snapshot.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_probe_failures_total counter\n")
-	fmt.Fprintf(w, "borgesd_probe_failures_total %d\n", m.probeFailures)
-	m.mu.Unlock()
+	})
+	reg.Counter("borgesd_bulk_requests_total", "Completed /v1/bulk streams.", obs.Int64(&m.bulkRequests))
+	reg.Counter("borgesd_bulk_lines_total", "Input lines processed by /v1/bulk.", obs.Int64(&m.bulkLines))
+	reg.Counter("borgesd_bulk_error_lines_total", "Bulk lines answered with a per-line error object (malformed or unmapped).", obs.Int64(&m.bulkErrLines))
+	reg.Gauge("borgesd_bulk_lines_per_second", "Lifetime sustained bulk throughput (lines / total streaming time).", func() float64 {
+		if d := time.Duration(m.bulkNanos.Load()); d > 0 {
+			return float64(m.bulkLines.Load()) / d.Seconds()
+		}
+		return 0
+	})
+	bulk := m.endpoint("bulk")
+	reg.Counter("borgesd_bulk_sheds_total", "Bulk requests refused by admission control.", obs.Int64(&bulk.sheds))
+	reg.Add("borgesd_reloads_total", obs.Counter, "Snapshot reload attempts, by result.", func(emit obs.Emit) {
+		emit(float64(m.reloadOK.Load()), "result", "success")
+		emit(float64(m.reloadErr.Load()), "result", "failure")
+	})
+	reg.Add("borgesd_snapshot_load_seconds", obs.Gauge, "Duration of the most recent snapshot load, by mode.", func(emit obs.Emit) {
+		if l := m.lastLoad.Load(); l != nil {
+			emit(l.d.Seconds(), "mode", l.mode)
+		}
+	})
+	reg.Counter("borgesd_canary_rejects_total", "Snapshot swaps refused by the pre-promotion canary.", obs.Int64(&m.canaryRejects))
+	reg.Add("borgesd_rollbacks_total", obs.Counter, "Completed rollbacks to a previous verified generation, by trigger.", func(emit obs.Emit) {
+		emit(float64(m.rollbacksAdmin.Load()), "trigger", "admin")
+		emit(float64(m.rollbacksAuto.Load()), "trigger", "auto")
+	})
+	reg.Counter("borgesd_snapshot_persist_errors_total", "Failed best-effort snapshot persists (generation ring or -snapshot-out) after a successful swap.", obs.Int64(&m.persistErrors))
+	reg.Counter("borgesd_scrub_cycles_total", "Completed background integrity scrub cycles.", obs.Int64(&m.scrubCycles))
+	reg.Counter("borgesd_scrub_checked_total", "Artifacts integrity-checked by the scrubber.", obs.Int64(&m.scrubChecked))
+	reg.Counter("borgesd_scrub_corrupt_total", "Corrupt artifacts found and quarantined by the scrubber.", obs.Int64(&m.scrubCorrupt))
+	reg.Counter("borgesd_scrub_repaired_total", "Corrupt artifacts rewritten from an authoritative copy by the scrubber.", obs.Int64(&m.scrubRepaired))
+	reg.Counter("borgesd_probe_failures_total", "Failed post-scrub health probes of the serving snapshot.", obs.Int64(&m.probeFailures))
 
-	if snap == nil {
-		return
-	}
-	st := snap.Stats()
-	fmt.Fprintf(w, "# HELP borgesd_snapshot_age_seconds Seconds since the serving snapshot was built.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_snapshot_age_seconds gauge\n")
-	fmt.Fprintf(w, "borgesd_snapshot_age_seconds %.3f\n", now.Sub(snap.LoadedAt()).Seconds())
-	fmt.Fprintf(w, "# HELP borgesd_snapshot_orgs Organizations in the serving snapshot.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_snapshot_orgs gauge\n")
-	fmt.Fprintf(w, "borgesd_snapshot_orgs %d\n", st.Orgs)
-	fmt.Fprintf(w, "# HELP borgesd_snapshot_asns Networks covered by the serving snapshot.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_snapshot_asns gauge\n")
-	fmt.Fprintf(w, "borgesd_snapshot_asns %d\n", st.ASNs)
-	fmt.Fprintf(w, "# HELP borgesd_snapshot_theta Normalised Organization Factor of the serving snapshot.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_snapshot_theta gauge\n")
-	fmt.Fprintf(w, "borgesd_snapshot_theta %.6f\n", st.Theta)
-	h := snap.Health()
-	degraded := 0
-	if h.Status != HealthOK {
-		degraded = 1
-	}
-	fmt.Fprintf(w, "# HELP borgesd_snapshot_degraded Whether the run that produced the serving snapshot quarantined work (1) or completed cleanly (0).\n")
-	fmt.Fprintf(w, "# TYPE borgesd_snapshot_degraded gauge\n")
-	fmt.Fprintf(w, "borgesd_snapshot_degraded %d\n", degraded)
-	fmt.Fprintf(w, "# HELP borgesd_snapshot_quarantined Items quarantined by the run that produced the serving snapshot.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_snapshot_quarantined gauge\n")
-	fmt.Fprintf(w, "borgesd_snapshot_quarantined %d\n", h.Quarantined)
-	fmt.Fprintf(w, "# HELP borgesd_snapshot_info Serving snapshot identity: content hash and load mode (value is always 1).\n")
-	fmt.Fprintf(w, "# TYPE borgesd_snapshot_info gauge\n")
-	fmt.Fprintf(w, "borgesd_snapshot_info{hash=%q,mode=%q} 1\n", snap.ContentHash(), snap.LoadMode())
+	reg.Gauge("borgesd_snapshot_age_seconds", "Seconds since the serving snapshot was built.", func() float64 {
+		return s.opts.now().Sub(s.snap.Load().LoadedAt()).Seconds()
+	})
+	reg.Gauge("borgesd_snapshot_orgs", "Organizations in the serving snapshot.", func() float64 {
+		return float64(s.snap.Load().Stats().Orgs)
+	})
+	reg.Gauge("borgesd_snapshot_asns", "Networks covered by the serving snapshot.", func() float64 {
+		return float64(s.snap.Load().Stats().ASNs)
+	})
+	reg.Gauge("borgesd_snapshot_theta", "Normalised Organization Factor of the serving snapshot.", func() float64 {
+		return s.snap.Load().Stats().Theta
+	})
+	reg.Gauge("borgesd_snapshot_degraded", "Whether the run that produced the serving snapshot quarantined work (1) or completed cleanly (0).", func() float64 {
+		if s.snap.Load().Health().Status != HealthOK {
+			return 1
+		}
+		return 0
+	})
+	reg.Gauge("borgesd_snapshot_quarantined", "Items quarantined by the run that produced the serving snapshot.", func() float64 {
+		return float64(s.snap.Load().Health().Quarantined)
+	})
+	reg.Add("borgesd_snapshot_info", obs.Gauge, "Serving snapshot identity: content hash and load mode (value is always 1).", func(emit obs.Emit) {
+		snap := s.snap.Load()
+		emit(1, "hash", snap.ContentHash(), "mode", snap.LoadMode())
+	})
 }

@@ -436,7 +436,7 @@ func TestShedsExcludedFromErrorMetrics(t *testing.T) {
 	holding.Store(false)
 	<-done
 
-	if got := srv.Metrics().Sheds("search"); got != 1 {
+	if got := srv.metrics.endpoint("search").sheds.Load(); got != 1 {
 		t.Fatalf("Sheds(search) = %d, want 1", got)
 	}
 	rec := do(t, srv, "GET", "/metrics", nil)

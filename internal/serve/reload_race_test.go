@@ -165,7 +165,7 @@ hammer:
 	if served.Load() == 0 {
 		t.Fatal("no lookups served during the hammer")
 	}
-	ok, failed := srv.Metrics().Reloads()
+	ok, failed := srv.metrics.reloadOK.Load(), srv.metrics.reloadErr.Load()
 	if ok != reloads || failed != 0 {
 		t.Fatalf("reload counters = %d/%d, want %d/0", ok, failed, reloads)
 	}
@@ -293,7 +293,7 @@ func TestConcurrentReloadsSerialize(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	ok, failed := srv.Metrics().Reloads()
+	ok, failed := srv.metrics.reloadOK.Load(), srv.metrics.reloadErr.Load()
 	if ok != 16 || failed != 0 {
 		t.Fatalf("reload counters = %d/%d, want 16/0", ok, failed)
 	}

@@ -98,7 +98,7 @@ func (s *Server) scrubSnapshotOut(ctx context.Context) ScrubResult {
 		s.logf(`{"event":"snapshot_out_quarantine","path":%q}`, path)
 	}
 	if _, err := WriteSnapshotFileFS(fsys, path, s.snap.Load()); err != nil {
-		s.metrics.ObservePersistError()
+		s.metrics.persistErrors.Add(1)
 		s.logf(`{"event":"snapshot_out_repair","ok":false,"error":%q}`, err.Error())
 		res.Err = err
 		return res
@@ -127,13 +127,16 @@ func (s *Server) ScrubOnce(ctx context.Context) ScrubSummary {
 				t.ScrubName(), res.Checked, res.Quarantined, res.Repaired)
 		}
 	}
-	s.metrics.ObserveScrub(sum.Checked, sum.Quarantined, sum.Repaired)
+	s.metrics.scrubCycles.Add(1)
+	s.metrics.scrubChecked.Add(int64(sum.Checked))
+	s.metrics.scrubCorrupt.Add(int64(sum.Quarantined))
+	s.metrics.scrubRepaired.Add(int64(sum.Repaired))
 
 	sum.ProbeErr = s.probe()
 	if sum.ProbeErr == nil {
 		return sum
 	}
-	s.metrics.ObserveProbeFailure()
+	s.metrics.probeFailures.Add(1)
 	s.logf(`{"event":"health_probe","ok":false,"error":%q}`, sum.ProbeErr.Error())
 	if s.opts.Generations == nil {
 		sum.RollbackErr = ErrNoVerifiedGeneration

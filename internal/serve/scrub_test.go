@@ -56,7 +56,7 @@ func TestScrubQuarantinesExactlyOnce(t *testing.T) {
 	if sum.Quarantined != 0 {
 		t.Fatalf("second cycle Quarantined = %d, want 0 (exactly-once)", sum.Quarantined)
 	}
-	_, checked, corrupt, _ := srv.Metrics().ScrubTotals()
+	checked, corrupt := srv.metrics.scrubChecked.Load(), srv.metrics.scrubCorrupt.Load()
 	if corrupt != 1 {
 		t.Fatalf("scrub corrupt total = %d, want 1", corrupt)
 	}
@@ -149,10 +149,10 @@ func TestScrubProbeFailureAutoRollback(t *testing.T) {
 	if got := srv.Snapshot().ContentHash(); got != v1.ContentHash() {
 		t.Fatalf("serving %s after auto rollback, want v1 %s", got, v1.ContentHash())
 	}
-	if n := srv.Metrics().Rollbacks("auto"); n != 1 {
+	if n := srv.metrics.rollbacksAuto.Load(); n != 1 {
 		t.Fatalf(`Rollbacks("auto") = %d, want 1`, n)
 	}
-	if n := srv.Metrics().ProbeFailures(); n != 1 {
+	if n := srv.metrics.probeFailures.Load(); n != 1 {
 		t.Fatalf("ProbeFailures = %d, want 1", n)
 	}
 	// The next cycle probes v1, which is healthy: no further rollback.
@@ -212,7 +212,7 @@ func TestSnapshotPersistErrorKeepsServing(t *testing.T) {
 	if srv.Snapshot().ContentHash() != v2.ContentHash() {
 		t.Fatal("swap did not promote v2")
 	}
-	if n := srv.Metrics().PersistErrors(); n != 1 {
+	if n := srv.metrics.persistErrors.Load(); n != 1 {
 		t.Fatalf("PersistErrors = %d, want 1", n)
 	}
 	if n := ffs.Stats().Injected; n == 0 {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -20,6 +19,7 @@ import (
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
 	"github.com/nu-aqualab/borges/internal/mapdiff"
+	"github.com/nu-aqualab/borges/internal/obs"
 	"github.com/nu-aqualab/borges/internal/snapbin"
 	"github.com/nu-aqualab/borges/internal/vfs"
 )
@@ -124,11 +124,6 @@ type Options struct {
 	// distributors use it to publish artifacts; -snapshot-out uses it
 	// to persist the latest snapshot for the next cold start.
 	OnSwap func(*Snapshot)
-	// ExtraMetrics, when non-nil, appends additional Prometheus text
-	// blocks to every /metrics response after the server's own series —
-	// how the fleet layer exports borgesd_fleet_* without the serve
-	// package knowing about it.
-	ExtraMetrics func(io.Writer)
 	// Canary tunes the pre-promotion check gating every snapshot swap.
 	// The zero value is on with defaults; set Canary.Disable to promote
 	// unchecked.
@@ -174,9 +169,12 @@ type Options struct {
 // reload never tears a response or drops an in-flight request.
 type Server struct {
 	snap    atomic.Pointer[Snapshot]
-	metrics *Metrics
-	opts    Options
-	mux     *http.ServeMux
+	metrics serverMetrics
+	// registry renders /metrics: the server's own families, then any
+	// a caller adds through Registry (the fleet's borgesd_fleet_*).
+	registry obs.Registry
+	opts     Options
+	mux      *http.ServeMux
 	// admission is the overload-protection layer (nil = disabled). It
 	// lives on the Server, not the Snapshot: limiter state, client
 	// buckets, and shed counters survive hot reloads by construction.
@@ -211,7 +209,6 @@ func NewServer(snap *Snapshot, opts Options) (*Server, error) {
 		opts.WatchBuffer = defaultWatchBuffer
 	}
 	s := &Server{
-		metrics:   NewMetrics(),
 		opts:      opts,
 		mux:       http.NewServeMux(),
 		reloading: make(chan struct{}, 1),
@@ -223,6 +220,15 @@ func NewServer(snap *Snapshot, opts Options) (*Server, error) {
 			cfg.Now = opts.now
 		}
 		s.admission = admission.New(cfg)
+	}
+	s.registerMetrics()
+	if ring := opts.Generations; ring != nil {
+		ring.register(&s.registry)
+	}
+	s.watch.register(&s.registry)
+	registerMemMetrics(&s.registry)
+	if s.admission != nil {
+		s.admission.Register(&s.registry)
 	}
 	s.snap.Store(snap)
 	// Whatever made the snapshot is garbage now; see collectRetired.
@@ -257,8 +263,9 @@ func NewServer(snap *Snapshot, opts Options) (*Server, error) {
 // Snapshot returns the currently served snapshot.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Metrics returns the server's metrics registry.
-func (s *Server) Metrics() *Metrics { return s.metrics }
+// Registry returns the registry /metrics renders. A family added to it
+// after NewServer prints after the server's own.
+func (s *Server) Registry() *obs.Registry { return &s.registry }
 
 // Admission returns the overload-protection controller, or nil when
 // admission control is disabled.
@@ -364,7 +371,7 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 		// reachable from a serving path. A hash-valid but logically
 		// poisoned artifact dies here, not in production traffic.
 		if cerr := canaryCheck(next, old, s.opts.Canary); cerr != nil {
-			s.metrics.ObserveCanaryReject()
+			s.metrics.canaryRejects.Add(1)
 			err = cerr
 		}
 	}
@@ -374,7 +381,7 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 		if next != nil && next != old {
 			collectRetired()
 		}
-		s.metrics.ObserveReload(false)
+		s.metrics.reloadErr.Add(1)
 		s.logf(`{"event":"reload","ok":false,"error":%q}`, err.Error())
 		return nil, err
 	}
@@ -394,8 +401,8 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 	}
 	s.persistSwap(next)
 	d := s.opts.now().Sub(start)
-	s.metrics.ObserveReload(true)
-	s.metrics.ObserveLoad(next.LoadMode(), d)
+	s.metrics.reloadOK.Add(1)
+	s.metrics.lastLoad.Store(&loadRecord{mode: next.LoadMode(), d: d})
 	s.logf(`{"event":"reload","ok":true,"mode":%q,"hash":%q,"health":%q,"orgs":%d,"asns":%d,"theta":%.6f,"load_us":%d}`,
 		next.LoadMode(), next.ContentHash(), next.Health().Status,
 		next.Stats().Orgs, next.Stats().ASNs, next.Stats().Theta, d.Microseconds())
@@ -432,7 +439,7 @@ func collectRetired() { go runtime.GC() }
 func (s *Server) persistSwap(next *Snapshot) {
 	if ring := s.opts.Generations; ring != nil {
 		if gen, err := ring.Record(next, s.opts.now()); err != nil {
-			s.metrics.ObservePersistError()
+			s.metrics.persistErrors.Add(1)
 			s.logf(`{"event":"generation_record","ok":false,"error":%q}`, err.Error())
 		} else {
 			_ = gen
@@ -440,7 +447,7 @@ func (s *Server) persistSwap(next *Snapshot) {
 	}
 	if s.opts.SnapshotOut != "" {
 		if _, err := WriteSnapshotFileFS(s.fs(), s.opts.SnapshotOut, next); err != nil {
-			s.metrics.ObservePersistError()
+			s.metrics.persistErrors.Add(1)
 			s.logf(`{"event":"snapshot_persist","ok":false,"path":%q,"error":%q}`, s.opts.SnapshotOut, err.Error())
 		} else {
 			s.logf(`{"event":"snapshot_persist","ok":true,"path":%q,"hash":%q}`, s.opts.SnapshotOut, next.ContentHash())
@@ -473,7 +480,7 @@ func (s *Server) Rollback(ctx context.Context, trigger string) (*Snapshot, Gener
 	if err != nil {
 		return nil, Generation{}, err
 	}
-	s.metrics.ObserveRollback(trigger)
+	s.metrics.observeRollback(trigger)
 	s.logf(`{"event":"rollback","trigger":%q,"seq":%d,"hash":%q}`, trigger, gen.Seq, gen.Hash)
 	return snap, gen, nil
 }
@@ -523,8 +530,11 @@ func (w *statusWriter) Flush() {
 // bulk pass over a million lines or a watch held open for hours is the
 // intended behaviour, not a hung request. Those handlers bound
 // themselves (body size caps, line caps, hub shutdown) and extend the
-// connection's read/write deadlines as they make progress.
+// connection's read/write deadlines as they make progress. The
+// endpoint's stats are resolved here, once, and a log line is built
+// only when a logger is set.
 func (s *Server) instrument(endpoint string, class admission.Class, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
+	es := s.metrics.endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if timeout > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -538,9 +548,14 @@ func (s *Server) instrument(endpoint string, class admission.Class, timeout time
 			if !dec.Admitted {
 				writeRetryableError(sw, dec.Status, dec.RetryAfter,
 					"overloaded: request shed (%s), retry later", dec.Reason)
-				s.metrics.ObserveShed(endpoint, sw.status)
-				s.logf(`{"event":"shed","endpoint":%q,"class":%q,"reason":%q,"status":%d,"retry_after_s":%d}`,
-					endpoint, class, dec.Reason, sw.status, int(dec.RetryAfter.Seconds()))
+				// A shed counts as a request but not as an error, and its
+				// latency stays out of the window, so shedding cannot
+				// flatter the latency a served request sees.
+				es.sheds.Add(1)
+				if s.opts.Logf != nil {
+					s.opts.Logf(`{"event":"shed","endpoint":%q,"class":%q,"reason":%q,"status":%d,"retry_after_s":%d}`,
+						endpoint, class, dec.Reason, sw.status, int(dec.RetryAfter.Seconds()))
+				}
 				return
 			}
 			defer func() { release(s.opts.now().Sub(start)) }()
@@ -553,9 +568,11 @@ func (s *Server) instrument(endpoint string, class admission.Class, timeout time
 			sw.status = http.StatusOK
 		}
 		d := s.opts.now().Sub(start)
-		s.metrics.Observe(endpoint, sw.status, d)
-		s.logf(`{"event":"request","endpoint":%q,"method":%q,"path":%q,"status":%d,"duration_us":%d}`,
-			endpoint, r.Method, r.URL.RequestURI(), sw.status, d.Microseconds())
+		es.observe(sw.status, d)
+		if s.opts.Logf != nil {
+			s.opts.Logf(`{"event":"request","endpoint":%q,"method":%q,"path":%q,"status":%d,"duration_us":%d}`,
+				endpoint, r.Method, r.URL.RequestURI(), sw.status, d.Microseconds())
+		}
 	}
 }
 
@@ -893,23 +910,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WriteTo(w, s.snap.Load(), s.opts.now())
-	if ring := s.opts.Generations; ring != nil {
-		fmt.Fprintf(w, "# HELP borgesd_snapshot_generations Verified snapshot generations held by the rollback ring.\n")
-		fmt.Fprintf(w, "# TYPE borgesd_snapshot_generations gauge\n")
-		fmt.Fprintf(w, "borgesd_snapshot_generations %d\n", ring.Len())
-		fmt.Fprintf(w, "# HELP borgesd_generations_quarantined_total Ring artifacts quarantined as corrupt (renamed to .corrupt).\n")
-		fmt.Fprintf(w, "# TYPE borgesd_generations_quarantined_total counter\n")
-		fmt.Fprintf(w, "borgesd_generations_quarantined_total %d\n", ring.QuarantinedTotal())
-	}
-	s.watch.writeMetrics(w)
-	writeMemMetrics(w)
-	if s.admission != nil {
-		s.admission.WriteMetrics(w)
-	}
-	if s.opts.ExtraMetrics != nil {
-		s.opts.ExtraMetrics(w)
-	}
+	_, _ = s.registry.WriteTo(w) // a failed write means the scraper left
 }
 
 // Serve listens on addr and serves snap until ctx is cancelled, then

@@ -238,7 +238,7 @@ func TestHandleReload(t *testing.T) {
 	if srv.Snapshot() != before {
 		t.Fatal("empty-mapping reload swapped the snapshot")
 	}
-	ok, failed := srv.Metrics().Reloads()
+	ok, failed := srv.metrics.reloadOK.Load(), srv.metrics.reloadErr.Load()
 	if ok != 1 || failed != 2 {
 		t.Fatalf("reload counters = %d ok / %d failed, want 1/2", ok, failed)
 	}

@@ -3,8 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"github.com/nu-aqualab/borges/internal/mapdiff"
+	"github.com/nu-aqualab/borges/internal/obs"
 )
 
 // WatchEvent is one /v1/watch stream event: a snapshot swap described
@@ -294,15 +293,12 @@ func writeSSE(w http.ResponseWriter, event string, ev *WatchEvent) error {
 	return err
 }
 
-// writeMetrics appends the hub's Prometheus block to the /metrics
-// response.
-func (h *watchHub) writeMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP borgesd_watch_subscribers Connected /v1/watch streams.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_watch_subscribers gauge\n")
-	fmt.Fprintf(w, "borgesd_watch_subscribers %d\n", h.subscribers())
-	fmt.Fprintf(w, "# HELP borgesd_watch_evictions_total Slow /v1/watch subscribers evicted for a full event queue.\n")
-	fmt.Fprintf(w, "# TYPE borgesd_watch_evictions_total counter\n")
-	fmt.Fprintf(w, "borgesd_watch_evictions_total %d\n", h.evictions.Load())
+// register declares the hub's families.
+func (h *watchHub) register(reg *obs.Registry) {
+	reg.Gauge("borgesd_watch_subscribers", "Connected /v1/watch streams.", func() float64 {
+		return float64(h.subscribers())
+	})
+	reg.Counter("borgesd_watch_evictions_total", "Slow /v1/watch subscribers evicted for a full event queue.", obs.Int64(&h.evictions))
 }
 
 // WatchEvictions returns how many slow /v1/watch subscribers the
