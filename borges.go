@@ -305,15 +305,11 @@ type (
 	Snapshot = serve.Snapshot
 	// SnapshotStats are a snapshot's precomputed corpus statistics.
 	SnapshotStats = serve.Stats
-	// SnapshotSource produces replacement mappings for hot reloads.
-	SnapshotSource = serve.Source
-	// SnapshotHealthSource produces replacement mappings together with
-	// the producing run's health, so degradation travels with the
-	// snapshot through hot reloads.
-	SnapshotHealthSource = serve.HealthSource
 	// PreparedSnapshotSource delivers ready-made snapshots — decoded
-	// binary artifacts or pre-built indexes — skipping the in-server
-	// rebuild on reload.
+	// binary artifacts, snapshots built from a mapping file or a
+	// pipeline run — and is the only way a full hot reload gets its
+	// next snapshot (ServeOptions.Prepared). The snapshot carries its
+	// own label and health.
 	PreparedSnapshotSource = serve.PreparedSource
 	// MappingDeltaSource supplies mapping deltas for incremental
 	// (mode=delta) reloads.
@@ -322,10 +318,10 @@ type (
 	// mapping ("ok" vs "degraded"), surfaced by /healthz, /v1/stats,
 	// and /metrics.
 	SnapshotHealth = serve.Health
-	// ServeOptions tune a lookup server (reload source, per-request
-	// timeout, structured logging, overload protection, and
-	// BuildWorkers — the parallelism of each reloaded snapshot's
-	// index build).
+	// ServeOptions tune a lookup server (the Prepared source of full
+	// reloads and the DeltaSource of delta reloads, per-request
+	// timeout, structured logging, overload protection, persistence
+	// and scrubbing).
 	ServeOptions = serve.Options
 	// LookupServer serves a Snapshot over HTTP with atomic hot reload.
 	LookupServer = serve.Server
@@ -398,13 +394,11 @@ func NewLookupServer(snap *Snapshot, opts ServeOptions) (*LookupServer, error) {
 	return serve.NewServer(snap, opts)
 }
 
-// MappingFileSource reloads mappings from a JSONL file written with
-// WriteMapping (borges -format jsonl).
-func MappingFileSource(path string) SnapshotSource { return serve.FileSource(path) }
-
-// SnapshotFileSource reloads snapshots from a file of either format:
-// a snapbin binary artifact (detected by magic, loaded in
-// milliseconds) or a JSONL mapping (parsed and indexed from scratch).
+// SnapshotFileSource reloads snapshots from a file of either format,
+// sniffed on every call: a snapbin binary artifact (detected by magic,
+// loaded in milliseconds) or a mapping written with WriteMapping
+// (borges -format jsonl), parsed and indexed from scratch and labelled
+// with the path.
 func SnapshotFileSource(path string) PreparedSnapshotSource { return serve.SnapshotFileSource(path) }
 
 // MappingDeltaFileSource reloads mapping deltas from a JSONL delta

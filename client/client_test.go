@@ -303,7 +303,7 @@ func TestWatchClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serve.NewServer(snap, serve.Options{
-		Source: func(ctx context.Context) (*cluster.Mapping, error) { return b(), nil },
+		Prepared: func(ctx context.Context) (*serve.Snapshot, error) { return serve.NewSnapshot(b(), "watch-test") },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestWatchCallbackError(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serve.NewServer(snap, serve.Options{
-		Source: func(ctx context.Context) (*cluster.Mapping, error) { return build(), nil },
+		Prepared: func(ctx context.Context) (*serve.Snapshot, error) { return serve.NewSnapshot(build(), "watch-test") },
 	})
 	if err != nil {
 		t.Fatal(err)

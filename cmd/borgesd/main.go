@@ -50,7 +50,8 @@
 //	                      mapdiff edit script of each reload); ?since=
 //	                      resumes after a disconnect
 //	GET  /v1/stats        θ, org/ASN counts, size histogram
-//	POST /admin/reload    re-read -mapping (or re-run the pipeline)
+//	POST /admin/reload    re-read -mapping or -snapshot-in (or re-run
+//	                      the pipeline)
 //	POST /admin/rollback  swap back to the newest verified generation
 //	                      (with -keep-generations)
 //	GET  /healthz         liveness + snapshot age + degraded/ok run health
@@ -89,12 +90,12 @@ func main() {
 	log.SetPrefix("borgesd: ")
 
 	addr := flag.String("addr", ":8080", "listen address")
-	mapping := flag.String("mapping", "", "mapping JSONL file (from borges -format jsonl); reload re-reads it")
+	mapping := flag.String("mapping", "", "mapping file to serve: JSONL (borges -format jsonl) or a binary artifact, sniffed by magic; reload re-reads it")
 	snapshotIn := flag.String("snapshot-in", "", "snapshot file to serve: a binary artifact (borges -format binary, borgesd -snapshot-out) or mapping JSONL, sniffed by magic; reload re-reads it")
 	snapshotOut := flag.String("snapshot-out", "", "write the initial snapshot as a binary artifact to this path, then keep serving")
 	deltaIn := flag.String("delta-in", "", "mapping delta JSONL (borges-diff -delta); POST /admin/reload?mode=delta applies it to the serving snapshot")
-	seed := flag.Int64("seed", 1, "synthetic corpus seed (when -mapping is unset)")
-	scale := flag.Float64("scale", 0.05, "synthetic corpus scale (when -mapping is unset)")
+	seed := flag.Int64("seed", 1, "synthetic corpus seed (when neither -mapping nor -snapshot-in is set)")
+	scale := flag.Float64("scale", 0.05, "synthetic corpus scale (when neither -mapping nor -snapshot-in is set)")
 	timeout := flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
 	pprof := flag.Bool("pprof", false, "expose /debug/pprof/* profiling handlers")
 	quiet := flag.Bool("q", false, "suppress structured request logging")
@@ -105,7 +106,6 @@ func main() {
 	burst := flag.Int("burst", 100, "per-client burst capacity for -rate")
 	targetLatency := flag.Duration("target-latency", 150*time.Millisecond, "latency target steering the adaptive concurrency limit")
 	shedSearchFirst := flag.Bool("shed-search-first", true, "shed /v1/search before point lookups under overload (search also browns out under pressure)")
-	buildWorkers := flag.Int("build-workers", 0, "workers indexing each reloaded snapshot (0 = GOMAXPROCS); lower to reduce CPU contention with serving traffic during reloads")
 	bulkMaxLines := flag.Int("bulk-max-lines", 0, "max input lines per /v1/bulk request (0 = default 1048576)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "max request body bytes on body-reading endpoints (0 = default 64 MiB)")
 	watchBuffer := flag.Int("watch-buffer", 0, "per-subscriber /v1/watch event queue depth; a subscriber this many reloads behind is evicted (0 = default 64)")
@@ -130,7 +130,6 @@ func main() {
 	opts := borges.ServeOptions{
 		RequestTimeout: *timeout,
 		EnablePprof:    *pprof,
-		BuildWorkers:   *buildWorkers,
 		BulkMaxLines:   *bulkMaxLines,
 		MaxBodyBytes:   *maxBodyBytes,
 		WatchBuffer:    *watchBuffer,
@@ -219,35 +218,19 @@ func main() {
 		return
 	}
 
-	var (
-		snap  *borges.Snapshot
-		label string
-	)
-	if *snapshotIn != "" {
-		if *mapping != "" {
+	// Every bootstrap is one PreparedSnapshotSource: borgesd calls it
+	// once for the boot snapshot, and every full /admin/reload calls it
+	// again.
+	label := *snapshotIn
+	if *mapping != "" {
+		if label != "" {
 			log.Fatal("-snapshot-in and -mapping are mutually exclusive")
 		}
-		source := borges.SnapshotFileSource(*snapshotIn)
-		label = *snapshotIn
-		opts.Prepared = source
-		log.Printf("loading snapshot from %s", label)
-		var err error
-		if snap, err = source(ctx); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("snapshot loaded (mode %s, hash %.12s)", snap.LoadMode(), snap.ContentHash())
-	} else if *mapping != "" {
-		source := borges.MappingFileSource(*mapping)
 		label = *mapping
-		opts.Source = source
-		log.Printf("loading mapping from %s", label)
-		m, err := source(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if snap, err = borges.NewSnapshot(m, label); err != nil {
-			log.Fatal(err)
-		}
+	}
+	var source borges.PreparedSnapshotSource
+	if label != "" {
+		source = borges.SnapshotFileSource(label)
 	} else {
 		// One cache outlives the source closure so every /admin/reload
 		// replays memoized LLM completions and crawl outcomes instead of
@@ -257,24 +240,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		source := pipelineSource(*seed, *scale, store, borges.Options{
+		label = "synthetic pipeline"
+		source = pipelineSource(label, *seed, *scale, store, borges.Options{
 			MaxRetries:       *maxRetries,
 			BreakerThreshold: *breakerThreshold,
 		})
-		label = "synthetic pipeline"
-		opts.HealthSource = source
-		log.Printf("loading mapping from %s", label)
-		m, health, err := source(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if health.Status != borges.SnapshotHealthOK {
-			log.Printf("pipeline degraded: %d quarantined (%s)", health.Quarantined, health.Detail)
-		}
-		if snap, err = borges.NewSnapshotWithHealth(m, label, health); err != nil {
-			log.Fatal(err)
-		}
 	}
+	opts.Prepared = source
+	log.Printf("loading snapshot from %s", label)
+	snap, err := source(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("snapshot loaded (mode %s, hash %.12s)", snap.LoadMode(), snap.ContentHash())
 
 	if *snapshotOut != "" {
 		// Boot-time persistence failing is a warning, not a reason to
@@ -320,19 +298,20 @@ func main() {
 	log.Printf("shut down cleanly")
 }
 
-// pipelineSource builds a health-aware Source that regenerates the
-// seeded synthetic corpus and runs the full Borges pipeline in-process —
-// the -seed/-scale self-bootstrap mode, also exercised on every
-// /admin/reload. The cache is shared across reloads, so only the first
-// run pays for LLM completions and crawls, and the run's fault report
-// travels with the snapshot into /healthz, /v1/stats, and /metrics.
-func pipelineSource(seed int64, scale float64, store *borges.Cache, base borges.Options) borges.SnapshotHealthSource {
-	return func(ctx context.Context) (*borges.Mapping, borges.SnapshotHealth, error) {
+// pipelineSource builds the -seed/-scale self-bootstrap: each call
+// regenerates the seeded synthetic corpus, runs the full Borges
+// pipeline in-process and indexes the mapping under label. The cache
+// is shared across reloads, so only the first run pays for LLM
+// completions and crawls, and the run's fault report travels with the
+// snapshot into /healthz, /v1/stats, and /metrics. A degraded run is
+// logged at boot and on every reload.
+func pipelineSource(label string, seed int64, scale float64, store *borges.Cache, base borges.Options) borges.PreparedSnapshotSource {
+	return func(ctx context.Context) (*borges.Snapshot, error) {
 		opts := base
 		opts.Cache = store
 		ds, err := borges.GenerateDataset(borges.DatasetConfig{Seed: seed, Scale: scale})
 		if err != nil {
-			return nil, borges.SnapshotHealth{}, err
+			return nil, err
 		}
 		res, err := borges.Run(ctx, borges.Inputs{
 			WHOIS:     ds.WHOIS,
@@ -341,8 +320,12 @@ func pipelineSource(seed int64, scale float64, store *borges.Cache, base borges.
 			Provider:  borges.NewSimulatedLLM(),
 		}, opts)
 		if err != nil {
-			return nil, borges.SnapshotHealth{}, err
+			return nil, err
 		}
-		return res.Mapping, borges.HealthFromReport(res.Report), nil
+		health := borges.HealthFromReport(res.Report)
+		if health.Status != borges.SnapshotHealthOK {
+			log.Printf("pipeline degraded: %d quarantined (%s)", health.Quarantined, health.Detail)
+		}
+		return borges.NewSnapshotWithHealth(res.Mapping, label, health)
 	}
 }

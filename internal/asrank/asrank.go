@@ -31,11 +31,12 @@ type Ranking struct {
 
 	entries []Entry
 	byASN   map[asnum.ASN]int // index into entries
+	ranks   map[int]bool      // ranks taken
 }
 
 // NewRanking returns an empty ranking.
 func NewRanking(date string) *Ranking {
-	return &Ranking{Date: date, byASN: make(map[asnum.ASN]int)}
+	return &Ranking{Date: date, byASN: make(map[asnum.ASN]int), ranks: make(map[int]bool)}
 }
 
 // Add appends one entry. Duplicate ASNs or ranks are an error.
@@ -46,6 +47,10 @@ func (r *Ranking) Add(e Entry) error {
 	if _, dup := r.byASN[e.ASN]; dup {
 		return fmt.Errorf("asrank: duplicate ASN %v", e.ASN)
 	}
+	if r.ranks[e.Rank] {
+		return fmt.Errorf("asrank: duplicate rank %d for %v", e.Rank, e.ASN)
+	}
+	r.ranks[e.Rank] = true
 	r.byASN[e.ASN] = len(r.entries)
 	r.entries = append(r.entries, e)
 	return nil

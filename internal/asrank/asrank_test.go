@@ -56,6 +56,9 @@ func TestAddErrors(t *testing.T) {
 	if err := r.Add(Entry{Rank: 99, ASN: 3356}); err == nil {
 		t.Error("duplicate ASN should fail")
 	}
+	if err := r.Add(Entry{Rank: 1, ASN: 5511}); err == nil {
+		t.Error("duplicate rank should fail")
+	}
 	if err := r.Add(Entry{Rank: 0, ASN: 5511}); err == nil {
 		t.Error("zero rank should fail")
 	}
@@ -90,15 +93,13 @@ func TestParseErrors(t *testing.T) {
 		"rank,asn,cone_size\nx,1,1\n",
 		"rank,asn,cone_size\n1,bad,1\n",
 		"rank,asn,cone_size\n1,1,bad\n",
-		"rank,asn,cone_size\n1,1,1\n1,2,1\n", // duplicate rank is fine, duplicate ASN is not; use dup ASN:
+		"rank,asn,cone_size\n1,7,1\n2,7,1\n", // duplicate ASN
+		"rank,asn,cone_size\n1,1,1\n1,2,1\n", // duplicate rank
 	}
-	for _, c := range cases[:4] {
+	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c), "x"); err == nil {
 			t.Errorf("Parse(%q) should fail", c)
 		}
-	}
-	if _, err := Parse(strings.NewReader("rank,asn,cone_size\n1,7,1\n2,7,1\n"), "x"); err == nil {
-		t.Error("duplicate ASN should fail")
 	}
 	if r, err := Parse(strings.NewReader(""), "x"); err != nil || r.Len() != 0 {
 		t.Errorf("empty input: %v %v", r, err)

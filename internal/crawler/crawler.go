@@ -681,9 +681,11 @@ func tagNamed(s, elem string) bool {
 // url= clause (a pure self-reload) yields "". Only the whole attribute
 // names http-equiv and content count, and character references in
 // their values are decoded first, as a browser does, so a target
-// written `?a=1&amp;b=2` is `?a=1&b=2`. A tag a browser would not
-// parse, in a comment or a script or style element's text, is not
-// read (see nextTag).
+// written `?a=1&amp;b=2` is `?a=1&b=2`. A target written in quotes
+// ends at the closing quote (`url='/a'; x` is `/a`); an unquoted one
+// keeps every quote it holds (`url=/a'` is `/a'`). A tag a browser
+// would not parse, in a comment or a script or style element's text,
+// is not read (see nextTag).
 func MetaRefreshTarget(page string) string {
 	for tag, i := nextTag(page, 0, "meta"); tag != ""; tag, i = nextTag(page, i, "meta") {
 		if equiv, _ := tagAttr(tag, "http-equiv"); !strings.EqualFold(strings.TrimSpace(equiv), "refresh") {
@@ -698,7 +700,12 @@ func MetaRefreshTarget(page string) string {
 			continue
 		}
 		target := strings.TrimSpace(um[1])
-		target = strings.Trim(target, `"'`)
+		if target != "" && (target[0] == '"' || target[0] == '\'') {
+			// A browser drops a quote that opens the URL and ends the URL
+			// at the matching quote; any other quote belongs to the URL.
+			target, _, _ = strings.Cut(target[1:], target[:1])
+			target = strings.TrimSpace(target)
+		}
 		if target != "" {
 			return target
 		}

@@ -271,6 +271,13 @@ func TestMetaRefreshTarget(t *testing.T) {
 		{`<meta name="viewport" content="width=device-width">`, ""},
 		{`no tags at all`, ""},
 		{`<meta http-equiv="refresh" content="0; url='quoted.test'">`, "quoted.test"},
+		// An opening quote ends at its match; other quotes are the URL's.
+		{`<meta http-equiv="refresh" content="0; url=' q.test/a ' trailing">`, "q.test/a"},
+		{`<meta http-equiv="refresh" content='0; url="q.test/?x=&#39;y&#39;"'>`, "q.test/?x='y'"},
+		{`<meta http-equiv="refresh" content="0; url='open.test/a">`, "open.test/a"},
+		{`<meta http-equiv="refresh" content="0; url=q.test/?x='y'">`, "q.test/?x='y'"},
+		{`<meta http-equiv="refresh" content='0; url=q.test/a"'>`, `q.test/a"`},
+		{`<meta http-equiv="refresh" content="0; url=''">`, ""},
 	}
 	for _, c := range cases {
 		if got := MetaRefreshTarget(c.html); got != c.want {

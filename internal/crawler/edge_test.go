@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -101,25 +102,53 @@ func TestScannersReadAttributesLikeBrowser(t *testing.T) {
 	}
 }
 
-// TestMetaRefreshAndRedirectConverge: a host that meta-refreshes to a
-// target whose query holds '&' (which the page writes as &amp;) and a
-// host that 301s to the same target end on one final URL, so R&R
-// groups them together.
+// TestMetaRefreshAndRedirectConverge: a page that meta-refreshes to a
+// target and a page that 301s to the same target end on one final URL,
+// so R&R groups them together. The targets hold what a page must
+// escape (&, <), quotes that belong to the URL at the end of a query
+// or a path, a space, non-ASCII text and a fragment. A relative
+// target's two first hops sit on one host, so both resolve it against
+// the same base.
 func TestMetaRefreshAndRedirectConverge(t *testing.T) {
-	const target = "https://dst.test/?a=1&b=2"
-	u := websim.New()
-	u.AddSite("dst.test", "dst")
-	u.AddSite("refresh.test", "")
-	u.MetaRefreshHost("refresh.test", target)
-	u.RedirectHost("moved.test", target)
-	c := New(Options{Transport: u, SkipFavicons: true})
-	refresh := c.Crawl(context.Background(), Task{ASN: 1, URL: "https://refresh.test/"})
-	moved := c.Crawl(context.Background(), Task{ASN: 2, URL: "https://moved.test/"})
-	if !refresh.OK || !moved.OK {
-		t.Fatalf("refresh %+v, moved %+v", refresh, moved)
-	}
-	if refresh.FinalURL != moved.FinalURL || refresh.Hops != 1 || moved.Hops != 1 {
-		t.Fatalf("meta refresh ends at %q after %d hops, 301 at %q after %d", refresh.FinalURL, refresh.Hops, moved.FinalURL, moved.Hops)
+	for _, target := range []string{
+		"https://dst.test/?a=1&b=2",
+		"https://dst.test/?q='a'",
+		`https://dst.test/?q="a"`,
+		"https://dst.test/a'",
+		"https://dst.test/?q=<b>",
+		"https://dst.test/a b",
+		"https://dst.test/café?q=ü",
+		"https://dst.test/page#top",
+		"next?q='a'",
+		"../up'",
+		"/top/x?y=1&z=2",
+	} {
+		t.Run(target, func(t *testing.T) {
+			u := websim.New()
+			u.AddSite("dst.test", "dst")
+			u.SetPage("src.test", "/dir/refresh", websim.Page{Kind: websim.KindMetaRefresh, Target: target})
+			u.SetPage("src.test", "/dir/moved", websim.Page{Kind: websim.KindHTTPRedirect, Target: target})
+			// Serve a page wherever the target lands.
+			dst, err := url.Parse("https://src.test/dir/moved")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := url.Parse(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst = dst.ResolveReference(ref)
+			u.SetPage(dst.Hostname(), dst.Path, websim.Page{Kind: websim.KindContent})
+			c := New(Options{Transport: u, SkipFavicons: true})
+			refresh := c.Crawl(context.Background(), Task{ASN: 1, URL: "https://src.test/dir/refresh"})
+			moved := c.Crawl(context.Background(), Task{ASN: 2, URL: "https://src.test/dir/moved"})
+			if !refresh.OK || !moved.OK {
+				t.Fatalf("refresh %+v, moved %+v", refresh, moved)
+			}
+			if refresh.FinalURL != moved.FinalURL || refresh.Hops != 1 || moved.Hops != 1 {
+				t.Fatalf("meta refresh ends at %q after %d hops, 301 at %q after %d", refresh.FinalURL, refresh.Hops, moved.FinalURL, moved.Hops)
+			}
+		})
 	}
 }
 

@@ -71,7 +71,7 @@ func mustSnapshot(t testing.TB, m *cluster.Mapping) *serve.Snapshot {
 	return s
 }
 
-// testDist is a distributor under test: its serve.Source yields
+// testDist is a distributor under test: its reload source builds
 // whichever mapping version td.ver names, so td.publish(v) drives a
 // real reload→swap→publish cycle. td.flap simulates a distributor
 // outage: while set, every request — manifest, artifact, watch,
@@ -90,10 +90,10 @@ func newTestDist(t *testing.T) *testDist {
 	t.Helper()
 	td := &testDist{published: make(map[string]bool)}
 	td.ver.Store(1)
-	src := func(ctx context.Context) (*cluster.Mapping, error) {
-		return fleetMapping(t, int(td.ver.Load())), nil
+	src := func(ctx context.Context) (*serve.Snapshot, error) {
+		return serve.NewSnapshot(fleetMapping(t, int(td.ver.Load())), "test")
 	}
-	dist, err := NewDistributor(mustSnapshot(t, fleetMapping(t, 1)), serve.Options{Source: src}, DistributorOptions{})
+	dist, err := NewDistributor(mustSnapshot(t, fleetMapping(t, 1)), serve.Options{Prepared: src}, DistributorOptions{})
 	if err != nil {
 		t.Fatalf("NewDistributor: %v", err)
 	}

@@ -542,16 +542,18 @@ func (r *Replica) fetchFullOnce(ctx context.Context, man *Manifest, part string)
 		return nil, closeErr
 	}
 
-	data, err := r.fsys.ReadFile(part)
+	fi, err := r.fsys.Stat(part)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(data)) < man.Size {
+	if fi.Size() < man.Size {
 		// The server ended the body early without an error (connection
 		// closed cleanly mid-artifact). Resume on retry.
-		return nil, resilience.MarkTransient(fmt.Errorf("fleet: short artifact: %d of %d bytes", len(data), man.Size))
+		return nil, resilience.MarkTransient(fmt.Errorf("fleet: short artifact: %d of %d bytes", fi.Size(), man.Size))
 	}
-	snap, err := serve.LoadSnapshot(bytes.NewReader(data))
+	// The decode streams from the .part, section by section, so the
+	// artifact is never held whole in memory.
+	snap, err := serve.LoadSnapshotFileFS(r.fsys, part)
 	if err != nil {
 		// Complete but corrupt (flipped bytes, wrong sections): the
 		// .part cannot be healed by resuming. Discard and refetch.
@@ -567,7 +569,7 @@ func (r *Replica) fetchFullOnce(ctx context.Context, man *Manifest, part string)
 	}
 	// Verified: promote to last-good. The bytes are already fsynced;
 	// the rename makes the swap atomic, and the directory fsync makes
-	// it durable — same discipline as snapbin.WriteFile.
+	// it durable — same discipline as snapbin.WriteFileFS.
 	if err := r.fsys.Rename(part, r.opts.LastGood); err != nil {
 		return nil, err
 	}

@@ -222,9 +222,9 @@ func TestBulkDuringReload(t *testing.T) {
 	const n = 64
 	v := 0
 	srv, err := NewServer(mustSnapshot(t, variantMapping(0, n)), Options{
-		Source: func(ctx context.Context) (m *cluster.Mapping, e error) {
+		Prepared: mappingSource(func(ctx context.Context) (*cluster.Mapping, error) {
 			return variantMapping(v, n), nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
 // TestHealthzDegradedVersusOK: a snapshot built from a degraded run
@@ -68,15 +66,16 @@ func TestStatsAndMetricsCarryHealth(t *testing.T) {
 	}
 }
 
-// TestReloadPropagatesHealth: a HealthSource-backed reload attaches
-// the run's health to the published snapshot, and a later clean reload
-// clears it — health travels with the mapping it describes.
+// TestReloadPropagatesHealth: a reload whose source builds its snapshot
+// with the run's health (as borgesd's pipeline source does) publishes
+// that health, and a later clean reload clears it — health travels
+// with the mapping it describes.
 func TestReloadPropagatesHealth(t *testing.T) {
 	health := Health{Status: HealthDegraded, Quarantined: 2, Detail: "llm degraded"}
 	var srv *Server
 	srv = newTestServer(t, Options{
-		HealthSource: func(ctx context.Context) (*cluster.Mapping, Health, error) {
-			return testMapping(t), health, nil
+		Prepared: func(ctx context.Context) (*Snapshot, error) {
+			return NewSnapshotWithHealth(testMapping(t), "pipeline", health)
 		},
 	})
 	if _, err := srv.Reload(context.Background()); err != nil {
@@ -100,22 +99,5 @@ func TestReloadPropagatesHealth(t *testing.T) {
 	do(t, srv, "GET", "/healthz", &got)
 	if got.Status != HealthOK {
 		t.Fatalf("healthz after clean reload = %q, want ok", got.Status)
-	}
-}
-
-// TestPlainSourceReloadStaysHealthy: the pre-existing Source path is
-// untouched by the health plumbing — reloads through it publish ok
-// snapshots.
-func TestPlainSourceReloadStaysHealthy(t *testing.T) {
-	srv := newTestServer(t, Options{
-		Source: func(ctx context.Context) (*cluster.Mapping, error) {
-			return testMapping(t), nil
-		},
-	})
-	if _, err := srv.Reload(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if h := srv.Snapshot().Health(); h.Status != HealthOK {
-		t.Fatalf("plain-source reload health = %+v, want ok", h)
 	}
 }

@@ -16,8 +16,8 @@ import (
 func TestOnSwapAndExtraMetrics(t *testing.T) {
 	var swaps []*Snapshot
 	srv := newTestServer(t, Options{
-		Source: func(ctx context.Context) (*cluster.Mapping, error) { return testMapping(t), nil },
-		OnSwap: func(s *Snapshot) { swaps = append(swaps, s) },
+		Prepared: mappingSource(func(ctx context.Context) (*cluster.Mapping, error) { return testMapping(t), nil }),
+		OnSwap:   func(s *Snapshot) { swaps = append(swaps, s) },
 	})
 	srv.Registry().Gauge("borgesd_test_extra", "A family added after NewServer.", func() float64 { return 42 })
 	if len(swaps) != 0 {

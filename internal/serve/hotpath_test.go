@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
-	"github.com/nu-aqualab/borges/internal/cluster"
 )
 
 // TestParallelSnapshotBuildEquivalence: a snapshot built with many
@@ -257,10 +256,9 @@ func TestParallelBuildDuringConcurrentReloads(t *testing.T) {
 	}
 	var version int
 	srv, err := NewServer(snap, Options{
-		BuildWorkers: 4,
-		Source: func(ctx context.Context) (*cluster.Mapping, error) {
+		Prepared: func(ctx context.Context) (*Snapshot, error) {
 			version++
-			return variantMapping(version, universe), nil
+			return newSnapshotWorkers(variantMapping(version, universe), "par-reload", Health{}, time.Now(), 4)
 		},
 	})
 	if err != nil {

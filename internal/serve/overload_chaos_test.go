@@ -360,7 +360,7 @@ func TestRetryAfterOnEvery429And503(t *testing.T) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
-		srv := newTestServer(t, Options{Source: src, RequestTimeout: 20 * time.Millisecond})
+		srv := newTestServer(t, Options{Prepared: mappingSource(src), RequestTimeout: 20 * time.Millisecond})
 		rec := do(t, srv, "POST", "/admin/reload", nil)
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("deadline reload: status %d, want 503", rec.Code)

@@ -59,7 +59,7 @@ func TestReloadUnderFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(snap, Options{Source: src})
+	srv, err := NewServer(snap, Options{Prepared: mappingSource(src)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestReloadWhileShedding(t *testing.T) {
 	var holding atomic.Bool
 	gate := make(chan struct{})
 	srv, err := NewServer(snap, Options{
-		Source: src,
+		Prepared: mappingSource(src),
 		Admission: &admission.Config{
 			MaxInflight:     1,
 			QueueDepth:      1,
@@ -278,7 +278,7 @@ func TestConcurrentReloadsSerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(snap, Options{Source: src})
+	srv, err := NewServer(snap, Options{Prepared: mappingSource(src)})
 	if err != nil {
 		t.Fatal(err)
 	}

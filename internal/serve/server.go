@@ -24,30 +24,6 @@ import (
 	"github.com/nu-aqualab/borges/internal/vfs"
 )
 
-// Source produces a fresh mapping for a (re)load: reading a JSONL file,
-// re-running the pipeline in-process, or regenerating a synthetic
-// corpus. It is called with the reload request's context.
-type Source func(ctx context.Context) (*cluster.Mapping, error)
-
-// FileSource returns a Source that parses a mapping file written with
-// cluster.WriteJSONL (borges -format jsonl).
-func FileSource(path string) Source {
-	return func(ctx context.Context) (*cluster.Mapping, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return cluster.ReadJSONL(f)
-	}
-}
-
-// HealthSource is a Source that also reports the produced mapping's
-// health — how a pipeline-backed reload propagates a degraded run's
-// RunReport status into the serving layer without the serve package
-// knowing about the pipeline.
-type HealthSource func(ctx context.Context) (*cluster.Mapping, Health, error)
-
 // DeltaSource produces the mapping delta a delta reload applies to
 // the serving snapshot — typically by parsing a JSONL delta file
 // written by borges-diff -delta (mapdiff.ReadDelta).
@@ -67,18 +43,12 @@ func DeltaFileSource(path string) DeltaSource {
 
 // Options tune a Server.
 type Options struct {
-	// Source supplies replacement mappings for /admin/reload. With a
-	// nil Source (and nil HealthSource and nil Prepared), reloads are
-	// rejected with 501 Not Implemented.
-	Source Source
-	// HealthSource, when non-nil, is preferred over Source and lets
-	// each reload attach the producing run's Health to the snapshot it
-	// publishes.
-	HealthSource HealthSource
-	// Prepared, when non-nil, is preferred over both Source and
-	// HealthSource: it delivers a ready-made snapshot (e.g. decoded
-	// from a snapbin binary artifact by SnapshotFileSource), skipping
-	// the in-server rebuild entirely.
+	// Prepared supplies the replacement snapshot for every full
+	// /admin/reload: decoded from a binary artifact or built from a
+	// JSONL mapping by SnapshotFileSource, built from a pipeline run, or
+	// staged by a fleet replica. The snapshot arrives with its label and
+	// health already set. Nil rejects full reloads with 501 Not
+	// Implemented.
 	Prepared PreparedSource
 	// DeltaSource supplies mapping deltas for /admin/reload?mode=delta.
 	// Nil rejects delta reloads with 501 Not Implemented.
@@ -88,10 +58,6 @@ type Options struct {
 	// Logf receives one structured line per request and per reload.
 	// Nil disables request logging.
 	Logf func(format string, args ...any)
-	// BuildWorkers caps the number of workers used to index a reloaded
-	// snapshot (0 = GOMAXPROCS). Lowering it trades reload latency for
-	// less CPU contention with serving traffic during the rebuild.
-	BuildWorkers int
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/. Off by default: the profiling surface exposes heap
 	// and goroutine internals and should only be reachable when the
@@ -274,17 +240,16 @@ func (s *Server) Admission() *admission.Controller { return s.admission }
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Reload pulls a replacement snapshot from the configured source —
-// Prepared (ready-made, e.g. a binary artifact) when set, otherwise a
-// mapping from HealthSource/Source indexed in-server — validates it,
-// and atomically publishes the result. On any error the previous
-// snapshot keeps serving.
+// Reload takes a replacement snapshot from Options.Prepared, validates
+// it, and atomically publishes it. On any error the previous snapshot
+// keeps serving.
 func (s *Server) Reload(ctx context.Context) (*Snapshot, error) {
-	prepare := s.prepareFunc()
-	if prepare == nil {
+	if s.opts.Prepared == nil {
 		return nil, fmt.Errorf("serve: no reload source configured")
 	}
-	return s.swapWith(ctx, prepare, nil)
+	return s.swapWith(ctx, func(ctx context.Context, _ *Snapshot) (*Snapshot, error) {
+		return s.opts.Prepared(ctx)
+	}, nil)
 }
 
 // ReloadDelta pulls a mapping delta from the configured DeltaSource,
@@ -311,39 +276,6 @@ func (s *Server) ReloadDelta(ctx context.Context) (*Snapshot, error) {
 		}
 		return next, err
 	}, func() *mapdiff.Delta { return applied })
-}
-
-// prepareFunc resolves the configured reload options into one
-// function producing a validated replacement snapshot, or nil when no
-// source is configured.
-func (s *Server) prepareFunc() func(ctx context.Context, old *Snapshot) (*Snapshot, error) {
-	if s.opts.Prepared != nil {
-		return func(ctx context.Context, _ *Snapshot) (*Snapshot, error) {
-			return s.opts.Prepared(ctx)
-		}
-	}
-	load := s.opts.HealthSource
-	if load == nil && s.opts.Source != nil {
-		src := s.opts.Source
-		load = func(ctx context.Context) (*cluster.Mapping, Health, error) {
-			m, err := src(ctx)
-			return m, Health{Status: HealthOK}, err
-		}
-	}
-	if load == nil {
-		return nil
-	}
-	return func(ctx context.Context, old *Snapshot) (*Snapshot, error) {
-		m, health, err := load(ctx)
-		if err != nil {
-			return nil, err
-		}
-		workers := s.opts.BuildWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		return newSnapshotWorkers(m, old.Source(), health, s.opts.now(), workers)
-	}
 }
 
 // swapWith runs one serialized validate-then-swap sequence: prepare a
@@ -802,7 +734,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch mode := r.URL.Query().Get("mode"); mode {
 	case "", "full":
-		if s.opts.Source == nil && s.opts.HealthSource == nil && s.opts.Prepared == nil {
+		if s.opts.Prepared == nil {
 			writeError(w, http.StatusNotImplemented, "no reload source configured")
 			return
 		}

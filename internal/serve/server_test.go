@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
@@ -179,6 +178,18 @@ func TestHandleMetrics(t *testing.T) {
 	}
 }
 
+// mappingSource wraps a mapping producer as the PreparedSource a full
+// reload takes: each call indexes one fresh snapshot of its mapping.
+func mappingSource(fn func(context.Context) (*cluster.Mapping, error)) PreparedSource {
+	return func(ctx context.Context) (*Snapshot, error) {
+		m, err := fn(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return NewSnapshot(m, "test")
+	}
+}
+
 // reloadableSource returns mappings from a swappable function.
 type reloadableSource struct {
 	fn func(context.Context) (*cluster.Mapping, error)
@@ -194,9 +205,9 @@ func TestHandleReload(t *testing.T) {
 		return b.Build(nil), nil
 	}
 	src := &reloadableSource{fn: grown}
-	srv := newTestServer(t, Options{Source: func(ctx context.Context) (*cluster.Mapping, error) {
+	srv := newTestServer(t, Options{Prepared: mappingSource(func(ctx context.Context) (*cluster.Mapping, error) {
 		return src.fn(ctx)
-	}})
+	})})
 
 	// AS7 is absent before the reload.
 	if rec := do(t, srv, "GET", "/v1/as/7", nil); rec.Code != http.StatusNotFound {
@@ -256,29 +267,6 @@ func TestReloadWithoutSource(t *testing.T) {
 	}
 	if _, err := srv.Reload(context.Background()); err == nil {
 		t.Fatal("Reload without source succeeded")
-	}
-}
-
-func TestFileSource(t *testing.T) {
-	m := testMapping(t)
-	path := t.TempDir() + "/mapping.jsonl"
-	var sb strings.Builder
-	if err := cluster.WriteJSONL(&sb, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := FileSource(path)(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumOrgs() != m.NumOrgs() || got.NumASNs() != m.NumASNs() {
-		t.Fatalf("file round trip: %d/%d orgs/asns, want %d/%d",
-			got.NumOrgs(), got.NumASNs(), m.NumOrgs(), m.NumASNs())
-	}
-	if _, err := FileSource(path + ".missing")(context.Background()); err == nil {
-		t.Fatal("missing file did not error")
 	}
 }
 

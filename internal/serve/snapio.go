@@ -105,12 +105,12 @@ func WriteSnapshot(w io.Writer, s *Snapshot) (string, error) {
 // artifact at path (temp file, fsync, rename) and returns its content
 // hash.
 func WriteSnapshotFile(path string, s *Snapshot) (string, error) {
-	return snapbin.WriteFile(path, s.image())
+	return WriteSnapshotFileFS(nil, path, s)
 }
 
 // WriteSnapshotFileFS is WriteSnapshotFile against an explicit
-// filesystem — the seam the generation ring and the disk-chaos suites
-// thread fault injection through.
+// filesystem (nil = the real one) — the seam the generation ring and
+// the disk-chaos suites thread fault injection through.
 func WriteSnapshotFileFS(fsys vfs.FS, path string, s *Snapshot) (string, error) {
 	return snapbin.WriteFileFS(fsys, path, s.image())
 }
@@ -131,16 +131,14 @@ func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 // LoadSnapshotFile decodes the snapbin artifact at path into a
 // serving snapshot, streaming it like LoadSnapshot.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
-	img, hash, err := snapbin.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return snapshotFromImage(img, hash)
+	return LoadSnapshotFileFS(nil, path)
 }
 
 // LoadSnapshotFileFS is LoadSnapshotFile against an explicit
-// filesystem. Every load fully re-verifies the artifact's content
-// hash, so a snapshot returned here is never served unverified.
+// filesystem (nil = the real one). The file's size is checked against
+// the artifact's header before any section is read, and every load
+// fully re-verifies the content hash, so a snapshot returned here is
+// never served unverified.
 func LoadSnapshotFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
 	img, hash, err := snapbin.ReadFileFS(fsys, path)
 	if err != nil {
@@ -155,17 +153,19 @@ func LoadSnapshotFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
 // LoadSnapshotFile.
 func LoadSnapshotFileMapped(path string) (*Snapshot, error) { return LoadSnapshotFile(path) }
 
-// PreparedSource produces a ready-made snapshot — one already built,
-// loaded from a binary artifact, or patched from a predecessor —
-// where Source produces a mapping for the server to index itself.
+// PreparedSource produces a ready-made snapshot — built from a
+// mapping, loaded from a binary artifact, or staged by a fleet
+// replica — and is the only way a full reload gets its next snapshot
+// (Options.Prepared).
 type PreparedSource func(ctx context.Context) (*Snapshot, error)
 
 // SnapshotFileSource serves snapshots from a file of either format:
 // if the file carries the snapbin magic it decodes the binary
-// artifact (milliseconds), otherwise it falls back to the JSONL
-// rebuild path (parse, union-find, tokenize). The sniff
-// happens on every call, so an operator can swap a JSONL file for a
-// binary artifact between reloads without restarting.
+// artifact (milliseconds), otherwise it parses the file as mapping
+// JSONL and builds the snapshot (parse, union-find, tokenize),
+// labelled with the path. The sniff happens on every call, so an
+// operator can swap a JSONL file for a binary artifact between
+// reloads without restarting.
 func SnapshotFileSource(path string) PreparedSource {
 	return func(ctx context.Context) (*Snapshot, error) {
 		if err := ctx.Err(); err != nil {

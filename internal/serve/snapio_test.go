@@ -147,6 +147,9 @@ func TestSnapshotFileSource(t *testing.T) {
 	if _, err := SnapshotFileSource(binPath)(ctx); err == nil {
 		t.Fatal("cancelled context ignored")
 	}
+	if _, err := SnapshotFileSource(filepath.Join(dir, "missing.jsonl"))(context.Background()); err == nil {
+		t.Fatal("missing file did not error")
+	}
 }
 
 // TestWriteSnapshotFileAtomic exercises the serve-level wrapper the

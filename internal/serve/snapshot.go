@@ -188,7 +188,7 @@ type indexShard struct {
 }
 
 // newSnapshotWorkers builds a snapshot with an explicit worker count
-// (tests pin it; callers go through NewSnapshot or Options.BuildWorkers).
+// (tests pin it; callers go through NewSnapshot).
 func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now time.Time, workers int) (*Snapshot, error) {
 	if m == nil {
 		return nil, fmt.Errorf("serve: nil mapping")

@@ -144,9 +144,9 @@ func TestWatchFullReloadComputesDelta(t *testing.T) {
 	const n = 24
 	v := 0
 	srv, err := NewServer(mustSnapshot(t, variantMapping(0, n)), Options{
-		Source: func(ctx context.Context) (m *cluster.Mapping, e error) {
+		Prepared: mappingSource(func(ctx context.Context) (*cluster.Mapping, error) {
 			return variantMapping(v, n), nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,9 +234,9 @@ func TestWatchResume(t *testing.T) {
 	const n = 24
 	v := 0
 	srv, err := NewServer(mustSnapshot(t, variantMapping(0, n)), Options{
-		Source: func(ctx context.Context) (m *cluster.Mapping, e error) {
+		Prepared: mappingSource(func(ctx context.Context) (*cluster.Mapping, error) {
 			return variantMapping(v, n), nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,6 +60,7 @@
 package snapbin
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -395,7 +396,9 @@ func HashImage(img *Image) string {
 // Encode writes the artifact to w and returns its content hash. The
 // header is assembled before payloads stream, so the hashed sections
 // are serialized twice: once through the digest (which also sizes
-// them for the section table), then to w.
+// them for the section table), then to w. w may be a pipe or a file
+// opened for append, so Encode never seeks; WriteFileFS writes its own
+// temp file and patches the header in place after a single pass.
 func Encode(w io.Writer, img *Image) (string, error) {
 	s := newSink(io.Discard)
 	defer s.release()
@@ -452,20 +455,15 @@ func header(lengths []uint64, sum []byte) []byte {
 	return head
 }
 
-// WriteFile atomically persists the artifact at path: the bytes land
-// in a temporary file in the same directory, are fsynced, and only
-// then renamed over the destination — a crash mid-write leaves either
-// the previous artifact or a stray temp file, never a torn artifact
-// under the published name. The directory entry is fsynced after the
-// rename so the publish itself survives power loss.
-func WriteFile(path string, img *Image) (string, error) {
-	return WriteFileFS(vfs.OS, path, img)
-}
-
-// WriteFileFS is WriteFile against an explicit filesystem — the seam
-// the disk-chaos suites use to tear writes and fail fsyncs
-// deterministically. A faulted write never promotes: the rename only
-// happens after Encode, Sync, and Close all succeeded.
+// WriteFileFS atomically persists the artifact at path on fsys (nil =
+// the real filesystem): the bytes land in a temporary file in the same
+// directory, are fsynced, and only then renamed over the destination —
+// a crash mid-write leaves either the previous artifact or a stray
+// temp file, never a torn artifact under the published name. The
+// directory entry is fsynced after the rename so the publish itself
+// survives power loss. A faulted write never promotes: the rename only
+// happens after the encode, Sync and Close all succeeded, which is the
+// seam the disk-chaos suites tear writes and fail fsyncs through.
 func WriteFileFS(fsys vfs.FS, path string, img *Image) (string, error) {
 	fsys = vfs.Or(fsys)
 	dir := filepath.Dir(path)
@@ -480,10 +478,7 @@ func WriteFileFS(fsys vfs.FS, path string, img *Image) (string, error) {
 			fsys.Remove(tmp)
 		}
 	}()
-	// The temp file is seekable, so the single-pass section writer
-	// applies: payloads stream once and the header is patched in place,
-	// instead of Encode's serialize-twice dance.
-	hash, err := EncodeToFile(f, img)
+	hash, err := encodeFile(f, img)
 	if err != nil {
 		return "", err
 	}
@@ -499,6 +494,45 @@ func WriteFileFS(fsys vfs.FS, path string, img *Image) (string, error) {
 	tmp = "" // renamed; nothing to clean up
 	_ = fsys.SyncDir(dir)
 	return hash, nil
+}
+
+// encodeFile writes the artifact Encode would write into the empty,
+// seekable file f in one serialization pass: a placeholder header and
+// section table go first, so each payload streams once through the
+// digest to its final offset, and the real header is written over the
+// placeholder at the end.
+func encodeFile(f vfs.File, img *Image) (string, error) {
+	bw := bufio.NewWriterSize(f, 1<<20)
+	if _, err := bw.Write(make([]byte, headerSize+sectionEntrySize*len(sectionIDs))); err != nil {
+		return "", err
+	}
+	s := newSink(nil)
+	defer s.release()
+	digest := sha256.New()
+	hashed := io.MultiWriter(bw, digest)
+	lengths := make([]uint64, len(sectionIDs))
+	for i, id := range sectionIDs {
+		w := hashed
+		if id == secProvenance {
+			w = bw
+		}
+		n, err := s.section(w, id, img)
+		if err != nil {
+			return "", err
+		}
+		lengths[i] = n
+	}
+	if err := bw.Flush(); err != nil {
+		return "", err
+	}
+	sum := digest.Sum(nil)
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return "", err
+	}
+	if _, err := f.Write(header(lengths, sum)); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(sum), nil
 }
 
 // reader is a bounds-checked cursor over one section's payload. Every
@@ -936,13 +970,8 @@ func crossCheck(img *Image) error {
 	return nil
 }
 
-// ReadFile loads and decodes an artifact through the streaming decoder
-// (see Read).
-func ReadFile(path string) (*Image, string, error) {
-	return ReadFileFS(vfs.OS, path)
-}
-
-// ReadFileFS is ReadFile against an explicit filesystem, so scrubbers
+// ReadFileFS decodes the artifact at path on fsys (nil = the real
+// filesystem) through the streaming decoder (see Read), so scrubbers
 // and chaos tests observe exactly the bytes that filesystem serves.
 // The file's size is checked against the header before any section is
 // read, so section buffers are sized exactly.

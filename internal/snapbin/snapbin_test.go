@@ -280,7 +280,7 @@ func TestEveryTruncationRejected(t *testing.T) {
 		for _, dec := range append(decoders[:len(decoders):len(decoders)], struct {
 			name   string
 			decode func([]byte) (*Image, string, error)
-		}{"file", func([]byte) (*Image, string, error) { return ReadFile(path) }}) {
+		}{"file", func([]byte) (*Image, string, error) { return ReadFileFS(nil, path) }}) {
 			_, _, err := dec.decode(valid[:i])
 			if err == nil {
 				t.Fatalf("%s: prefix of %d/%d bytes decoded successfully", dec.name, i, len(valid))
@@ -317,16 +317,16 @@ func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.bin")
 	img := testImage()
-	hash, err := WriteFile(path, img)
+	hash, err := WriteFileFS(nil, path, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotHash, err := ReadFile(path)
+	got, gotHash, err := ReadFileFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotHash != hash || !reflect.DeepEqual(got, img) {
-		t.Fatal("ReadFile drift after WriteFile")
+		t.Fatal("ReadFileFS drift after WriteFileFS")
 	}
 	if !SniffFile(path) {
 		t.Fatal("SniffFile misses a snapbin artifact")
@@ -342,6 +342,30 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
+// TestEncodeToFileByteIdentical: WriteFileFS's single pass, which
+// patches the header in place, must produce exactly the bytes (and
+// hash) of Encode's two passes, so artifacts are interchangeable
+// whichever writer made them.
+func TestEncodeToFileByteIdentical(t *testing.T) {
+	img := testImage()
+	want, wantHash := encode(t, img)
+	path := filepath.Join(t.TempDir(), "single-pass.bin")
+	hash, err := WriteFileFS(nil, path, img)
+	if err != nil {
+		t.Fatalf("WriteFileFS: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hash != wantHash {
+		t.Fatalf("WriteFileFS hash %s, Encode %s", hash, wantHash)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WriteFileFS bytes diverge from Encode: %d vs %d bytes", len(got), len(want))
+	}
+}
+
 // TestCrashedHalfWriteRejected simulates a writer that died without
 // the atomic rename discipline: a half-written file under the
 // published name must fail the size/hash check on load.
@@ -351,7 +375,7 @@ func TestCrashedHalfWriteRejected(t *testing.T) {
 	if err := os.WriteFile(path, valid[:len(valid)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ReadFile(path)
+	_, _, err := ReadFileFS(nil, path)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("torn artifact: %v, want %v", err, ErrTruncated)
 	}
