@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -95,9 +96,22 @@ func (c *Client) watchOnce(ctx context.Context, since uint64, fn func(ev *WatchE
 	if err := checkStatus(resp); err != nil {
 		return false, err
 	}
+	return readWatch(resp.Body, watchLineLimit, last, fn)
+}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+// watchLineLimit bounds one line of a /v1/watch stream.
+const watchLineLimit = 64 << 20
+
+// readWatch delivers the reload events of a /v1/watch stream to fn in
+// order until the stream ends, skipping any at or below *last and
+// advancing *last past each one delivered; delivered reports whether
+// fn saw any. A reload event whose data does not decode ends the
+// stream with an error, fn's error ends it with a *watchCallbackError,
+// and a line longer than maxLine ends it with a transient error. A
+// clean EOF returns nil.
+func readWatch(r io.Reader, maxLine int, last *uint64, fn func(ev *WatchEvent) error) (delivered bool, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, min(64*1024, maxLine)), maxLine)
 	var event string
 	var data []byte
 	for sc.Scan() {

@@ -103,13 +103,20 @@ func TestScannersReadAttributesLikeBrowser(t *testing.T) {
 }
 
 // TestMetaRefreshAndRedirectConverge: a page that meta-refreshes to a
-// target and a page that 301s to the same target end on one final URL,
-// so R&R groups them together. The targets hold what a page must
-// escape (&, <), quotes that belong to the URL at the end of a query
-// or a path, a space, non-ASCII text and a fragment. A relative
-// target's two first hops sit on one host, so both resolve it against
-// the same base.
+// target and a page that 301s to the same target end on one final URL
+// and one favicon, so R&R groups them together and the favicon feature
+// sees one icon. The targets hold what a page must escape (&, <),
+// quotes that belong to the URL at the end of a query or a path, a
+// space, non-ASCII text and a fragment. A relative target's two first
+// hops sit on one host, so both resolve it against the same base. Each
+// chain is crawled by its own crawler, whose favicon memo is empty, so
+// each fetches the icon itself.
 func TestMetaRefreshAndRedirectConverge(t *testing.T) {
+	crawl := func(tr http.RoundTripper) (refresh, moved Result) {
+		refresh = New(Options{Transport: tr}).Crawl(context.Background(), Task{ASN: 1, URL: "https://src.test/dir/refresh"})
+		moved = New(Options{Transport: tr}).Crawl(context.Background(), Task{ASN: 2, URL: "https://src.test/dir/moved"})
+		return refresh, moved
+	}
 	for _, target := range []string{
 		"https://dst.test/?a=1&b=2",
 		"https://dst.test/?q='a'",
@@ -125,10 +132,9 @@ func TestMetaRefreshAndRedirectConverge(t *testing.T) {
 	} {
 		t.Run(target, func(t *testing.T) {
 			u := websim.New()
-			u.AddSite("dst.test", "dst")
 			u.SetPage("src.test", "/dir/refresh", websim.Page{Kind: websim.KindMetaRefresh, Target: target})
 			u.SetPage("src.test", "/dir/moved", websim.Page{Kind: websim.KindHTTPRedirect, Target: target})
-			// Serve a page wherever the target lands.
+			// Serve a page, and an icon, wherever the target lands.
 			dst, err := url.Parse("https://src.test/dir/moved")
 			if err != nil {
 				t.Fatal(err)
@@ -139,17 +145,60 @@ func TestMetaRefreshAndRedirectConverge(t *testing.T) {
 			}
 			dst = dst.ResolveReference(ref)
 			u.SetPage(dst.Hostname(), dst.Path, websim.Page{Kind: websim.KindContent})
-			c := New(Options{Transport: u, SkipFavicons: true})
-			refresh := c.Crawl(context.Background(), Task{ASN: 1, URL: "https://src.test/dir/refresh"})
-			moved := c.Crawl(context.Background(), Task{ASN: 2, URL: "https://src.test/dir/moved"})
+			u.AddSite(dst.Hostname(), "dst")
+			refresh, moved := crawl(u)
 			if !refresh.OK || !moved.OK {
 				t.Fatalf("refresh %+v, moved %+v", refresh, moved)
 			}
 			if refresh.FinalURL != moved.FinalURL || refresh.Hops != 1 || moved.Hops != 1 {
 				t.Fatalf("meta refresh ends at %q after %d hops, 301 at %q after %d", refresh.FinalURL, refresh.Hops, moved.FinalURL, moved.Hops)
 			}
+			if refresh.FaviconHash == "" || refresh.FaviconHash != moved.FaviconHash {
+				t.Fatalf("meta refresh ends on icon %q, 301 on %q", refresh.FaviconHash, moved.FaviconHash)
+			}
 		})
 	}
+	// The final page declares its icon by a relative link, resolved
+	// against the page's URL or its <base href>. The site's
+	// /favicon.ico is another icon, so a chain that fell back to it
+	// would end on the wrong hash.
+	for _, c := range []struct{ name, page, icon string }{
+		{"relative icon", `<link rel="icon" href="img/i.ico">`, "https://dst.test/final/img/i.ico"},
+		{"relative icon under base href", `<base href="https://cdn.test/assets/"><link rel="icon" href="img/i.ico">`, "https://cdn.test/assets/img/i.ico"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			refresh, moved := crawl(movedTransport{
+				moved: map[string]string{"https://src.test/dir/moved": "https://dst.test/final/page"},
+				pages: pageTransport{
+					"https://src.test/dir/refresh": `<meta http-equiv="refresh" content="0; url=https://dst.test/final/page">`,
+					"https://dst.test/final/page":  c.page,
+					c.icon:                         "ICON",
+					"https://dst.test/favicon.ico": "FALLBACK",
+					"https://cdn.test/favicon.ico": "FALLBACK",
+				},
+			})
+			sum := sha256.Sum256([]byte("ICON"))
+			want := hex.EncodeToString(sum[:])
+			if refresh.FinalURL != moved.FinalURL || refresh.FaviconHash != want || moved.FaviconHash != want {
+				t.Fatalf("meta refresh ends at %q on icon %q, 301 at %q on %q; want icon %s from %s",
+					refresh.FinalURL, refresh.FaviconHash, moved.FinalURL, moved.FaviconHash, want, c.icon)
+			}
+		})
+	}
+}
+
+// movedTransport answers each URL it maps with a 301 to its target and
+// hands every other request to pages.
+type movedTransport struct {
+	moved map[string]string
+	pages pageTransport
+}
+
+func (m movedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if to, ok := m.moved[req.URL.String()]; ok {
+		return respWith(http.StatusMovedPermanently, "text/html", "", map[string]string{"Location": to})(req)
+	}
+	return m.pages.RoundTrip(req)
 }
 
 // pageTransport serves scripted bodies by URL (scheme, host and path):

@@ -28,10 +28,10 @@ var ErrDeltaMismatch = errors.New("serve: delta does not apply to the serving sn
 // to a from-scratch build of the patched mapping:
 //
 //   - Canonical cluster order (descending size, ties by smallest
-//     member) is a pure function of membership, so re-sorting
-//     survivors+additions reproduces the exact IDs a full build
-//     assigns. Survivors keep their relative order, so remapping a
-//     sorted posting list keeps it sorted.
+//     member) is a pure function of membership, so merging the
+//     survivors with the sorted additions reproduces the exact IDs a
+//     full build assigns. Survivors keep their relative order, so
+//     remapping a sorted posting list keeps it sorted.
 //   - θ and the histogram recompute from the patched member offsets
 //     with the same arithmetic the full build runs.
 //
@@ -47,9 +47,11 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 
 	// Verify every removal names a base cluster by its exact member
 	// list. Carrying full membership in the delta makes "wrong base"
-	// detectable here instead of surfacing as silent drift.
-	deleted := make([]bool, nOld)
-	delASNs := 0
+	// detectable here instead of surfacing as silent drift. remap takes
+	// each base ID to its patched ID once the merge below assigns it;
+	// until then -1 marks a removal.
+	remap := make([]int32, nOld)
+	delASNs, delNames := 0, 0
 	for _, members := range d.Removed {
 		if len(members) == 0 {
 			return nil, fmt.Errorf("%w: removal with no members", ErrDeltaMismatch)
@@ -58,17 +60,18 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		if !ok || !slices.Equal(s.orgs.Members.At(id), members) {
 			return nil, fmt.Errorf("%w: no organization with members %v", ErrDeltaMismatch, members)
 		}
-		if deleted[id] {
+		if remap[id] < 0 {
 			return nil, fmt.Errorf("%w: organization %d removed twice", ErrDeltaMismatch, id)
 		}
-		deleted[id] = true
+		remap[id] = -1
 		delASNs += len(members)
+		delNames += len(s.orgs.Names.At(id))
 	}
 
-	// Verify additions: sorted members, no overlap with each other or
-	// with any surviving cluster.
-	addASNs := 0
-	claimed := make(map[asnum.ASN]bool)
+	// Verify additions: sorted members, none held by a surviving
+	// cluster, none added twice. addPairs holds every added (ASN,
+	// addition) pair; sorted, a repeated ASN sits beside its twin.
+	addASNs, addNames := 0, 0
 	for i := range d.Added {
 		c := &d.Added[i]
 		if len(c.ASNs) == 0 {
@@ -78,71 +81,73 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 			if j > 0 && c.ASNs[j-1] >= a {
 				return nil, fmt.Errorf("%w: added organization members not strictly ascending", ErrDeltaMismatch)
 			}
-			if owner, ok := s.index.Lookup(a); ok && !deleted[owner] {
+			if owner, ok := s.index.Lookup(a); ok && remap[owner] >= 0 {
 				return nil, fmt.Errorf("%w: added organization claims %s, still held by organization %d",
 					ErrDeltaMismatch, a, owner)
 			}
-			if claimed[a] {
-				return nil, fmt.Errorf("%w: %s added twice", ErrDeltaMismatch, a)
-			}
-			claimed[a] = true
 		}
 		addASNs += len(c.ASNs)
+		addNames += len(c.Name)
 	}
-
-	// Re-derive canonical order over survivors + additions. Survivors
-	// arrive already canonically sorted relative to each other, so the
-	// sort only has to place the (few) additions.
-	type entry struct {
-		members []asnum.ASN
-		oldID   int // base cluster ID, or -1 for an addition
-		addIdx  int // index into d.Added, or -1 for a survivor
-	}
-	entries := make([]entry, 0, nOld-len(d.Removed)+len(d.Added))
-	for i := range nOld {
-		if !deleted[i] {
-			entries = append(entries, entry{members: s.orgs.Members.At(i), oldID: i, addIdx: -1})
+	addPairs := make([]uint64, 0, addASNs)
+	for i := range d.Added {
+		for _, a := range d.Added[i].ASNs {
+			addPairs = append(addPairs, uint64(a)<<32|uint64(i))
 		}
 	}
-	for i := range d.Added {
-		entries = append(entries, entry{members: d.Added[i].ASNs, oldID: -1, addIdx: i})
+	slices.Sort(addPairs)
+	for i := 1; i < len(addPairs); i++ {
+		if addPairs[i]>>32 == addPairs[i-1]>>32 {
+			return nil, fmt.Errorf("%w: %s added twice", ErrDeltaMismatch, asnum.ASN(addPairs[i]>>32))
+		}
 	}
-	if len(entries) == 0 {
+	n := nOld - len(d.Removed) + len(d.Added)
+	if n == 0 {
 		return nil, fmt.Errorf("serve: refusing to serve an empty mapping (delta removed every organization)")
 	}
-	sort.SliceStable(entries, func(a, b int) bool {
-		return cluster.CompareCanonical(entries[a].members, entries[b].members) < 0
-	})
-
-	// Write the patched organization tables in one pass over the new
-	// order. A survivor copies its base name, members and features
-	// whatever its new ID. Every table is sized exactly first.
-	n := len(entries)
-	nameBytes := 0
-	for _, e := range entries {
-		if e.oldID >= 0 {
-			nameBytes += len(s.orgs.Names.At(e.oldID))
-		} else {
-			nameBytes += len(d.Added[e.addIdx].Name)
-		}
-	}
+	nameBytes := len(s.orgs.Names.Text) - delNames + addNames
 	if err := namesFit(nameBytes); err != nil {
 		return nil, err
 	}
+
+	// Place the additions among the survivors in one merge walk.
+	// Survivors arrive in canonical order and member sets are disjoint,
+	// so no two organizations compare equal: walking the survivors
+	// beside the sorted additions gives the order a full sort would.
+	// Each organization is written to the patched tables as it is
+	// placed, a survivor copying its base name, members and features;
+	// addID records each addition's patched ID.
+	order := make([]int32, len(d.Added))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cluster.CompareCanonical(d.Added[a].ASNs, d.Added[b].ASNs)
+	})
+	addID := make([]int32, len(d.Added))
 	var orgs snapbin.OrgsBuilder
 	orgs.Grow(n, s.index.Len()-delASNs+addASNs, nameBytes)
-	remap := make([]int32, nOld) // base ID → patched ID, -1 if deleted
-	for i := range remap {
-		remap[i] = -1
+	next, placed := 0, int32(0)
+	add := func() {
+		k := order[next]
+		orgs.Add(&d.Added[k])
+		addID[k] = placed
+		next, placed = next+1, placed+1
 	}
-	for i, e := range entries {
-		if e.oldID >= 0 {
-			c := s.orgs.At(e.oldID)
-			orgs.Add(&c)
-			remap[e.oldID] = int32(i)
+	for i := range nOld {
+		if remap[i] < 0 {
 			continue
 		}
-		orgs.Add(&d.Added[e.addIdx])
+		c := s.orgs.At(i)
+		for next < len(order) && cluster.CompareCanonical(d.Added[order[next]].ASNs, c.ASNs) < 0 {
+			add()
+		}
+		orgs.Add(&c)
+		remap[i] = placed
+		placed++
+	}
+	for next < len(order) {
+		add()
 	}
 	table := orgs.Table()
 
@@ -150,15 +155,6 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	// keys (dropping deletions, remapping survivors) interleaved with
 	// the additions' sorted (ASN, ID) pairs.
 	oldKeys, oldVals := s.index.Keys(), s.index.Vals()
-	addPairs := make([]uint64, 0, addASNs)
-	for i := range entries {
-		if entries[i].addIdx >= 0 {
-			for _, a := range entries[i].members {
-				addPairs = append(addPairs, uint64(a)<<32|uint64(uint32(i)))
-			}
-		}
-	}
-	slices.Sort(addPairs)
 	keys := make([]asnum.ASN, 0, len(oldKeys)-delASNs+addASNs)
 	vals := make([]int32, 0, len(oldKeys)-delASNs+addASNs)
 	ai := 0
@@ -169,7 +165,7 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		}
 		for ai < len(addPairs) && asnum.ASN(addPairs[ai]>>32) < a {
 			keys = append(keys, asnum.ASN(addPairs[ai]>>32))
-			vals = append(vals, int32(uint32(addPairs[ai])))
+			vals = append(vals, addID[uint32(addPairs[ai])])
 			ai++
 		}
 		keys = append(keys, a)
@@ -177,7 +173,7 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	}
 	for ; ai < len(addPairs); ai++ {
 		keys = append(keys, asnum.ASN(addPairs[ai]>>32))
-		vals = append(vals, int32(uint32(addPairs[ai])))
+		vals = append(vals, addID[uint32(addPairs[ai])])
 	}
 
 	// Restore re-verifies everything — no empty organization, canonical
@@ -190,20 +186,19 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 	}
 
 	// Patch the token index straight into new tables. The additions'
-	// ids gather per token, ascending because entries are visited in ID
-	// order. One merge then walks the base's sorted tokens beside the
+	// ids gather per token, ascending because additions are visited in
+	// ID order. One merge then walks the base's sorted tokens beside the
 	// additions' sorted tokens and writes each token's surviving ids,
 	// remapped (deletions drop out; survivor remapping is monotonic, so
 	// order holds), merged with its additions' ids. A token left with
 	// no ids drops out; nothing is re-sorted but the additions' tokens.
 	added := map[string][]int32{}
-	for i := range entries {
-		if entries[i].addIdx < 0 {
-			continue
-		}
-		for _, tok := range tokenize(strings.ToLower(d.Added[entries[i].addIdx].Name)) {
-			if ids := added[tok]; len(ids) == 0 || ids[len(ids)-1] != int32(i) {
-				added[tok] = append(ids, int32(i))
+	for _, k := range order {
+		id := addID[k]
+		lower := strings.ToLower(d.Added[k].Name)
+		for tok, rest := nextToken(lower); tok != ""; tok, rest = nextToken(rest) {
+			if ids := added[tok]; len(ids) == 0 || ids[len(ids)-1] != id {
+				added[tok] = append(ids, id)
 			}
 		}
 	}
@@ -276,9 +271,6 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		loadedAt: now,
 		health:   s.health,
 		loadMode: LoadModeDelta,
-	}
-	ns.scratchPool.New = func() any {
-		return &searchScratch{bits: make([]uint64, (n+63)/64)}
 	}
 	return ns, nil
 }

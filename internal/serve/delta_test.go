@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
 	"github.com/nu-aqualab/borges/internal/mapdiff"
+	"github.com/nu-aqualab/borges/internal/snapbin"
 )
 
 // groupedMapping builds a mapping from explicit (name, members) groups
@@ -150,6 +152,100 @@ func TestDeltaRejects(t *testing.T) {
 	}); err == nil {
 		t.Fatal("delta emptying the mapping accepted")
 	}
+}
+
+// fuzzNames are the names FuzzApplyDelta gives its organizations:
+// punctuation, non-ASCII letters, invalid UTF-8, spaces and the empty
+// name.
+var fuzzNames = []string{
+	"AT&T Services", "Level-3", "Telefónica del Perú", "İstanbul Net", "Müller & Söhne",
+	"o'brien", "ÆTHER", "", "a.b.c", "  padded  ", "NTT ntt", "\xffbad\xfe", "ⱥlpha Ⱥ",
+}
+
+// fuzzGrouping groups ASNs 1..len(b): ASN i+1 joins group b[i]%8, and
+// a group is named after the upper bits of its first member's byte.
+func fuzzGrouping(b []byte) *cluster.Mapping {
+	groups := map[byte][]asnum.ASN{}
+	for i, v := range b {
+		groups[v%8] = append(groups[v%8], asnum.ASN(i+1))
+	}
+	bld := cluster.NewBuilder()
+	for _, members := range groups {
+		bld.Add(cluster.SiblingSet{ASNs: members, Source: cluster.Feature(int(b[members[0]-1]) % cluster.NumFeatures)})
+	}
+	return bld.Build(func(members []asnum.ASN) string {
+		return fuzzNames[int(b[members[0]-1]>>3)%len(fuzzNames)]
+	})
+}
+
+// FuzzApplyDelta holds the merge walk that places a delta's additions
+// to a from-scratch build: the fuzz bytes group up to 64 ASNs twice,
+// into a base and a next mapping, and the base patched by their delta
+// must equal the next mapping built whole. Three mutations of the
+// delta (a removal missing a member, an addition claiming a surviving
+// ASN, an addition repeated) must each be refused with
+// ErrDeltaMismatch, the base left as it was.
+func FuzzApplyDelta(f *testing.F) {
+	f.Add([]byte("abcdefghabcdefgi"))
+	f.Add([]byte("\x00\x00\x00\x00\x01\x01\x01\x01"))
+	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x00\x00\x08\x08\x10\x10\x18\x18"))
+	f.Add([]byte("Telefónica y AT&T, Level-3 y İstanbul"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/2, 64)
+		if n == 0 {
+			return
+		}
+		now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+		build := func(m *cluster.Mapping) *Snapshot {
+			s, err := newSnapshotAt(m, "fuzz", Health{Status: HealthOK}, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		baseM, nextM := fuzzGrouping(data[:n]), fuzzGrouping(data[n:2*n])
+		base := build(baseM)
+		hash := base.ContentHash()
+		d := mapdiff.ComputeDelta(baseM, nextM)
+		patched, err := base.applyDeltaAt(d, now)
+		if err != nil {
+			t.Fatalf("delta %s: %v", d.Summary(), err)
+		}
+		snapEqual(t, build(nextM), patched)
+
+		removed := map[asnum.ASN]bool{}
+		for _, members := range d.Removed {
+			for _, a := range members {
+				removed[a] = true
+			}
+		}
+		var bad []*mapdiff.Delta
+		if len(d.Removed) > 0 {
+			m := &mapdiff.Delta{Removed: slices.Clone(d.Removed), Added: d.Added}
+			m.Removed[0] = m.Removed[0][:len(m.Removed[0])-1]
+			bad = append(bad, m)
+		}
+		for a := asnum.ASN(1); int(a) <= n; a++ {
+			if !removed[a] {
+				m := &mapdiff.Delta{Removed: d.Removed, Added: slices.Clone(d.Added)}
+				m.Added = append(m.Added, cluster.Cluster{Name: "claim", ASNs: []asnum.ASN{a}})
+				bad = append(bad, m)
+				break
+			}
+		}
+		if len(d.Added) > 0 {
+			bad = append(bad, &mapdiff.Delta{Removed: d.Removed, Added: append(slices.Clone(d.Added), d.Added[0])})
+		}
+		for _, m := range bad {
+			if _, err := base.applyDeltaAt(m, now); !errors.Is(err, ErrDeltaMismatch) {
+				t.Fatalf("mutated delta %s applied: %v, want %v", m.Summary(), err, ErrDeltaMismatch)
+			}
+		}
+		snapEqual(t, build(baseM), base)
+		if h := snapbin.HashImage(base.image()); h != hash {
+			t.Fatalf("refused deltas changed the base: hash %s, was %s", h, hash)
+		}
+	})
 }
 
 // TestDeltaReloadUnderFire drives concurrent lookups against a server

@@ -77,9 +77,6 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 		loadMode:    LoadModeBinary,
 		contentHash: hash,
 	}
-	s.scratchPool.New = func() any {
-		return &searchScratch{bits: make([]uint64, (n+63)/64)}
-	}
 	s.tokens, s.postings = img.Tokens, img.Postings
 	s.stats = Stats{
 		Orgs:        n,

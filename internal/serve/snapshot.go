@@ -132,10 +132,6 @@ type Snapshot struct {
 	tokens   snapbin.Strings
 	postings snapbin.Postings
 
-	// scratchPool recycles per-query search state (dedup bitset, posting
-	// heads, result ids) so Search and SearchBrownout stay off the heap.
-	scratchPool sync.Pool
-
 	source   string
 	loadedAt time.Time
 	health   Health
@@ -213,9 +209,6 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 		loadedAt: now,
 		health:   health,
 		loadMode: LoadModeFull,
-	}
-	s.scratchPool.New = func() any {
-		return &searchScratch{bits: make([]uint64, (n+63)/64)}
 	}
 
 	// Copying the organizations into their tables, then θ and the
@@ -557,8 +550,8 @@ func (s *Snapshot) AppendASBody(dst []byte, a asnum.ASN) ([]byte, bool) {
 
 // searchScratch is the reusable per-query state behind Search and
 // SearchBrownout: a cluster-ID dedup bitset plus the matched posting
-// lists and a result buffer, recycled through the snapshot's pool so
-// the query path performs no steady-state allocation.
+// lists and a result buffer, recycled through scratchPool so the query
+// path performs no steady-state allocation.
 type searchScratch struct {
 	bits  []uint64
 	lists [][]int32
@@ -577,15 +570,34 @@ func (sc *searchScratch) mark(id int) bool {
 	return true
 }
 
-// release clears every bit still set for the emitted ids and returns
-// the scratch to the pool.
-func (s *Snapshot) release(sc *searchScratch) {
+// scratchPool recycles search scratch across every snapshot. It lives
+// outside Snapshot because the runtime lists each pool used since the
+// last collection and marks that list once more in the next one: a
+// pool inside a snapshot would keep the whole snapshot live through
+// the collection a swap starts to free it (see collectRetired).
+var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// scratch takes a scratch from the pool, its bitset grown to cover the
+// snapshot's organizations. Every bit of a pooled scratch is clear, so
+// it serves a snapshot of any size.
+func (s *Snapshot) scratch() *searchScratch {
+	sc := scratchPool.Get().(*searchScratch)
+	if words := (s.orgs.Len() + 63) / 64; len(sc.bits) < words {
+		sc.bits = make([]uint64, words)
+	}
+	return sc
+}
+
+// release clears every bit still set for the emitted ids, drops the
+// posting lists it points into, and returns the scratch to the pool.
+func release(sc *searchScratch) {
 	for _, id := range sc.ids {
 		sc.bits[id>>6] = 0
 	}
 	sc.ids = sc.ids[:0]
+	clear(sc.lists)
 	sc.lists = sc.lists[:0]
-	s.scratchPool.Put(sc)
+	scratchPool.Put(sc)
 }
 
 // Search returns up to limit organizations whose display name contains
@@ -613,7 +625,7 @@ func (s *Snapshot) Search(query string, limit int) []cluster.Cluster {
 	if limit <= 0 || limit > s.orgs.Len() {
 		limit = s.orgs.Len()
 	}
-	sc := s.scratchPool.Get().(*searchScratch)
+	sc := s.scratch()
 	switch {
 	case isToken(q):
 		// Walk the offsets with a running start: an At call per token
@@ -642,7 +654,7 @@ func (s *Snapshot) Search(query string, limit int) []cluster.Cluster {
 		s.mergePostings(sc, limit, true)
 	}
 	out := s.materialize(sc.ids)
-	s.release(sc)
+	release(sc)
 	return out
 }
 
@@ -772,7 +784,7 @@ func (s *Snapshot) SearchBrownout(query string, limit int) []cluster.Cluster {
 	if q == "" {
 		return nil
 	}
-	sc := s.scratchPool.Get().(*searchScratch)
+	sc := s.scratch()
 	for i := s.findToken(q); i < s.tokens.Len(); i++ {
 		if !strings.HasPrefix(s.tokens.At(i), q) {
 			break
@@ -792,6 +804,6 @@ func (s *Snapshot) SearchBrownout(query string, limit int) []cluster.Cluster {
 	}
 	sort.Ints(ids)
 	out := s.materialize(ids)
-	s.release(sc)
+	release(sc)
 	return out
 }

@@ -61,7 +61,6 @@ package snapbin
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -71,7 +70,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -535,113 +533,6 @@ func encodeFile(f vfs.File, img *Image) (string, error) {
 	return hex.EncodeToString(sum), nil
 }
 
-// reader is a bounds-checked cursor over one section's payload. Every
-// length it returns has already been proven to fit in the remaining
-// bytes, so callers can allocate without an OOM risk from adversarial
-// counts.
-type reader struct {
-	buf []byte
-	pos int
-	sec uint32
-}
-
-func (r *reader) fail(format string, args ...any) error {
-	return fmt.Errorf("%w: section %d: %s", ErrCorrupt, r.sec, fmt.Sprintf(format, args...))
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.pos }
-
-func (r *reader) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, r.fail("truncated uint32 at offset %d", r.pos)
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v, nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	if r.remaining() < 8 {
-		return 0, r.fail("truncated uint64 at offset %d", r.pos)
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v, nil
-}
-
-// count reads an element count and validates count*elemSize against
-// the remaining payload before the caller allocates.
-func (r *reader) count(elemSize int) (int, error) {
-	v, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	n := int(v)
-	if n < 0 || elemSize > 0 && n > r.remaining()/elemSize {
-		return 0, r.fail("count %d exceeds %d remaining bytes", n, r.remaining())
-	}
-	return n, nil
-}
-
-// bytes returns the next n raw bytes as a subslice (no copy).
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > r.remaining() {
-		return nil, r.fail("%d bytes requested, %d remaining", n, r.remaining())
-	}
-	b := r.buf[r.pos : r.pos+n : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.count(1)
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// strings reads a run of n length-prefixed strings into one table: a
-// first pass validates every length and sizes the text, the second
-// copies the bytes once, so the run costs two allocations whatever n
-// is. n must already be validated against the payload.
-func (r *reader) strings(n int) (Strings, error) {
-	start, total := r.pos, 0
-	for i := 0; i < n; i++ {
-		l, err := r.count(1)
-		if err != nil {
-			return Strings{}, err
-		}
-		r.pos += l
-		total += l
-	}
-	if uint64(total) > math.MaxUint32 {
-		return Strings{}, r.fail("string run of %d bytes exceeds the table's 4 GiB", total)
-	}
-	r.pos = start
-	var text strings.Builder
-	text.Grow(total)
-	off := make([]uint32, n+1)
-	for i := 1; i <= n; i++ {
-		l := int(binary.LittleEndian.Uint32(r.buf[r.pos:]))
-		text.Write(r.buf[r.pos+4 : r.pos+4+l])
-		r.pos += 4 + l
-		off[i] = uint32(text.Len())
-	}
-	return Strings{Text: text.String(), Off: off}, nil
-}
-
-func (r *reader) done() error {
-	if r.pos != len(r.buf) {
-		return r.fail("%d trailing bytes", r.remaining())
-	}
-	return nil
-}
-
 // sectionSpan is one validated section-table entry.
 type sectionSpan struct {
 	id          uint32
@@ -691,30 +582,6 @@ func parseTable(table []byte, count uint32, size uint64) ([]sectionSpan, error) 
 	return spans, nil
 }
 
-// decodeSection decodes one fully-read section payload of sections 1
-// to 5 into img. It copies what it keeps, so the payload buffer may be
-// reused.
-func decodeSection(id uint32, payload []byte, img *Image) error {
-	r := &reader{buf: payload, sec: id}
-	var err error
-	switch id {
-	case secProvenance:
-		err = readProvenance(r, img)
-	case secStats:
-		err = readStats(r, img)
-	case secClusters:
-		err = readClusters(r, img)
-	case secIndex:
-		err = readIndex(r, img)
-	case secTokens:
-		err = readTokens(r, img)
-	}
-	if err != nil {
-		return err
-	}
-	return r.done()
-}
-
 // checkSize compares the header's declared size with the bytes
 // available.
 func checkSize(declared, actual uint64) error {
@@ -727,12 +594,12 @@ func checkSize(declared, actual uint64) error {
 	return nil
 }
 
-func readProvenance(r *reader, img *Image) error {
+func readProvenance(d *streamDecoder, img *Image) error {
 	var err error
-	if img.Source, err = r.str(); err != nil {
+	if img.Source, err = d.str(); err != nil {
 		return err
 	}
-	ns, err := r.u64()
+	ns, err := d.u64()
 	if err != nil {
 		return err
 	}
@@ -740,193 +607,189 @@ func readProvenance(r *reader, img *Image) error {
 	return nil
 }
 
-func readStats(r *reader, img *Image) error {
-	bits, err := r.u64()
+func readStats(d *streamDecoder, img *Image) error {
+	bits, err := d.u64()
 	if err != nil {
 		return err
 	}
 	img.Theta = math.Float64frombits(bits)
-	orgs, err := r.u32()
+	orgs, err := d.u32()
 	if err != nil {
 		return err
 	}
-	asns, err := r.u32()
+	asns, err := d.u32()
 	if err != nil {
 		return err
 	}
 	// The counts are cross-checked against the cluster and index
 	// sections once every section has decoded.
 	img.statOrgs, img.statASNs = int(orgs), int(asns)
-	multi, err := r.u32()
+	multi, err := d.u32()
 	if err != nil {
 		return err
 	}
-	largest, err := r.u32()
+	largest, err := d.u32()
 	if err != nil {
 		return err
 	}
 	img.MultiASOrgs, img.LargestOrg = int(multi), int(largest)
-	if img.HealthStatus, err = r.str(); err != nil {
+	if img.HealthStatus, err = d.str(); err != nil {
 		return err
 	}
-	q, err := r.u32()
+	q, err := d.u32()
 	if err != nil {
 		return err
 	}
 	img.Quarantined = int(q)
-	if img.HealthDetail, err = r.str(); err != nil {
+	if img.HealthDetail, err = d.str(); err != nil {
 		return err
 	}
-	nb, err := r.count(12)
+	nb, err := d.count(12)
 	if err != nil {
 		return err
 	}
-	img.Histogram = make([]Bucket, nb)
-	for i := range img.Histogram {
-		lo, err := r.u32()
+	hist := table[Bucket](d, nb)
+	for range nb {
+		lo, err := d.u32()
 		if err != nil {
 			return err
 		}
-		hi, err := r.u32()
+		hi, err := d.u32()
 		if err != nil {
 			return err
 		}
-		orgs, err := r.u32()
+		orgs, err := d.u32()
 		if err != nil {
 			return err
 		}
-		img.Histogram[i] = Bucket{Lo: int(lo), Hi: int(hi), Orgs: int(orgs)}
+		hist = append(hist, Bucket{Lo: int(lo), Hi: int(hi), Orgs: int(orgs)})
 	}
+	img.Histogram = exact(hist)
 	return nil
 }
 
-func readClusters(r *reader, img *Image) error {
-	n, err := r.count(4)
+func readClusters(d *streamDecoder, img *Image) error {
+	n, err := d.count(4)
 	if err != nil {
 		return err
 	}
 	// The counts become the member table's offsets.
-	off := make([]uint32, n+1)
+	off := append(table[uint32](d, n+1), 0)
 	var total uint64
-	for i := range n {
-		c, err := r.u32()
+	for range n {
+		c, err := d.u32()
 		if err != nil {
 			return err
 		}
 		if total += uint64(c); total > math.MaxUint32 {
-			return r.fail("member counts exceed the table's 4 Gi entries")
+			return d.fail("member counts exceed the table's 4 Gi entries")
 		}
-		off[i+1] = uint32(total)
+		off = append(off, uint32(total))
 	}
-	featBytes, err := r.bytes(n)
+	features, err := d.appendBytes(table[byte](d, n), n)
 	if err != nil {
 		return err
 	}
-	for i, b := range featBytes {
+	for i, b := range features {
 		if b>>cluster.NumFeatures != 0 {
-			return r.fail("organization %d has unknown feature bits %#x", i, b)
+			return d.fail("organization %d has unknown feature bits %#x", i, b)
 		}
 	}
-	names, err := r.strings(n)
+	names, err := d.strings(n)
 	if err != nil {
 		return err
 	}
 	// The lowercase run is derived from the names: each is checked where
-	// it lies, and none is kept.
-	var scratch []byte
+	// it lies in the window, and none is kept. Lowering turns a byte into
+	// at most three (an invalid byte becomes U+FFFD), so a longer run is
+	// refused before it is read.
 	for i := range n {
-		l, err := r.count(1)
+		l, err := d.count(1)
 		if err != nil {
 			return err
 		}
-		lower, err := r.bytes(l)
-		if err != nil {
+		name := names.At(i)
+		if l > 3*len(name) {
+			return d.fail("lowercase name %d disagrees with its name", i)
+		}
+		if err := d.more(l); err != nil {
 			return err
 		}
-		if !isLowerOf(lower, names.At(i), &scratch) {
-			return r.fail("lowercase name %d disagrees with its name", i)
+		if !isLowerOf(d.head[:l], name, &d.lower) {
+			return d.fail("lowercase name %d disagrees with its name", i)
 		}
+		d.head = d.head[l:]
 	}
-	if total > uint64(r.remaining()/4) {
-		return r.fail("ASN pool needs %d entries, %d bytes remain", total, r.remaining())
+	if total > d.left()/4 {
+		return d.fail("ASN pool needs %d entries, %d bytes remain", total, d.left())
 	}
-	raw, err := r.bytes(4 * int(total))
+	pool, err := words(d, table[asnum.ASN](d, int(total)), int(total))
 	if err != nil {
 		return err
-	}
-	pool := make([]asnum.ASN, total)
-	for i := range pool {
-		pool[i] = asnum.ASN(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	img.Orgs = Orgs{
 		Names:    names,
-		Members:  Members{Items: pool, Off: off},
-		Features: bytes.Clone(featBytes),
+		Members:  Members{Items: exact(pool), Off: exact(off)},
+		Features: exact(features),
 	}
 	return nil
 }
 
-func readIndex(r *reader, img *Image) error {
-	n, err := r.count(8)
+func readIndex(d *streamDecoder, img *Image) error {
+	n, err := d.count(8)
 	if err != nil {
 		return err
 	}
-	raw, err := r.bytes(8 * n)
+	keys, err := words(d, table[asnum.ASN](d, n), n)
 	if err != nil {
 		return err
 	}
-	img.Keys = make([]asnum.ASN, n)
-	img.Vals = make([]int32, n)
-	for i := 0; i < n; i++ {
-		img.Keys[i] = asnum.ASN(binary.LittleEndian.Uint32(raw[4*i:]))
+	vals, err := words(d, table[int32](d, n), n)
+	if err != nil {
+		return err
 	}
-	vals := raw[4*n:]
-	for i := 0; i < n; i++ {
-		img.Vals[i] = int32(binary.LittleEndian.Uint32(vals[4*i:]))
-	}
+	img.Keys, img.Vals = exact(keys), exact(vals)
 	return nil
 }
 
-func readTokens(r *reader, img *Image) error {
-	n, err := r.count(5) // each token: length prefix + ≥0 bytes + posting count
+func readTokens(d *streamDecoder, img *Image) error {
+	n, err := d.count(8) // each token: a length prefix and a posting count
 	if err != nil {
 		return err
 	}
-	if img.Tokens, err = r.strings(n); err != nil {
+	if img.Tokens, err = d.strings(n); err != nil {
 		return err
 	}
 	text, off := img.Tokens.Text, img.Tokens.Off
 	for i := 2; i <= n; i++ {
 		if text[off[i-2]:off[i-1]] >= text[off[i-1]:off[i]] {
-			return r.fail("tokens not strictly ascending at %d", i-1)
+			return d.fail("tokens not strictly ascending at %d", i-1)
 		}
 	}
-	// The posting lists fill one table the same way: a first pass
-	// validates the counts and sizes the slab, the second fills it.
-	start, total := r.pos, 0
-	for i := 0; i < n; i++ {
-		c, err := r.count(4)
+	// The posting items fill the section's bytes after the token run
+	// but the four of each token's count, so their table is sized
+	// before the first list is read.
+	rest := d.left()
+	if rest < 4*uint64(n) || rest%4 != 0 {
+		return d.fail("%d bytes cannot hold %d posting lists", rest, n)
+	}
+	total := int(rest/4) - n
+	items := table[int32](d, total)
+	postOff := append(table[uint32](d, n+1), 0)
+	for range n {
+		c, err := d.count(4)
 		if err != nil {
 			return err
 		}
-		if _, err := r.bytes(4 * c); err != nil {
+		if c > total-len(items) {
+			return d.fail("posting lists overrun the section")
+		}
+		if items, err = words(d, items, c); err != nil {
 			return err
 		}
-		total += c
+		postOff = append(postOff, uint32(len(items)))
 	}
-	r.pos = start
-	p := Postings{Items: make([]int32, total), Off: make([]uint32, n+1)}
-	at := 0
-	for i := 1; i <= n; i++ {
-		c, _ := r.count(4)
-		raw, _ := r.bytes(4 * c)
-		for j := range c {
-			p.Items[at+j] = int32(binary.LittleEndian.Uint32(raw[4*j:]))
-		}
-		at += c
-		p.Off[i] = uint32(at)
-	}
-	img.Postings = p
+	img.Postings = Postings{Items: exact(items), Off: exact(postOff)}
 	return nil
 }
 
@@ -974,7 +837,7 @@ func crossCheck(img *Image) error {
 // filesystem) through the streaming decoder (see Read), so scrubbers
 // and chaos tests observe exactly the bytes that filesystem serves.
 // The file's size is checked against the header before any section is
-// read, so section buffers are sized exactly.
+// read, so every table is allocated once, at its exact size.
 func ReadFileFS(fsys vfs.FS, path string) (*Image, string, error) {
 	f, err := vfs.Or(fsys).Open(path)
 	if err != nil {

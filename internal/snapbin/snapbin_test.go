@@ -384,7 +384,9 @@ func TestCrashedHalfWriteRejected(t *testing.T) {
 // FuzzAppendLower holds AppendLower to strings.ToLower, byte for byte,
 // on any string: invalid UTF-8, runes that lower into ASCII (U+0130,
 // U+212A), into fewer bytes (U+1E9E) or not at all. isLowerOf must
-// accept exactly that lowering, after any prefix already in dst.
+// accept exactly that lowering, after any prefix already in dst. The
+// lowering is at most three bytes a byte, the bound the decoder refuses
+// a longer stored lowercase name by before reading it.
 func FuzzAppendLower(f *testing.F) {
 	for _, s := range []string{"", "Lumen", "AT&T Services", "\xff\xfeABC", "İstanbul",
 		"Kelvin", "STRAẞE", "Telefónica", "a\xc3", "�\xef\xbf", "ÆTHER"} {
@@ -394,6 +396,9 @@ func FuzzAppendLower(f *testing.F) {
 		want := strings.ToLower(s)
 		if got := AppendLower(nil, s); string(got) != want {
 			t.Fatalf("AppendLower(%q) = %q, strings.ToLower %q", s, got, want)
+		}
+		if len(want) > 3*len(s) {
+			t.Fatalf("strings.ToLower(%q) is %d bytes, more than three a byte", s, len(want))
 		}
 		if got := AppendLower([]byte(prefix), s); string(got) != prefix+want {
 			t.Fatalf("AppendLower(%q, %q) = %q, want %q", prefix, s, got, prefix+want)
