@@ -300,8 +300,8 @@ type (
 	// Snapshot is an immutable, pre-indexed view of a Mapping (ASN
 	// lookup, name search, θ, size histogram) safe for lock-free
 	// concurrent reads; lookup responses are rendered from it per
-	// request. Construction fans out across GOMAXPROCS workers and is
-	// deterministic at any worker count.
+	// request. Construction is deterministic: a snapshot of one mapping
+	// has one content hash, whether built, loaded or patched by a delta.
 	Snapshot = serve.Snapshot
 	// SnapshotStats are a snapshot's precomputed corpus statistics.
 	SnapshotStats = serve.Stats

@@ -13,19 +13,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"testing"
-	"time"
 )
 
 // benchBulkServer builds an n-network snapshot and serves it over a
 // real HTTP listener.
 func benchBulkServer(b *testing.B, n int) (*Server, *httptest.Server) {
 	b.Helper()
-	snap, err := newSnapshotWorkers(benchBuilder(n).Build(benchNamer),
-		"bench", Health{}, time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC),
-		runtime.GOMAXPROCS(0))
+	snap, err := NewSnapshot(benchBuilder(n).Build(benchNamer), "bench")
 	if err != nil {
 		b.Fatal(err)
 	}

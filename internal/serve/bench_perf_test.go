@@ -12,12 +12,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
 	"github.com/nu-aqualab/borges/internal/cluster"
@@ -156,39 +154,28 @@ func BenchmarkConsolidate(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotBuild contrasts the single-worker snapshot build
-// (tokenization, θ, histogram in one goroutine) with
-// the fanned-out build. On a single-core runner the two are expected
-// to tie; the parallel speedup shows on multi-core CI.
+// BenchmarkSnapshotBuild prices a full snapshot build at each scale:
+// copying the organizations into their tables, θ and the histogram,
+// and the token index.
 func BenchmarkSnapshotBuild(b *testing.B) {
-	now := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
 	for _, n := range consolidationScales {
 		m := benchBuilder(n).Build(benchNamer)
-		for _, mode := range []struct {
-			name    string
-			workers int
-		}{
-			{"seq", 1},
-			{"par", runtime.GOMAXPROCS(0)},
-		} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				var snap *Snapshot
-				for i := 0; i < b.N; i++ {
-					var err error
-					snap, err = newSnapshotWorkers(m, "bench", Health{}, now, mode.workers)
-					if err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var snap *Snapshot
+			for i := 0; i < b.N; i++ {
+				var err error
+				snap, err = NewSnapshot(m, "bench")
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				recordBench(b, map[string]float64{
-					"networks": float64(n),
-					"orgs":     float64(snap.Stats().Orgs),
-					"workers":  float64(mode.workers),
-				})
+			}
+			b.StopTimer()
+			recordBench(b, map[string]float64{
+				"networks": float64(n),
+				"orgs":     float64(snap.Stats().Orgs),
 			})
-		}
+		})
 	}
 }
 
@@ -196,8 +183,7 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 // form: an ASN point lookup rendering the full /v1/as response of a
 // 64-network organization must report 0 allocs/op.
 func BenchmarkLookupAllocs(b *testing.B) {
-	snap, err := newSnapshotWorkers(benchBuilder(8192).Build(benchNamer),
-		"bench", Health{}, time.Now(), runtime.GOMAXPROCS(0))
+	snap, err := NewSnapshot(benchBuilder(8192).Build(benchNamer), "bench")
 	if err != nil {
 		b.Fatal(err)
 	}

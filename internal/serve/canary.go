@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-
-	"github.com/nu-aqualab/borges/internal/asnum"
 )
 
 // ErrCanaryRejected marks a candidate snapshot that failed its
@@ -26,42 +24,27 @@ type CanaryConfig struct {
 	Disable bool
 	// Samples is how many ASNs the canary replays against the candidate
 	// (default 64, clamped to the index size). The sample positions are
-	// a pure function of Seed and the index size, so a rejection
-	// reproduces bit-for-bit.
+	// a pure function of the index size, so a rejection reproduces
+	// bit-for-bit.
 	Samples int
-	// Searches is how many sampled clusters also get an end-to-end
-	// Search replay (default 8). Kept smaller than Samples because a
-	// search costs a posting-list merge, not a binary search.
-	Searches int
 	// ThetaTolerance, when > 0, rejects a candidate whose θ differs
 	// from the serving snapshot's by more than this absolute amount — a
 	// guard against swapping in a structurally valid but statistically
 	// absurd mapping. 0 disables the θ gate (reloads that legitimately
 	// change the corpus swing θ freely).
 	ThetaTolerance float64
-	// Seed varies the sample positions (default 1).
-	Seed int64
 }
+
+// canarySearches is how many of the sampled clusters also get an
+// end-to-end Search replay: fewer than the samples, because a search
+// costs a posting-list merge, not a binary search.
+const canarySearches = 8
 
 func (c CanaryConfig) samples() int {
 	if c.Samples <= 0 {
 		return 64
 	}
 	return c.Samples
-}
-
-func (c CanaryConfig) searches() int {
-	if c.Searches <= 0 {
-		return 8
-	}
-	return c.Searches
-}
-
-func (c CanaryConfig) seed() uint64 {
-	if c.Seed == 0 {
-		return 1
-	}
-	return uint64(c.Seed)
 }
 
 // canaryCheck replays a deterministic sample of lookups and searches
@@ -102,11 +85,9 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 	if samples > n {
 		samples = n
 	}
-	searches := cfg.searches()
-	seed := cfg.seed()
 	var scratch []byte
 	for i := 0; i < samples; i++ {
-		pos := int(whiten64(seed+uint64(i)) % uint64(n))
+		pos := int(whiten64(1+uint64(i)) % uint64(n))
 		a := keys[pos]
 		var ok bool
 		scratch, ok = next.AppendASBody(scratch[:0], a)
@@ -120,7 +101,7 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 		if !ok {
 			return fmt.Errorf("%w: indexed AS%d resolves to no cluster", ErrCanaryRejected, a)
 		}
-		if !containsASN(c.ASNs, a) {
+		if _, ok := slices.BinarySearch(c.ASNs, a); !ok {
 			return fmt.Errorf("%w: AS%d maps to org %d which does not contain it", ErrCanaryRejected, a, c.ID)
 		}
 		scratch, ok = next.AppendOrgBody(scratch[:0], c.ID)
@@ -134,7 +115,7 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 		if err := canaryCheckTokens(next, c.ID, lower); err != nil {
 			return err
 		}
-		if i < searches {
+		if i < canarySearches {
 			if err := canaryCheckSearch(next, c.ID, lower); err != nil {
 				return err
 			}
@@ -147,7 +128,7 @@ func canaryCheck(next, prev *Snapshot, cfg CanaryConfig) error {
 // resolves back to id through the token index — the postings a
 // /v1/search for that organization's name would merge.
 func canaryCheckTokens(s *Snapshot, id int, lower string) error {
-	for _, tok := range tokenize(lower) {
+	for tok, rest := nextToken(lower); tok != ""; tok, rest = nextToken(rest) {
 		ti := s.findToken(tok)
 		if ti == s.tokens.Len() || s.tokens.At(ti) != tok {
 			return fmt.Errorf("%w: org %d name token %q missing from search index", ErrCanaryRejected, id, tok)
@@ -172,20 +153,6 @@ func canaryCheckSearch(s *Snapshot, id int, lower string) error {
 		return fmt.Errorf("%w: search for %q (org %d name token) returned nothing", ErrCanaryRejected, tok, id)
 	}
 	return nil
-}
-
-// containsASN binary-searches a sorted membership slice.
-func containsASN(asns []asnum.ASN, a asnum.ASN) bool {
-	lo, hi := 0, len(asns)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if asns[mid] < a {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(asns) && asns[lo] == a
 }
 
 // whiten64 is one splitmix64 step — the same mixing the faultinject

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 	"time"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -34,6 +32,8 @@ var ErrDeltaMismatch = errors.New("serve: delta does not apply to the serving sn
 //     remapping a sorted posting list keeps it sorted.
 //   - θ and the histogram recompute from the patched member offsets
 //     with the same arithmetic the full build runs.
+//   - The token and posting tables come from mergeTokens, the builder a
+//     full build runs over an empty base.
 //
 // The base snapshot is never mutated; on any validation failure the
 // base keeps serving.
@@ -185,73 +185,15 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		return nil, fmt.Errorf("serve: patched mapping fails validation: %w", err)
 	}
 
-	// Patch the token index straight into new tables. The additions'
-	// ids gather per token, ascending because additions are visited in
-	// ID order. One merge then walks the base's sorted tokens beside the
-	// additions' sorted tokens and writes each token's surviving ids,
-	// remapped (deletions drop out; survivor remapping is monotonic, so
-	// order holds), merged with its additions' ids. A token left with
-	// no ids drops out; nothing is re-sorted but the additions' tokens.
+	// Patch the token index: the additions, tokenized in patched-ID
+	// order, merge into the base's remapped posting lists.
 	added := map[string][]int32{}
 	for _, k := range order {
-		id := addID[k]
-		lower := strings.ToLower(d.Added[k].Name)
-		for tok, rest := nextToken(lower); tok != ""; tok, rest = nextToken(rest) {
-			if ids := added[tok]; len(ids) == 0 || ids[len(ids)-1] != id {
-				added[tok] = append(ids, id)
-			}
-		}
+		addTokens(added, addID[k], d.Added[k].Name)
 	}
-	addToks := make([]string, 0, len(added))
-	addBytes, addIDs := 0, 0
-	for tok, ids := range added {
-		addToks = append(addToks, tok)
-		addBytes += len(tok)
-		addIDs += len(ids)
-	}
-	sort.Strings(addToks)
-	if err := namesFit(len(s.tokens.Text) + addBytes); err != nil {
+	tokens, postings, err := mergeTokens(s.tokens, s.postings, remap, added)
+	if err != nil {
 		return nil, err
-	}
-	var tokens snapbin.StringsBuilder
-	tokens.Grow(s.tokens.Len()+len(addToks), len(s.tokens.Text)+addBytes)
-	postings := snapbin.Postings{
-		Items: make([]int32, 0, len(s.postings.Items)+addIDs),
-		Off:   make([]uint32, 1, s.tokens.Len()+len(addToks)+1),
-	}
-	emit := func(tok string, base, add []int32) {
-		start := len(postings.Items)
-		for _, id := range base {
-			v := remap[id]
-			if v < 0 {
-				continue
-			}
-			for len(add) > 0 && add[0] < v {
-				postings.Items, add = append(postings.Items, add[0]), add[1:]
-			}
-			postings.Items = append(postings.Items, v)
-		}
-		postings.Items = append(postings.Items, add...)
-		if len(postings.Items) > start {
-			tokens.Add(tok)
-			postings.Off = append(postings.Off, uint32(len(postings.Items)))
-		}
-	}
-	fi := 0
-	for ti := range s.tokens.Len() {
-		tok := s.tokens.At(ti)
-		for ; fi < len(addToks) && addToks[fi] < tok; fi++ {
-			emit(addToks[fi], nil, added[addToks[fi]])
-		}
-		var add []int32
-		if fi < len(addToks) && addToks[fi] == tok {
-			add = added[tok]
-			fi++
-		}
-		emit(tok, s.postings.At(ti), add)
-	}
-	for ; fi < len(addToks); fi++ {
-		emit(addToks[fi], nil, added[addToks[fi]])
 	}
 
 	// Recompute corpus statistics from the patched member offsets — the
@@ -265,7 +207,7 @@ func (s *Snapshot) applyDeltaAt(d *mapdiff.Delta, now time.Time) (*Snapshot, err
 		orgs:     table,
 		index:    idx,
 		stats:    stats,
-		tokens:   tokens.Table(),
+		tokens:   tokens,
 		postings: postings,
 		source:   s.source,
 		loadedAt: now,

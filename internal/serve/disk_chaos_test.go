@@ -80,7 +80,7 @@ func TestDiskChaosStorm(t *testing.T) {
 			}
 			return nil, errors.New("nothing staged")
 		},
-		HealthProbe: func(s *Snapshot) error {
+		healthProbe: func(s *Snapshot) error {
 			if s.ContentHash() == badHash.Load().(string) {
 				return errors.New("probe: consistency check flagged the serving snapshot")
 			}

@@ -12,33 +12,43 @@ import (
 	"time"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
+	"github.com/nu-aqualab/borges/internal/mapdiff"
 )
 
-// TestParallelSnapshotBuildEquivalence: a snapshot built with many
-// workers is indistinguishable from a single-worker build — same token
-// index, same posting lists, same stats.
+// TestParallelSnapshotBuildEquivalence: builds of one mapping running
+// at once on several goroutines agree with each other and with the
+// mapping's organizations added by a delta to an empty snapshot, the
+// other route to the one token-index builder. Under -race it also
+// shows that a build only reads the mapping it shares.
 func TestParallelSnapshotBuildEquivalence(t *testing.T) {
 	m := variantMapping(3, 4096)
 	now := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
-	seq, err := newSnapshotWorkers(m, "seq", Health{}, now, 1)
+	builds := make([]*Snapshot, 8)
+	errs := make([]error, len(builds))
+	var wg sync.WaitGroup
+	for i := range builds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			builds[i], errs[i] = NewSnapshot(m, "parallel")
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("build %d: %v", i, err)
+		}
+	}
+	for _, s := range builds[1:] {
+		snapEqual(t, builds[0], s)
+	}
+	// The health is hashed, and a patch keeps its base's.
+	empty := &Snapshot{health: Health{Status: HealthOK}}
+	patched, err := empty.applyDeltaAt(&mapdiff.Delta{Added: m.Clusters}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8, 64} {
-		par, err := newSnapshotWorkers(m, "seq", Health{}, now, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.stats, par.stats) {
-			t.Fatalf("workers=%d: stats diverge: %+v vs %+v", workers, seq.stats, par.stats)
-		}
-		if !reflect.DeepEqual(seq.tokens, par.tokens) {
-			t.Fatalf("workers=%d: token lists diverge", workers)
-		}
-		if !reflect.DeepEqual(seq.postings, par.postings) {
-			t.Fatalf("workers=%d: posting lists diverge", workers)
-		}
-	}
+	snapEqual(t, builds[0], patched)
 }
 
 // TestPreRenderedBodies: the rendered bytes parse back into exactly the
@@ -245,12 +255,12 @@ func TestSearchConcurrentScratchReuse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelBuildDuringConcurrentReloads is the -race sweep the
-// tentpole asks for: multi-worker snapshot builds racing hot reloads
-// and live point lookups rendered from the serving snapshot.
+// TestParallelBuildDuringConcurrentReloads is a -race sweep: hot
+// reloads, each building its snapshot with NewSnapshot, race live point
+// lookups rendered from the serving snapshot.
 func TestParallelBuildDuringConcurrentReloads(t *testing.T) {
 	const universe = 512
-	snap, err := newSnapshotWorkers(variantMapping(0, universe), "par-reload", Health{}, time.Now(), 4)
+	snap, err := NewSnapshot(variantMapping(0, universe), "par-reload")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +268,7 @@ func TestParallelBuildDuringConcurrentReloads(t *testing.T) {
 	srv, err := NewServer(snap, Options{
 		Prepared: func(ctx context.Context) (*Snapshot, error) {
 			version++
-			return newSnapshotWorkers(variantMapping(version, universe), "par-reload", Health{}, time.Now(), 4)
+			return NewSnapshot(variantMapping(version, universe), "par-reload")
 		},
 	})
 	if err != nil {

@@ -152,14 +152,13 @@ func (s *Server) ScrubOnce(ctx context.Context) ScrubSummary {
 }
 
 // probe re-checks the serving snapshot's live invariants — the same
-// canary every candidate passed at promotion, or the caller's
-// HealthProbe override. A snapshot that passed its canary can still
-// fail here if the process's memory of it was corrupted or the
-// override knows something the canary does not (an operator-injected
-// failure in tests, an external consistency check in production).
+// canary every candidate passed at promotion, or a test's healthProbe
+// override. A snapshot that passed its canary can still fail here if
+// the process's memory of it was corrupted, or when a test injects a
+// failure.
 func (s *Server) probe() error {
-	if s.opts.HealthProbe != nil {
-		return s.opts.HealthProbe(s.snap.Load())
+	if s.opts.healthProbe != nil {
+		return s.opts.healthProbe(s.snap.Load())
 	}
 	return canaryCheck(s.snap.Load(), nil, s.opts.Canary)
 }

@@ -119,7 +119,7 @@ func TestScrubProbeFailureAutoRollback(t *testing.T) {
 		},
 		// The probe models an external consistency check discovering
 		// that v2, although it passed its promotion canary, is wrong.
-		HealthProbe: func(s *Snapshot) error {
+		healthProbe: func(s *Snapshot) error {
 			if s.ContentHash() == bad {
 				return errors.New("probe: serving snapshot flagged by consistency check")
 			}
@@ -167,7 +167,7 @@ func TestScrubProbeFailureAutoRollback(t *testing.T) {
 // silently passing.
 func TestScrubProbeFailureWithoutRing(t *testing.T) {
 	srv, err := NewServer(mustSnapshot(t, testMapping(t)), Options{
-		HealthProbe: func(*Snapshot) error { return errors.New("probe: always failing") },
+		healthProbe: func(*Snapshot) error { return errors.New("probe: always failing") },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 	for _, name := range oracleNames {
 		lower := strings.ToLower(name)
 		queries = append(queries, name, lower)
-		queries = append(queries, tokenize(lower)...)
+		queries = append(queries, tokensOf(lower)...)
 		for i := 0; i+3 <= len(lower); i++ {
 			queries = append(queries, lower[i:i+3])
 		}
@@ -338,7 +338,7 @@ func BenchmarkSearch(b *testing.B) {
 	s := mustSnapshot(b, namesMapping(names))
 	shapes := map[string][]string{}
 	for i := 0; i < 256; i++ {
-		toks := tokenize(names[rng.Intn(len(names))])
+		toks := tokensOf(names[rng.Intn(len(names))])
 		tok := toks[rng.Intn(len(toks))]
 		at := rng.Intn(len(tok) - 2)
 		shapes["token"] = append(shapes["token"], tok)

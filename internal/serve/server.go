@@ -118,11 +118,11 @@ type Options struct {
 	// ScrubTargets adds caller-owned stores to the scrub cycle — the
 	// fleet replica registers its last-good artifact here.
 	ScrubTargets []ScrubTarget
-	// HealthProbe, when non-nil, replaces the default post-scrub probe
-	// (the canary re-run against the serving snapshot).
-	HealthProbe func(*Snapshot) error
 	// now overrides the clock in tests.
 	now func() time.Time
+	// healthProbe, when set, replaces the post-scrub probe (the canary
+	// re-run against the serving snapshot) in tests.
+	healthProbe func(*Snapshot) error
 	// testHold, when set, is called with the endpoint name after
 	// admission but before the handler runs. Load tests use it to pin
 	// admitted requests in-flight deterministically.

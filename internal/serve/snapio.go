@@ -23,7 +23,7 @@ import (
 // returned image aliases the snapshot's slices; callers must not
 // mutate it.
 func (s *Snapshot) image() *snapbin.Image {
-	img := &snapbin.Image{
+	return &snapbin.Image{
 		Source:       s.source,
 		LoadedAt:     s.loadedAt,
 		HealthStatus: s.health.Status,
@@ -32,17 +32,13 @@ func (s *Snapshot) image() *snapbin.Image {
 		Theta:        s.stats.Theta,
 		MultiASOrgs:  s.stats.MultiASOrgs,
 		LargestOrg:   s.stats.LargestOrg,
+		Histogram:    s.stats.SizeHistogram,
 		Orgs:         s.orgs,
 		Keys:         s.index.Keys(),
 		Vals:         s.index.Vals(),
 		Tokens:       s.tokens,
 		Postings:     s.postings,
 	}
-	img.Histogram = make([]snapbin.Bucket, len(s.stats.SizeHistogram))
-	for i, b := range s.stats.SizeHistogram {
-		img.Histogram[i] = snapbin.Bucket{Lo: b.Lo, Hi: b.Hi, Orgs: b.Orgs}
-	}
-	return img
 }
 
 // snapshotFromImage reconstructs a serving snapshot from a decoded,
@@ -79,15 +75,12 @@ func snapshotFromImage(img *snapbin.Image, hash string) (*Snapshot, error) {
 	}
 	s.tokens, s.postings = img.Tokens, img.Postings
 	s.stats = Stats{
-		Orgs:        n,
-		ASNs:        idx.Len(),
-		Theta:       img.Theta,
-		MultiASOrgs: img.MultiASOrgs,
-		LargestOrg:  img.LargestOrg,
-	}
-	s.stats.SizeHistogram = make([]SizeBucket, len(img.Histogram))
-	for i, b := range img.Histogram {
-		s.stats.SizeHistogram[i] = SizeBucket{Lo: b.Lo, Hi: b.Hi, Orgs: b.Orgs}
+		Orgs:          n,
+		ASNs:          idx.Len(),
+		Theta:         img.Theta,
+		MultiASOrgs:   img.MultiASOrgs,
+		LargestOrg:    img.LargestOrg,
+		SizeHistogram: img.Histogram,
 	}
 	return s, nil
 }

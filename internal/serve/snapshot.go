@@ -20,15 +20,12 @@
 // value built on the stack from the tables, and θ and the size
 // histogram come from the member offsets.
 //
-// Snapshot construction fans out across GOMAXPROCS workers: each takes
-// a contiguous cluster range and produces its token postings, while
-// another goroutine copies the organizations into the flat tables and
-// computes θ and the size histogram. /v1/org and /v1/as
-// responses are rendered from the tables per request (snapbin.AppendOrg
-// and snapbin.AppendAS), so a snapshot stores no response bytes.
-// Contiguous ranges keep per-token posting lists ascending when merged
-// in worker order, so the parallel build is deterministic and
-// bit-identical to a single-worker build.
+// A full build and a delta patch get their token index from one
+// builder, mergeTokens: a full build adds every organization to an
+// empty base, a patch adds its new organizations to the base's
+// surviving posting lists. /v1/org and /v1/as responses are rendered
+// from the tables per request (snapbin.AppendOrg and snapbin.AppendAS),
+// so a snapshot stores no response bytes.
 package serve
 
 import (
@@ -36,8 +33,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,23 +44,10 @@ import (
 	"github.com/nu-aqualab/borges/internal/snapbin"
 )
 
-// SizeBucket is one bar of a snapshot's organization-size histogram.
-// Buckets are powers of two: [1,1], [2,2], [3,4], [5,8], [9,16], …
-type SizeBucket struct {
-	// Lo and Hi bound the member counts falling in this bucket
-	// (inclusive).
-	Lo, Hi int
-	// Orgs is the number of organizations of that size.
-	Orgs int
-}
-
-// Label renders the bucket bounds ("1", "2", "3-4", …).
-func (b SizeBucket) Label() string {
-	if b.Lo == b.Hi {
-		return fmt.Sprintf("%d", b.Lo)
-	}
-	return fmt.Sprintf("%d-%d", b.Lo, b.Hi)
-}
+// SizeBucket is one bar of a snapshot's organization-size histogram:
+// the bar a binary artifact stores, so a histogram passes between the
+// two without a copy.
+type SizeBucket = snapbin.Bucket
 
 // Health status values.
 const (
@@ -175,17 +157,6 @@ func NewSnapshotWithHealth(m *cluster.Mapping, source string, h Health) (*Snapsh
 
 // newSnapshotAt is NewSnapshot with an injectable clock for tests.
 func newSnapshotAt(m *cluster.Mapping, source string, health Health, now time.Time) (*Snapshot, error) {
-	return newSnapshotWorkers(m, source, health, now, runtime.GOMAXPROCS(0))
-}
-
-// indexShard is one worker's slice of the snapshot index build.
-type indexShard struct {
-	tokens map[string][]int32
-}
-
-// newSnapshotWorkers builds a snapshot with an explicit worker count
-// (tests pin it; callers go through NewSnapshot).
-func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now time.Time, workers int) (*Snapshot, error) {
 	if m == nil {
 		return nil, fmt.Errorf("serve: nil mapping")
 	}
@@ -196,119 +167,123 @@ func newSnapshotWorkers(m *cluster.Mapping, source string, health Health, now ti
 	if health.Status == "" {
 		health.Status = HealthOK
 	}
-	n := len(m.Clusters)
-	if workers < 1 {
-		workers = 1
+
+	// Copy the organizations into their tables, then compute θ and the
+	// histogram from the copy's offsets. The snapshot shares m's index
+	// but keeps nothing else of m.
+	nameBytes := 0
+	for i := range m.Clusters {
+		nameBytes += len(m.Clusters[i].Name)
 	}
-	if workers > n {
-		workers = n
+	if err := namesFit(nameBytes); err != nil {
+		return nil, err
+	}
+	var orgs snapbin.OrgsBuilder
+	orgs.Grow(len(m.Clusters), m.NumASNs(), nameBytes)
+	for i := range m.Clusters {
+		orgs.Add(&m.Clusters[i])
 	}
 	s := &Snapshot{
+		orgs:     orgs.Table(),
 		index:    m.Index(),
 		source:   source,
 		loadedAt: now,
 		health:   health,
 		loadMode: LoadModeFull,
 	}
-
-	// Copying the organizations into their tables, then θ and the
-	// histogram from the copy's offsets, run concurrently with the index
-	// workers. The snapshot shares m's index but keeps nothing else of
-	// m.
-	var (
-		statsErr error
-		statsWG  sync.WaitGroup
-	)
-	statsWG.Add(1)
-	stats := func() {
-		defer statsWG.Done()
-		nameBytes := 0
-		for i := range m.Clusters {
-			nameBytes += len(m.Clusters[i].Name)
-		}
-		if statsErr = namesFit(nameBytes); statsErr != nil {
-			return
-		}
-		var orgs snapbin.OrgsBuilder
-		orgs.Grow(n, m.NumASNs(), nameBytes)
-		for i := range m.Clusters {
-			orgs.Add(&m.Clusters[i])
-		}
-		s.orgs = orgs.Table()
-		if s.stats, statsErr = orgStats(&s.orgs, s.index.Len()); statsErr != nil {
-			statsErr = fmt.Errorf("serve: mapping fails θ validation: %w", statsErr)
-		}
+	var err error
+	if s.stats, err = orgStats(&s.orgs, s.index.Len()); err != nil {
+		return nil, fmt.Errorf("serve: mapping fails θ validation: %w", err)
 	}
 
-	shards := make([]indexShard, workers)
-	chunk := (n + workers - 1) / workers
-	if workers == 1 {
-		stats()
-		buildRange(m, &shards[0], 0, n)
-	} else {
-		go stats()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, n)
-			if lo >= hi {
-				shards[w].tokens = map[string][]int32{}
-				continue
-			}
-			wg.Add(1)
-			go func(sh *indexShard, lo, hi int) {
-				defer wg.Done()
-				buildRange(m, sh, lo, hi)
-			}(&shards[w], lo, hi)
-		}
-		wg.Wait()
+	// The token index is every organization added to an empty base.
+	added := make(map[string][]int32, len(m.Clusters)/2+1)
+	for i := range m.Clusters {
+		addTokens(added, int32(i), m.Clusters[i].Name)
 	}
-	statsWG.Wait()
-	if statsErr != nil {
-		return nil, statsErr
-	}
-
-	// Merge per-worker token maps in worker order: ranges are contiguous
-	// and ascending, so concatenation keeps every posting list sorted —
-	// the same lists a sequential scan would build.
-	merged := shards[0].tokens
-	for w := 1; w < len(shards); w++ {
-		for tok, ids := range shards[w].tokens {
-			merged[tok] = append(merged[tok], ids...)
-		}
-	}
-	// Pair each token with its postings so that packing walks them in
-	// order without a map lookup per token.
-	type posting struct {
-		tok string
-		ids []int32
-	}
-	toks := make([]posting, 0, len(merged))
-	tokBytes, ids := 0, 0
-	for tok, l := range merged {
-		toks = append(toks, posting{tok, l})
-		tokBytes += len(tok)
-		ids += len(l)
-	}
-	slices.SortFunc(toks, func(a, b posting) int { return strings.Compare(a.tok, b.tok) })
-
-	// Pack the tokens and postings into exact-size flat tables, the
-	// layout a binary load and a delta patch produce. Each posting holds
-	// at least one byte of a name, so the names' check keeps the posting
-	// offsets in range; lowering can lengthen a name, so the tokens'
-	// bytes are checked on their own.
-	if err := namesFit(tokBytes); err != nil {
+	if s.tokens, s.postings, err = mergeTokens(snapbin.Strings{}, snapbin.Postings{}, nil, added); err != nil {
 		return nil, err
 	}
-	var tokens snapbin.StringsBuilder
-	tokens.Grow(len(toks), tokBytes)
-	s.postings = snapbin.Postings{Items: make([]int32, 0, ids), Off: make([]uint32, 1, len(toks)+1)}
-	for _, t := range toks {
-		tokens.Add(t.tok)
-		s.postings.Append(t.ids...)
-	}
-	s.tokens = tokens.Table()
 	return s, nil
+}
+
+// addTokens appends id to added's list of every token of name, lowered.
+// Called in ascending id order, it keeps each list ascending and free
+// of repeats, as mergeTokens needs.
+func addTokens(added map[string][]int32, id int32, name string) {
+	for tok, rest := nextToken(strings.ToLower(name)); tok != ""; tok, rest = nextToken(rest) {
+		if ids := added[tok]; len(ids) == 0 || ids[len(ids)-1] != id {
+			added[tok] = append(ids, id)
+		}
+	}
+}
+
+// mergeTokens builds a snapshot's token and posting tables, the one
+// way a full build and a delta patch both get them. It walks a base's
+// sorted tokens beside the sorted tokens of added (the additions'
+// posting lists, filled by addTokens) and writes each token's surviving
+// base ids, renumbered by remap, merged with its additions' ids. remap
+// takes a base id to its new id, or to -1 when the organization is
+// gone; survivors keep their relative order, so a remapped list stays
+// ascending. A token left with no ids drops out, and nothing is sorted
+// but the additions' tokens. A full build passes an empty base.
+func mergeTokens(tokens snapbin.Strings, postings snapbin.Postings, remap []int32, added map[string][]int32) (snapbin.Strings, snapbin.Postings, error) {
+	addToks := make([]string, 0, len(added))
+	addBytes, addIDs := 0, 0
+	for tok, ids := range added {
+		addToks = append(addToks, tok)
+		addBytes += len(tok)
+		addIDs += len(ids)
+	}
+	sort.Strings(addToks)
+	// Each posting stands for at least one byte of a name, so the
+	// callers' check of the names keeps the posting offsets in range;
+	// lowering can lengthen a name, so the tokens' bytes are checked
+	// here.
+	if err := namesFit(len(tokens.Text) + addBytes); err != nil {
+		return snapbin.Strings{}, snapbin.Postings{}, err
+	}
+	var out snapbin.StringsBuilder
+	out.Grow(tokens.Len()+len(addToks), len(tokens.Text)+addBytes)
+	merged := snapbin.Postings{
+		Items: make([]int32, 0, len(postings.Items)+addIDs),
+		Off:   make([]uint32, 1, tokens.Len()+len(addToks)+1),
+	}
+	emit := func(tok string, base, add []int32) {
+		start := len(merged.Items)
+		for _, id := range base {
+			v := remap[id]
+			if v < 0 {
+				continue
+			}
+			for len(add) > 0 && add[0] < v {
+				merged.Items, add = append(merged.Items, add[0]), add[1:]
+			}
+			merged.Items = append(merged.Items, v)
+		}
+		merged.Items = append(merged.Items, add...)
+		if len(merged.Items) > start {
+			out.Add(tok)
+			merged.Off = append(merged.Off, uint32(len(merged.Items)))
+		}
+	}
+	fi := 0
+	for ti := range tokens.Len() {
+		tok := tokens.At(ti)
+		for ; fi < len(addToks) && addToks[fi] < tok; fi++ {
+			emit(addToks[fi], nil, added[addToks[fi]])
+		}
+		var add []int32
+		if fi < len(addToks) && addToks[fi] == tok {
+			add = added[tok]
+			fi++
+		}
+		emit(tok, postings.At(ti), add)
+	}
+	for ; fi < len(addToks); fi++ {
+		emit(addToks[fi], nil, added[addToks[fi]])
+	}
+	return out.Table(), merged, nil
 }
 
 // namesFit refuses names of total bytes that would overflow a names
@@ -342,19 +317,6 @@ func orgStats(orgs *snapbin.Orgs, asns int) (Stats, error) {
 		LargestOrg:    sizes[0],
 		SizeHistogram: sizeHistogram(sizes),
 	}, nil
-}
-
-// buildRange indexes the tokens of m's clusters [lo, hi).
-func buildRange(m *cluster.Mapping, sh *indexShard, lo, hi int) {
-	sh.tokens = make(map[string][]int32, (hi-lo)/2+1)
-	for i := lo; i < hi; i++ {
-		for _, tok := range tokenize(strings.ToLower(m.Clusters[i].Name)) {
-			ids := sh.tokens[tok]
-			if len(ids) == 0 || ids[len(ids)-1] != int32(i) {
-				sh.tokens[tok] = append(ids, int32(i))
-			}
-		}
-	}
 }
 
 // multiCount counts entries > 1 in a descending size slice.
@@ -391,15 +353,6 @@ func nextToken(s string) (tok, rest string) {
 		return "", ""
 	}
 	return s[start:], ""
-}
-
-// tokenize splits an already-lowercased name into indexable tokens.
-func tokenize(lower string) []string {
-	var out []string
-	for tok, rest := nextToken(lower); tok != ""; tok, rest = nextToken(rest) {
-		out = append(out, tok)
-	}
-	return out
 }
 
 // isToken reports whether q is made only of token runes, so that every

@@ -166,7 +166,7 @@ func TestSnapshotStats(t *testing.T) {
 		t.Fatalf("histogram sums to %d orgs, want %d", total, st.Orgs)
 	}
 	// 4 orgs: sizes 3, 2, 1, 1 → buckets "1":2, "2":1, "3-4":1.
-	want := []SizeBucket{{1, 1, 2}, {2, 2, 1}, {3, 4, 1}}
+	want := []SizeBucket{{Lo: 1, Hi: 1, Orgs: 2}, {Lo: 2, Hi: 2, Orgs: 1}, {Lo: 3, Hi: 4, Orgs: 1}}
 	if !reflect.DeepEqual(st.SizeHistogram, want) {
 		t.Fatalf("histogram = %+v, want %+v", st.SizeHistogram, want)
 	}
@@ -177,9 +177,9 @@ func TestSizeBucketLabel(t *testing.T) {
 		b    SizeBucket
 		want string
 	}{
-		{SizeBucket{1, 1, 0}, "1"},
-		{SizeBucket{3, 4, 0}, "3-4"},
-		{SizeBucket{17, 32, 0}, "17-32"},
+		{SizeBucket{Lo: 1, Hi: 1}, "1"},
+		{SizeBucket{Lo: 3, Hi: 4}, "3-4"},
+		{SizeBucket{Lo: 17, Hi: 32}, "17-32"},
 	} {
 		if got := tc.b.Label(); got != tc.want {
 			t.Errorf("Label(%+v) = %q, want %q", tc.b, got, tc.want)
@@ -201,6 +201,16 @@ func TestSnapshotMetadata(t *testing.T) {
 	}
 }
 
+// tokensOf lists the tokens nextToken finds in an already-lowercased
+// name, in order.
+func tokensOf(lower string) []string {
+	var out []string
+	for tok, rest := nextToken(lower); tok != ""; tok, rest = nextToken(rest) {
+		out = append(out, tok)
+	}
+	return out
+}
+
 func TestTokenize(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -212,8 +222,8 @@ func TestTokenize(t *testing.T) {
 		{"", nil},
 		{"--", nil},
 	} {
-		if got := tokenize(tc.in); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("tokenize(%q) = %v, want %v", tc.in, got, tc.want)
+		if got := tokensOf(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("nextToken over %q found %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }

@@ -126,10 +126,23 @@ var (
 	ErrHashMismatch = errors.New("snapbin: content hash mismatch")
 )
 
-// Bucket mirrors one bar of the serving layer's organization-size
-// histogram.
+// Bucket is one bar of a snapshot's organization-size histogram
+// (serve.SizeBucket). Buckets are powers of two: [1,1], [2,2], [3,4],
+// [5,8], [9,16], …
 type Bucket struct {
-	Lo, Hi, Orgs int
+	// Lo and Hi bound the member counts falling in this bucket
+	// (inclusive).
+	Lo, Hi int
+	// Orgs is the number of organizations of that size.
+	Orgs int
+}
+
+// Label renders the bucket bounds ("1", "2", "3-4", …).
+func (b Bucket) Label() string {
+	if b.Lo == b.Hi {
+		return fmt.Sprintf("%d", b.Lo)
+	}
+	return fmt.Sprintf("%d-%d", b.Lo, b.Hi)
 }
 
 // Image is the portable, fully-decoded form of a serving snapshot —
