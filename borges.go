@@ -35,6 +35,7 @@ package borges
 import (
 	"context"
 	"io"
+	"log/slog"
 	"net/http"
 
 	"github.com/nu-aqualab/borges/internal/admission"
@@ -463,9 +464,9 @@ var (
 // NewGenerationRing opens (creating if needed) a generation ring
 // directory and adopts every artifact in it that still decodes and
 // verifies; corrupt files are quarantined immediately. Set the result
-// as ServeOptions.Generations.
-func NewGenerationRing(dir string, keep int, logf func(format string, args ...any)) (*GenerationRing, error) {
-	return serve.NewGenerationRing(dir, keep, nil, logf)
+// as ServeOptions.Generations; a nil log logs nothing.
+func NewGenerationRing(dir string, keep int, log *slog.Logger) (*GenerationRing, error) {
+	return serve.NewGenerationRing(dir, keep, nil, log)
 }
 
 // Serve listens on addr and serves the snapshot's JSON lookup API

@@ -70,13 +70,17 @@
 // first and browns out (capped, cheaper results) under pressure
 // (-shed-search-first), and /healthz, /metrics, and /admin/* are never
 // shed. See the borgesd_admission_* series on /metrics.
+//
+// borgesd logs one JSON object per line to stderr. -q silences the
+// per-event records (requests, reloads, scrub findings, generation-ring
+// and fleet events), not the start-up and shutdown ones.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -86,8 +90,14 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("borgesd: ")
+	// One JSON handler takes borgesd's records and net/http's log lines;
+	// fatal logs an error record and exits 1, as log.Fatal did.
+	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	slog.SetDefault(logger)
+	fatal := func(msg string, args ...any) {
+		logger.Error(msg, args...)
+		os.Exit(1)
+	}
 
 	addr := flag.String("addr", ":8080", "listen address")
 	mapping := flag.String("mapping", "", "mapping file to serve: JSONL (borges -format jsonl) or a binary artifact, sniffed by magic; reload re-reads it")
@@ -98,7 +108,7 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "synthetic corpus scale (when neither -mapping nor -snapshot-in is set)")
 	timeout := flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
 	pprof := flag.Bool("pprof", false, "expose /debug/pprof/* profiling handlers")
-	quiet := flag.Bool("q", false, "suppress structured request logging")
+	quiet := flag.Bool("q", false, "silence the per-event records: requests, sheds, reloads, persists, rollbacks, scrub findings, generation-ring changes and fleet actions (start-up and shutdown records still print)")
 	maxRetries := flag.Int("max-retries", 2, "retries per transient pipeline fault (0 = fail on first error)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures before a host/model circuit opens (0 = no breakers)")
 	maxInflight := flag.Int("max-inflight", 256, "adaptive concurrency ceiling for lookup endpoints (0 disables admission control)")
@@ -135,7 +145,7 @@ func main() {
 		WatchBuffer:    *watchBuffer,
 	}
 	if !*quiet {
-		opts.Logf = log.Printf
+		opts.Logger = logger
 	}
 	if *maxInflight > 0 {
 		opts.Admission = &borges.AdmissionConfig{
@@ -166,18 +176,17 @@ func main() {
 	var ring *borges.GenerationRing
 	if *keepGenerations > 0 {
 		var err error
-		ring, err = borges.NewGenerationRing(*generationsDir, *keepGenerations, opts.Logf)
+		ring, err = borges.NewGenerationRing(*generationsDir, *keepGenerations, opts.Logger)
 		if err != nil {
-			log.Fatal(err)
+			fatal("generation ring failed", "error", err)
 		}
 		opts.Generations = ring
-		log.Printf("generation ring at %s keeps %d verified snapshots (%d recovered)",
-			*generationsDir, *keepGenerations, ring.Len())
+		logger.Info("generation ring opened", "dir", *generationsDir, "keep", *keepGenerations, "recovered", ring.Len())
 	}
 
 	if *join != "" {
 		if *mapping != "" || *snapshotIn != "" || *fleetMode {
-			log.Fatal("-join is mutually exclusive with -mapping, -snapshot-in, and -fleet")
+			fatal("-join is mutually exclusive with -mapping, -snapshot-in, and -fleet")
 		}
 		id := *replicaID
 		if id == "" {
@@ -192,29 +201,25 @@ func main() {
 			PollInterval:      *pollInterval,
 			HeartbeatInterval: *heartbeatInterval,
 			Serve:             opts,
-			Logf:              opts.Logf,
+			Logger:            opts.Logger,
 		})
 		if err != nil {
-			log.Fatal(err)
+			fatal("fleet replica failed", "error", err)
 		}
 		snap := rep.Server().Snapshot()
 		if ring != nil {
 			if _, err := ring.Record(snap, time.Now()); err != nil {
-				log.Printf("generation ring: %v", err)
+				logger.Warn("generation ring record failed", "error", err)
 			}
 		}
 		st := snap.Stats()
-		log.Printf("replica %s serving %d organizations / %d networks (hash %.12s) on %s, following %s",
-			id, st.Orgs, st.ASNs, snap.ContentHash(), *addr, *join)
-		go func() {
-			if err := rep.Run(ctx); err != nil && ctx.Err() == nil {
-				log.Printf("follower loop: %v", err)
-			}
-		}()
+		logger.Info("replica serving", "id", id, "orgs", st.Orgs, "asns", st.ASNs,
+			"hash", snap.ContentHash(), "addr", *addr, "distributor", *join)
+		go rep.Run(ctx) // returns only when ctx ends
 		if err := rep.Serve(ctx, *addr); err != nil {
-			log.Fatal(err)
+			fatal("serve failed", "error", err)
 		}
-		log.Printf("shut down cleanly")
+		logger.Info("shut down cleanly")
 		return
 	}
 
@@ -224,7 +229,7 @@ func main() {
 	label := *snapshotIn
 	if *mapping != "" {
 		if label != "" {
-			log.Fatal("-snapshot-in and -mapping are mutually exclusive")
+			fatal("-snapshot-in and -mapping are mutually exclusive")
 		}
 		label = *mapping
 	}
@@ -236,10 +241,7 @@ func main() {
 		// replays memoized LLM completions and crawl outcomes instead of
 		// re-running them — including healing reloads after a degraded
 		// run, which re-fetch only the quarantined items.
-		store, err := borges.NewCache(borges.CacheOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
+		store, _ := borges.NewCache(borges.CacheOptions{}) // fails only on opening a disk tier
 		label = "synthetic pipeline"
 		source = pipelineSource(label, *seed, *scale, store, borges.Options{
 			MaxRetries:       *maxRetries,
@@ -247,12 +249,12 @@ func main() {
 		})
 	}
 	opts.Prepared = source
-	log.Printf("loading snapshot from %s", label)
+	logger.Info("loading snapshot", "source", label)
 	snap, err := source(ctx)
 	if err != nil {
-		log.Fatal(err)
+		fatal("snapshot load failed", "source", label, "error", err)
 	}
-	log.Printf("snapshot loaded (mode %s, hash %.12s)", snap.LoadMode(), snap.ContentHash())
+	logger.Info("snapshot loaded", "mode", snap.LoadMode(), "hash", snap.ContentHash())
 
 	if *snapshotOut != "" {
 		// Boot-time persistence failing is a warning, not a reason to
@@ -260,42 +262,41 @@ func main() {
 		// persist-error metric reflects the miss, and the scrubber (or
 		// the next successful swap) rewrites the artifact.
 		if hash, err := borges.WriteSnapshotFile(*snapshotOut, snap); err != nil {
-			log.Printf("snapshot-out: %v (continuing without boot persistence)", err)
+			logger.Warn("snapshot-out failed; continuing without boot persistence", "path", *snapshotOut, "error", err)
 		} else {
-			log.Printf("wrote binary snapshot %s (hash %.12s)", *snapshotOut, hash)
+			logger.Info("wrote binary snapshot", "path", *snapshotOut, "hash", hash)
 		}
 	}
 	if ring != nil {
 		// The boot snapshot becomes generation one, so the very first
 		// reload is already reversible.
 		if _, err := ring.Record(snap, time.Now()); err != nil {
-			log.Printf("generation ring: %v", err)
+			logger.Warn("generation ring record failed", "error", err)
 		}
 	}
 
 	st := snap.Stats()
-	log.Printf("serving %d organizations / %d networks (θ = %.4f) on %s",
-		st.Orgs, st.ASNs, st.Theta, *addr)
+	logger.Info("serving", "orgs", st.Orgs, "asns", st.ASNs, "theta", st.Theta, "addr", *addr)
 
 	if *fleetMode {
 		dist, err := borges.NewFleetDistributor(snap, opts, borges.FleetDistributorOptions{
-			Logf: opts.Logf,
+			Logger: opts.Logger,
 		})
 		if err != nil {
-			log.Fatal(err)
+			fatal("fleet distributor failed", "error", err)
 		}
-		log.Printf("distributing snapshots on %s/fleet/* (hash %.12s)", *addr, dist.Manifest().ContentHash)
+		logger.Info("distributing snapshots", "addr", *addr, "hash", dist.Manifest().ContentHash)
 		if err := dist.Serve(ctx, *addr); err != nil {
-			log.Fatal(err)
+			fatal("serve failed", "error", err)
 		}
-		log.Printf("shut down cleanly")
+		logger.Info("shut down cleanly")
 		return
 	}
 
 	if err := borges.Serve(ctx, *addr, snap, opts); err != nil {
-		log.Fatal(err)
+		fatal("serve failed", "error", err)
 	}
-	log.Printf("shut down cleanly")
+	logger.Info("shut down cleanly")
 }
 
 // pipelineSource builds the -seed/-scale self-bootstrap: each call
@@ -324,7 +325,7 @@ func pipelineSource(label string, seed int64, scale float64, store *borges.Cache
 		}
 		health := borges.HealthFromReport(res.Report)
 		if health.Status != borges.SnapshotHealthOK {
-			log.Printf("pipeline degraded: %d quarantined (%s)", health.Quarantined, health.Detail)
+			slog.Warn("pipeline degraded", "quarantined", health.Quarantined, "detail", health.Detail)
 		}
 		return borges.NewSnapshotWithHealth(res.Mapping, label, health)
 	}

@@ -379,29 +379,6 @@ func (c *Cache) GetOrFill(ctx context.Context, key string, fill func(ctx context
 	return val, err
 }
 
-// Scrub re-reads and re-verifies every record indexed in the disk log,
-// dropping corrupt ones from the index (each becomes a future miss and
-// is re-written by the next Put). It returns how many records were
-// checked and how many were found corrupt; the background scrubber
-// wires this in as a scrub target. Safe to call concurrently with
-// serving traffic — it holds the cache lock like any other operation.
-func (c *Cache) Scrub() (checked, corrupt int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.log == nil {
-		return 0, 0
-	}
-	for key, off := range c.offsets {
-		checked++
-		if _, err := c.readAt(off, key); err != nil {
-			corrupt++
-			c.stats.CorruptRecords++
-			delete(c.offsets, key)
-		}
-	}
-	return checked, corrupt
-}
-
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

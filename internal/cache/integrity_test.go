@@ -113,41 +113,6 @@ func TestCorruptRecordIsMissAndHeals(t *testing.T) {
 	}
 }
 
-// TestCacheScrub: a scrub pass finds the corrupt record exactly once
-// and drops it; the next pass over the same log is clean.
-func TestCacheScrub(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"a", "b", "c"} {
-		if err := c.Put(k, bytes.Repeat([]byte(k), 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	flipValueByte(t, filepath.Join(dir, "entries.jsonl"), "b")
-
-	c, err = New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	checked, corrupt := c.Scrub()
-	if checked != 3 || corrupt != 1 {
-		t.Fatalf("Scrub = (%d checked, %d corrupt), want (3, 1)", checked, corrupt)
-	}
-	if checked, corrupt = c.Scrub(); checked != 2 || corrupt != 0 {
-		t.Fatalf("second Scrub = (%d, %d), want (2, 0) — exactly-once", checked, corrupt)
-	}
-	if st := c.Stats(); st.CorruptRecords != 1 || st.DiskEntries != 2 {
-		t.Fatalf("stats = %+v, want 1 corrupt record and 2 disk entries", st)
-	}
-}
-
 // TestCacheFaultFS: the disk tier runs against the injected fault
 // filesystem; a forced short write on the log surfaces as a Put error
 // instead of silently truncated durable state.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"sort"
@@ -34,8 +35,8 @@ type DistributorOptions struct {
 	// after its last heartbeat (default 30s). Expiry happens at read
 	// time; a replica that heartbeats again simply reappears.
 	ReplicaTTL time.Duration
-	// Logf receives one structured line per publish. Nil disables.
-	Logf func(format string, args ...any)
+	// Logger receives one record per publish. Nil logs nothing.
+	Logger *slog.Logger
 	// now overrides the clock in tests.
 	now func() time.Time
 }
@@ -78,6 +79,7 @@ func NewDistributor(snap *serve.Snapshot, serveOpts serve.Options, opts Distribu
 	if opts.now == nil {
 		opts.now = time.Now
 	}
+	opts.Logger = obs.OrDiscard(opts.Logger)
 	d := &Distributor{opts: opts, replicas: make(map[string]replicaReport)}
 	innerSwap := serveOpts.OnSwap
 	serveOpts.OnSwap = func(s *serve.Snapshot) {
@@ -85,7 +87,7 @@ func NewDistributor(snap *serve.Snapshot, serveOpts serve.Options, opts Distribu
 			innerSwap(s)
 		}
 		if err := d.publish(s); err != nil {
-			d.logf(`{"event":"fleet_publish","ok":false,"error":%q}`, err.Error())
+			d.opts.Logger.Info("fleet_publish", "ok", false, "error", err)
 		}
 	}
 	srv, err := serve.NewServer(snap, serveOpts)
@@ -135,8 +137,8 @@ func (d *Distributor) publish(next *serve.Snapshot) error {
 	d.artifact = buf.Bytes()
 	d.publishedAt = d.opts.now()
 	d.prev = next
-	d.logf(`{"event":"fleet_publish","ok":true,"seq":%d,"hash":%q,"bytes":%d,"delta_bytes":%d}`,
-		d.seq, d.hash, len(d.artifact), len(d.delta))
+	d.opts.Logger.Info("fleet_publish", "ok", true, "seq", d.seq, "hash", d.hash,
+		"bytes", len(d.artifact), "delta_bytes", len(d.delta))
 	return nil
 }
 
@@ -331,12 +333,6 @@ func (d *Distributor) register(reg *obs.Registry) {
 	reg.Gauge("borgesd_fleet_replicas_divergent", "Live replicas serving a different content hash than the current publish.", func() float64 {
 		return float64(d.Status().Divergent)
 	})
-}
-
-func (d *Distributor) logf(format string, args ...any) {
-	if d.opts.Logf != nil {
-		d.opts.Logf(format, args...)
-	}
 }
 
 // fleetJSON writes one JSON response body.

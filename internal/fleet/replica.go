@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -79,8 +80,8 @@ type ReplicaOptions struct {
 	// is kept. The replica's borgesd_fleet_* families are registered on
 	// the server's registry.
 	Serve serve.Options
-	// Logf receives one structured line per sync action. Nil disables.
-	Logf func(format string, args ...any)
+	// Logger receives one record per sync action. Nil logs nothing.
+	Logger *slog.Logger
 	// sleepFn overrides retry sleeping in tests.
 	sleepFn func(ctx context.Context, d time.Duration) error
 }
@@ -142,6 +143,7 @@ func NewReplica(ctx context.Context, opts ReplicaOptions) (*Replica, error) {
 	if opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = 2 * time.Second
 	}
+	opts.Logger = obs.OrDiscard(opts.Logger)
 	hc := opts.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
@@ -178,7 +180,7 @@ func NewReplica(ctx context.Context, opts ReplicaOptions) (*Replica, error) {
 	// corruption at rest is quarantined and repaired from the
 	// distributor instead of waiting to bite the next cold start.
 	serveOpts.ScrubTargets = append(append([]serve.ScrubTarget(nil), serveOpts.ScrubTargets...),
-		serve.ScrubTargetFunc("fleet-last-good", r.scrubLastGood))
+		serve.ScrubTarget{Name: "fleet-last-good", Scrub: r.scrubLastGood})
 	srv, err := serve.NewServer(snap, serveOpts)
 	if err != nil {
 		return nil, err
@@ -193,13 +195,13 @@ func NewReplica(ctx context.Context, opts ReplicaOptions) (*Replica, error) {
 // fetch from the distributor.
 func (r *Replica) coldStart(ctx context.Context) (*serve.Snapshot, error) {
 	if snap, err := serve.LoadSnapshotFileFS(r.fsys, r.opts.LastGood); err == nil {
-		r.logf(`{"event":"fleet_coldstart","source":"last-good","hash":%q}`, snap.ContentHash())
+		r.opts.Logger.Info("fleet_coldstart", "source", "last-good", "hash", snap.ContentHash())
 		return snap, nil
 	} else if !errors.Is(err, os.ErrNotExist) {
 		// A corrupt last-good (torn by a crash outside the atomic
 		// rename, bit rot) is not fatal — fall through to a full fetch
 		// and overwrite it with a verified artifact.
-		r.logf(`{"event":"fleet_coldstart","source":"last-good","ok":false,"error":%q}`, err.Error())
+		r.opts.Logger.Info("fleet_coldstart", "source", "last-good", "ok", false, "error", err)
 	}
 	man, err := r.fetchManifest(ctx)
 	if err != nil {
@@ -210,7 +212,7 @@ func (r *Replica) coldStart(ctx context.Context) (*serve.Snapshot, error) {
 		return nil, fmt.Errorf("fleet: first snapshot fetch failed: %w", err)
 	}
 	r.syncedSeq.Store(man.Seq)
-	r.logf(`{"event":"fleet_coldstart","source":"fetch","seq":%d,"hash":%q}`, man.Seq, snap.ContentHash())
+	r.opts.Logger.Info("fleet_coldstart", "source", "fetch", "seq", man.Seq, "hash", snap.ContentHash())
 	return snap, nil
 }
 
@@ -238,8 +240,10 @@ func (r *Replica) Serve(ctx context.Context, addr string) error {
 // whenever any of them reports a change. Fetch failures are retried
 // under the replica's policy and breaker; a sync that ultimately fails
 // leaves the current snapshot serving and the next trigger tries
-// again.
+// again. On return Run closes its client's idle connections, since the
+// distributor's shutdown waits five seconds for one that sent nothing.
 func (r *Replica) Run(ctx context.Context) error {
+	defer r.http.CloseIdleConnections()
 	notify := make(chan struct{}, 1)
 	poke := func() {
 		select {
@@ -292,7 +296,7 @@ func (r *Replica) rideWatch(ctx context.Context, poke func()) {
 		},
 	})
 	if err != nil {
-		r.logf(`{"event":"fleet_watch","ok":false,"error":%q}`, err.Error())
+		r.opts.Logger.Info("fleet_watch", "ok", false, "error", err)
 		return
 	}
 	defer wc.Close()
@@ -301,7 +305,7 @@ func (r *Replica) rideWatch(ctx context.Context, poke func()) {
 		return nil
 	})
 	if err != nil && ctx.Err() == nil {
-		r.logf(`{"event":"fleet_watch","ok":false,"error":%q}`, err.Error())
+		r.opts.Logger.Info("fleet_watch", "ok", false, "error", err)
 	}
 }
 
@@ -313,7 +317,7 @@ func (r *Replica) rideWatch(ctx context.Context, poke func()) {
 func (r *Replica) syncOnce(ctx context.Context) error {
 	man, err := r.fetchManifest(ctx)
 	if err != nil {
-		r.logf(`{"event":"fleet_sync","ok":false,"stage":"manifest","error":%q}`, err.Error())
+		r.opts.Logger.Info("fleet_sync", "ok", false, "stage", "manifest", "error", err)
 		return err
 	}
 	cur := r.srv.Snapshot()
@@ -329,11 +333,11 @@ func (r *Replica) syncOnce(ctx context.Context) error {
 		// ErrDeltaMismatch, a corrupt delta, or a mid-flight
 		// supersession: fall back to the full artifact.
 		r.deltaFallbacks.Add(1)
-		r.logf(`{"event":"fleet_sync","stage":"delta","fallback":true,"error":%q}`, derr.Error())
+		r.opts.Logger.Info("fleet_sync", "stage", "delta", "fallback", true, "error", derr)
 	}
 	next, err := r.fetchFull(ctx, man)
 	if err != nil {
-		r.logf(`{"event":"fleet_sync","ok":false,"stage":"full","error":%q}`, err.Error())
+		r.opts.Logger.Info("fleet_sync", "ok", false, "stage", "full", "error", err)
 		return err
 	}
 	return r.swap(ctx, next, man, "full")
@@ -346,11 +350,11 @@ func (r *Replica) swap(ctx context.Context, next *serve.Snapshot, man *Manifest,
 	r.staged = next
 	r.mu.Unlock()
 	if _, err := r.srv.Reload(ctx); err != nil {
-		r.logf(`{"event":"fleet_sync","ok":false,"stage":"swap","error":%q}`, err.Error())
+		r.opts.Logger.Info("fleet_sync", "ok", false, "stage", "swap", "error", err)
 		return err
 	}
 	r.syncedSeq.Store(man.Seq)
-	r.logf(`{"event":"fleet_sync","ok":true,"how":%q,"seq":%d,"hash":%q}`, how, man.Seq, man.ContentHash)
+	r.opts.Logger.Info("fleet_sync", "ok", true, "how", how, "seq", man.Seq, "hash", man.ContentHash)
 	return nil
 }
 
@@ -444,7 +448,7 @@ func (r *Replica) applyDelta(ctx context.Context, man *Manifest, cur *serve.Snap
 	// re-encode necessarily reproduces the verified hash — the encoding
 	// is deterministic over logical content.
 	if _, err := serve.WriteSnapshotFileFS(r.fsys, r.opts.LastGood, next); err != nil {
-		r.logf(`{"event":"fleet_lastgood","ok":false,"error":%q}`, err.Error())
+		r.opts.Logger.Info("fleet_lastgood", "ok", false, "error", err)
 	}
 	return next, nil
 }
@@ -637,7 +641,7 @@ func (r *Replica) scrubLastGood(ctx context.Context) serve.ScrubResult {
 	if err := r.fsys.Rename(path, path+".corrupt"); err == nil {
 		res.Quarantined = 1
 		r.lastGoodQuarantined.Add(1)
-		r.logf(`{"event":"fleet_lastgood_quarantine","path":%q}`, path)
+		r.opts.Logger.Info("fleet_lastgood_quarantine", "path", path)
 	}
 	man, err := r.fetchManifest(ctx)
 	if err != nil {
@@ -653,7 +657,7 @@ func (r *Replica) scrubLastGood(ctx context.Context) serve.ScrubResult {
 	}
 	res.Repaired = 1
 	r.lastGoodRepairs.Add(1)
-	r.logf(`{"event":"fleet_lastgood_repair","ok":true,"hash":%q}`, man.ContentHash)
+	r.opts.Logger.Info("fleet_lastgood_repair", "ok", true, "hash", man.ContentHash)
 	return res
 }
 
@@ -705,11 +709,5 @@ func (r *Replica) register(reg *obs.Registry) {
 		{"borgesd_fleet_lastgood_repairs_total", "Last-good artifacts rebuilt from the distributor after quarantine.", &r.lastGoodRepairs},
 	} {
 		reg.Counter(c.name, c.help, obs.Int64(c.v))
-	}
-}
-
-func (r *Replica) logf(format string, args ...any) {
-	if r.opts.Logf != nil {
-		r.opts.Logf(format, args...)
 	}
 }

@@ -1,9 +1,9 @@
-// Package obs is borgesd's metrics registry. A family is declared once,
-// next to the code that counts it: a name, a Prometheus type, a help
-// line and a function that emits the family's samples when /metrics is
-// scraped. The registry keeps families in registration order and is
-// the only code that writes the Prometheus text exposition format
-// (version 0.0.4).
+// Package obs is borgesd's metrics registry (and OrDiscard, which makes
+// a nil logger silent). A family is declared once, next to the code
+// that counts it: a name, a Prometheus type, a help line and a function
+// that emits the family's samples when /metrics is scraped. The
+// registry keeps families in registration order and is the only code
+// that writes the Prometheus text exposition format (version 0.0.4).
 //
 // Counting is left to the caller (an atomic, a snapshot field, the Go
 // runtime); the registry reads it only at scrape time, so recording a
@@ -13,6 +13,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,14 +25,19 @@ type Kind string
 
 // The family types /metrics uses.
 const (
-	Counter Kind = "counter"
-	Gauge   Kind = "gauge"
-	Summary Kind = "summary"
+	Counter   Kind = "counter"
+	Gauge     Kind = "gauge"
+	Histogram Kind = "histogram"
 )
 
 // Emit writes one sample of the family being collected. labels are
 // name, value pairs, written in the order given.
 type Emit func(v float64, labels ...string)
+
+// EmitHistogram writes one series of the histogram family being
+// collected: counts[i] observations fell at or below bound i and above
+// the one before (the last above every bound), summing to sum.
+type EmitHistogram func(counts []uint64, sum float64, labels ...string)
 
 // Registry holds metric families in registration order. It is safe for
 // concurrent use: families may be added while /metrics is scraped.
@@ -43,21 +49,56 @@ type Registry struct {
 type family struct {
 	name, help string
 	kind       Kind
-	collect    func(Emit)
+	write      func(sample) // emits the family's samples at a scrape
 }
 
-// Add registers a family whose samples collect emits at each scrape. A
-// scrape in which collect emits nothing prints nothing for the family,
-// HELP and TYPE included. Add panics on a name already registered.
+// sample writes one line: the family's name with suffix, labels and v.
+type sample func(suffix string, v float64, labels []string)
+
+// Add registers a counter or gauge family whose samples collect emits
+// at each scrape. A scrape in which collect emits nothing prints
+// nothing for the family, HELP and TYPE included. Add panics on a name
+// already registered.
 func (r *Registry) Add(name string, kind Kind, help string, collect func(emit Emit)) {
+	r.add(family{name, help, kind, func(write sample) {
+		collect(func(v float64, labels ...string) { write("", v, labels) })
+	}})
+}
+
+// Histogram registers a histogram family whose buckets end at bounds,
+// ascending, plus one above them all. A series prints as cumulative
+// _bucket samples ending at le="+Inf", then _sum and _count; each le
+// value is formatted once, here, as the Prometheus Go client does.
+func (r *Registry) Histogram(name, help string, bounds []float64, collect func(emit EmitHistogram)) {
+	les := make([]string, len(bounds)+1)
+	for i, b := range bounds {
+		les[i] = strconv.FormatFloat(b, 'g', -1, 64)
+	}
+	les[len(bounds)] = "+Inf"
+	r.add(family{name, help, Histogram, func(write sample) {
+		collect(func(counts []uint64, sum float64, labels ...string) {
+			bucket := append(labels[:len(labels):len(labels)], "le", "") // a copy
+			var n uint64
+			for i, c := range counts {
+				n += c
+				bucket[len(bucket)-1] = les[i]
+				write("_bucket", float64(n), bucket)
+			}
+			write("_sum", sum, labels)
+			write("_count", float64(n), labels)
+		})
+	}})
+}
+
+func (r *Registry) add(f family) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, f := range r.families {
-		if f.name == name {
-			panic(fmt.Sprintf("obs: family %s registered twice", name))
+	for _, g := range r.families {
+		if g.name == f.name {
+			panic(fmt.Sprintf("obs: family %s registered twice", f.name))
 		}
 	}
-	r.families = append(r.families, family{name: name, help: help, kind: kind, collect: collect})
+	r.families = append(r.families, f)
 }
 
 // Counter registers a family of one unlabelled counter read from value.
@@ -87,15 +128,20 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	var b []byte
 	for _, f := range families {
 		first := true
-		f.collect(func(v float64, labels ...string) {
+		f.write(func(suffix string, v float64, labels []string) {
 			if first {
 				first = false
 				b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, helpEscaper.Replace(f.help), f.name, f.kind)
 			}
 			b = append(b, f.name...)
+			b = append(b, suffix...)
 			sep := byte('{')
 			for i := 0; i+1 < len(labels); i += 2 {
-				b = fmt.Appendf(b, `%c%s="%s"`, sep, labels[i], labelEscaper.Replace(labels[i+1]))
+				b = append(b, sep)
+				b = append(b, labels[i]...)
+				b = append(b, `="`...)
+				b = append(b, labelEscaper.Replace(labels[i+1])...)
+				b = append(b, '"')
 				sep = ','
 			}
 			if sep == ',' {
@@ -116,3 +162,12 @@ var (
 	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 )
+
+// OrDiscard returns l, or for nil a logger that drops every record, as
+// slog.DiscardHandler does from Go 1.24.
+func OrDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
+	}
+	return l
+}

@@ -136,7 +136,6 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var lines, errLines int64
-	start := s.opts.now()
 	terminal := "" // non-empty: emit `{"error":...}` and stop reading
 	lineCap := s.opts.BulkMaxLines
 
@@ -199,10 +198,8 @@ scan:
 		_, _ = out.Write(buf)
 		buf = buf[:0]
 	}
-	s.metrics.bulkRequests.Add(1)
 	s.metrics.bulkLines.Add(lines)
 	s.metrics.bulkErrLines.Add(errLines)
-	s.metrics.bulkNanos.Add(int64(s.opts.now().Sub(start)))
 }
 
 // appendUnmapped renders the per-line miss object for a valid but

@@ -46,7 +46,7 @@ func TestDiskChaosStorm(t *testing.T) {
 		// files) tears: persistence of the swap mirror fails mid-write.
 		Force: map[string]faultinject.FSKind{"serving.snapbin": faultinject.FSKindShortWrite},
 	})
-	ring, err := NewGenerationRing(filepath.Join(dir, "gens"), 3, ffs, t.Logf)
+	ring, err := NewGenerationRing(filepath.Join(dir, "gens"), 3, ffs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -48,7 +49,7 @@ type GenerationRing struct {
 	dir  string
 	keep int
 	fs   vfs.FS
-	logf func(format string, args ...any)
+	log  *slog.Logger
 
 	mu   sync.Mutex
 	gens []Generation // ascending by Seq
@@ -61,12 +62,12 @@ type GenerationRing struct {
 // scans it: every gen-*.snapbin file is decoded and hash-verified;
 // corrupt or unparsable files are quarantined immediately, so a
 // freshly opened ring only ever lists verified artifacts. fsys nil
-// means the real filesystem; logf nil disables logging.
-func NewGenerationRing(dir string, keep int, fsys vfs.FS, logf func(format string, args ...any)) (*GenerationRing, error) {
+// means the real filesystem; a nil log logs nothing.
+func NewGenerationRing(dir string, keep int, fsys vfs.FS, log *slog.Logger) (*GenerationRing, error) {
 	if keep < 1 {
 		return nil, fmt.Errorf("serve: generation ring needs keep >= 1, got %d", keep)
 	}
-	r := &GenerationRing{dir: dir, keep: keep, fs: vfs.Or(fsys), logf: logf}
+	r := &GenerationRing{dir: dir, keep: keep, fs: vfs.Or(fsys), log: obs.OrDiscard(log)}
 	if err := r.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: generation ring: %w", err)
 	}
@@ -184,7 +185,7 @@ func (r *GenerationRing) Record(snap *Snapshot, now time.Time) (Generation, erro
 	r.gens = append(r.gens, g)
 	r.pruneLocked()
 	r.mu.Unlock()
-	r.log(`{"event":"generation_recorded","seq":%d,"hash":%q,"file":%q}`, seq, hash, name)
+	r.log.Info("generation_recorded", "seq", seq, "hash", hash, "file", name)
 	return g, nil
 }
 
@@ -195,9 +196,9 @@ func (r *GenerationRing) pruneLocked() {
 		old := r.gens[0]
 		r.gens = r.gens[1:]
 		if err := r.fs.Remove(filepath.Join(r.dir, old.File)); err != nil {
-			r.log(`{"event":"generation_prune","seq":%d,"ok":false,"error":%q}`, old.Seq, err.Error())
+			r.log.Info("generation_prune", "seq", old.Seq, "ok", false, "error", err)
 		} else {
-			r.log(`{"event":"generation_prune","seq":%d,"hash":%q}`, old.Seq, old.Hash)
+			r.log.Info("generation_prune", "seq", old.Seq, "hash", old.Hash)
 		}
 	}
 }
@@ -276,15 +277,9 @@ func (r *GenerationRing) quarantine(g Generation, reason string) {
 func (r *GenerationRing) quarantineLocked(g Generation, reason string) {
 	path := filepath.Join(r.dir, g.File)
 	if err := r.fs.Rename(path, path+".corrupt"); err != nil {
-		r.log(`{"event":"generation_quarantine","file":%q,"ok":false,"error":%q}`, g.File, err.Error())
+		r.log.Info("generation_quarantine", "file", g.File, "ok", false, "error", err)
 		return
 	}
 	r.quarantined.Add(1)
-	r.log(`{"event":"generation_quarantine","file":%q,"reason":%q}`, g.File, reason)
-}
-
-func (r *GenerationRing) log(format string, args ...any) {
-	if r.logf != nil {
-		r.logf(format, args...)
-	}
+	r.log.Info("generation_quarantine", "file", g.File, "reason", reason)
 }

@@ -18,7 +18,7 @@ import (
 // newTestRing builds a generation ring in a fresh temp dir.
 func newTestRing(t *testing.T, keep int) *GenerationRing {
 	t.Helper()
-	ring, err := NewGenerationRing(t.TempDir(), keep, vfs.OS, t.Logf)
+	ring, err := NewGenerationRing(t.TempDir(), keep, vfs.OS, nil)
 	if err != nil {
 		t.Fatalf("NewGenerationRing: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestGenerationRingRecordAndPrune(t *testing.T) {
 // their original sequence numbers, and quarantines the corrupt one.
 func TestGenerationRingStartupRescan(t *testing.T) {
 	dir := t.TempDir()
-	ring, err := NewGenerationRing(dir, 4, vfs.OS, t.Logf)
+	ring, err := NewGenerationRing(dir, 4, vfs.OS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestGenerationRingStartupRescan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reborn, err := NewGenerationRing(dir, 4, vfs.OS, t.Logf)
+	reborn, err := NewGenerationRing(dir, 4, vfs.OS, nil)
 	if err != nil {
 		t.Fatalf("rescan: %v", err)
 	}

@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,8 +133,8 @@ func (w *discardWriter) WriteHeader(int)             {}
 
 // TestHandlerAllocs bounds what a /v1/as request costs through
 // Server.Handler with no logger set: routing, the per-request timeout,
-// the status writer and the rendered body, but no request log line,
-// which is built only when Logf is set.
+// the status writer and the rendered body, but no request record,
+// which is built only when a logger takes it.
 func TestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool items, inflating alloc counts")
@@ -152,18 +154,50 @@ func TestHandlerAllocs(t *testing.T) {
 	}
 }
 
-// TestRequestLogLine: with a logger set, each request logs one line in
-// the format operators parse.
+// TestRequestLogLine: with a logger set, each request logs one JSON
+// record: message "request", with the endpoint, method, path, status
+// and duration operators parse. A path whose query is not UTF-8, sent
+// over a real connection, still logs valid JSON.
 func TestRequestLogLine(t *testing.T) {
-	var lines []string
+	var log logBuffer
 	srv := newTestServer(t, Options{
-		now:  func() time.Time { return time.Unix(1_700_000_000, 0) },
-		Logf: func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+		now:    func() time.Time { return time.Unix(1_700_000_000, 0) },
+		Logger: log.logger(),
 	})
 	do(t, srv, "GET", "/v1/as/3356?x=1", nil)
-	want := `{"event":"request","endpoint":"as","method":"GET","path":"/v1/as/3356?x=1","status":200,"duration_us":0}`
-	if len(lines) != 1 || lines[0] != want {
-		t.Fatalf("log lines = %q, want [%s]", lines, want)
+	recs := log.records(t)
+	if len(recs) != 1 {
+		t.Fatalf("%d records, want 1: %v", len(recs), recs)
+	}
+	delete(recs[0], "time")
+	want := map[string]any{"level": "INFO", "msg": "request", "endpoint": "as", "method": "GET",
+		"path": "/v1/as/3356?x=1", "status": 200.0, "duration_us": 0.0}
+	if !reflect.DeepEqual(recs[0], want) {
+		t.Fatalf("record = %v, want %v", recs[0], want)
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("GET /v1/search?name=\xff\xfe HTTP/1.1\r\nHost: borgesd\r\nConnection: close\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := io.ReadAll(conn)
+	conn.Close()
+	ts.Close() // waits for the handler, and so for its record
+	if err != nil || !strings.HasPrefix(string(resp), "HTTP/1.1 200 ") {
+		t.Fatalf("raw search: %v\n%s", err, resp)
+	}
+	lines := log.lines()
+	if len(lines) != 2 {
+		t.Fatalf("%d log lines after the raw search, want 2:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	for _, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Errorf("log line is not JSON: %s", line)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -10,58 +9,54 @@ import (
 	"github.com/nu-aqualab/borges/internal/obs"
 )
 
-// latencyWindow is how many recent request latencies each endpoint
-// retains for quantile estimation. A bounded ring keeps the cost of a
-// busy endpoint constant regardless of traffic volume.
-const latencyWindow = 1024
+// An endpoint keeps latencyBuckets request-latency buckets: one per
+// bound in latencyBounds, two per power of two of microseconds, 2^k and
+// 1.5·2^k µs (1, 1.5, 2, 3, 4, 6 … µs) up to 2^26 µs (67.1 s), and one
+// above them all. No bucket is more than 1.5 times as wide as the one
+// below it.
+const latencyBuckets = 54
+
+var latencyBounds = func() (b [latencyBuckets - 1]time.Duration) {
+	for i := range b {
+		b[i] = time.Microsecond << (i / 2) * time.Duration(2+i%2) / 2
+	}
+	return b
+}()
 
 // endpointStats is one endpoint's request accounting. instrument
 // resolves it once, when the route is registered, and a request then
-// touches only atomics: a served request adds one to served, whose
-// previous value picks its slot in the latency ring, and stores its
-// latency there. Requests are served plus sheds, added at scrape time.
+// touches only atomics. Requests are the buckets' total plus sheds.
 type endpointStats struct {
-	name   string
-	served atomic.Uint64 // requests handled (not shed); the ring cursor
-	errors atomic.Int64  // responses with status >= 500, excluding sheds
-	sheds  atomic.Int64  // admission refusals (429/503 with Retry-After)
-	// latency holds nanoseconds; request i lands in slot i%latencyWindow.
-	latency [latencyWindow]atomic.Int64
+	name    string
+	buckets [latencyBuckets]atomic.Uint64 // served requests, by latency
+	nanos   atomic.Int64                  // their summed latency
+	errors  atomic.Int64                  // responses with status >= 500, excluding sheds
+	sheds   atomic.Int64                  // admission refusals (429/503 with Retry-After)
 }
 
-// observe records one served request.
+// observe records one served request; a negative latency counts as 0.
 func (es *endpointStats) observe(status int, d time.Duration) {
-	i := es.served.Add(1) - 1
-	es.latency[i%latencyWindow].Store(int64(d))
+	d = max(d, 0)
+	i, _ := slices.BinarySearch(latencyBounds[:], d)
+	es.buckets[i].Add(1)
+	es.nanos.Add(int64(d))
 	if status >= 500 {
 		es.errors.Add(1)
 	}
 }
 
+// served returns how many requests the endpoint has served: its
+// buckets' total.
+func (es *endpointStats) served() (n uint64) {
+	for i := range es.buckets {
+		n += es.buckets[i].Load()
+	}
+	return n
+}
+
 // seen reports whether the endpoint has served or shed a request; an
 // endpoint that has not prints no samples.
-func (es *endpointStats) seen() bool { return es.served.Load() > 0 || es.sheds.Load() > 0 }
-
-// window returns the last ≤latencyWindow served latencies, sorted, in
-// buf's storage. It takes no lock: a scrape that races a request may
-// read that request's slot before its store lands, and so see the
-// latency the slot held before (or zero).
-func (es *endpointStats) window(buf []time.Duration) []time.Duration {
-	buf = buf[:0]
-	for i := range min(es.served.Load(), latencyWindow) {
-		buf = append(buf, time.Duration(es.latency[i].Load()))
-	}
-	slices.Sort(buf)
-	return buf
-}
-
-// quantile returns the q-th latency quantile of a sorted sample.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[int(q*float64(len(sorted)-1))]
-}
+func (es *endpointStats) seen() bool { return es.sheds.Load() > 0 || es.served() > 0 }
 
 // loadRecord is the most recent successful snapshot load: its mode
 // (LoadModeFull, LoadModeBinary, LoadModeDelta) and duration,
@@ -79,14 +74,11 @@ type serverMetrics struct {
 	reloadOK  atomic.Int64
 	reloadErr atomic.Int64
 	lastLoad  atomic.Pointer[loadRecord]
-	// Bulk streaming counters: requests completed, input lines
-	// processed, lines answered with a per-line error object, and the
-	// summed streaming time; lines over time is the lifetime sustained
-	// throughput gauge.
-	bulkRequests atomic.Int64
+	// Bulk streaming counters: input lines processed, and lines
+	// answered with a per-line error object. The bulk endpoint's
+	// latency buckets count its streams and time them.
 	bulkLines    atomic.Int64
 	bulkErrLines atomic.Int64
-	bulkNanos    atomic.Int64
 	// Storage-integrity counters: canary-refused swaps, rollbacks by
 	// trigger, failed best-effort snapshot persists, and the background
 	// scrubber's accounting.
@@ -139,33 +131,38 @@ func (s *Server) registerMetrics() {
 		})
 	}
 	perEndpoint("borgesd_requests_total", "Requests served, by endpoint.",
-		func(es *endpointStats) float64 { return float64(es.served.Load()) + float64(es.sheds.Load()) })
+		func(es *endpointStats) float64 { return float64(es.served()) + float64(es.sheds.Load()) })
 	perEndpoint("borgesd_errors_total", "Responses with status >= 500, by endpoint (admission sheds excluded).",
 		func(es *endpointStats) float64 { return float64(es.errors.Load()) })
 	perEndpoint("borgesd_sheds_total", "Requests refused by admission control (429/503 with Retry-After), by endpoint.",
 		func(es *endpointStats) float64 { return float64(es.sheds.Load()) })
-	reg.Add("borgesd_request_latency_seconds", obs.Summary, "Request latency quantiles over a sliding window.", func(emit obs.Emit) {
-		buf := make([]time.Duration, 0, latencyWindow)
+	bounds := make([]float64, len(latencyBounds))
+	for i, d := range latencyBounds {
+		bounds[i] = d.Seconds()
+	}
+	reg.Histogram("borgesd_request_latency_seconds", "Latency of served requests (admission sheds excluded), by endpoint.", bounds, func(emit obs.EmitHistogram) {
+		// A scrape that races a request may see its bucket before its
+		// latency reaches the sum.
+		var counts [latencyBuckets]uint64
 		for _, es := range m.endpoints {
-			if !es.seen() {
-				continue
-			}
-			buf = es.window(buf)
-			for _, q := range [...]float64{0.5, 0.9, 0.99} {
-				emit(quantile(buf, q).Seconds(), "endpoint", es.name, "quantile", strconv.FormatFloat(q, 'g', -1, 64))
+			if es.seen() {
+				for i := range counts {
+					counts[i] = es.buckets[i].Load()
+				}
+				emit(counts[:], time.Duration(es.nanos.Load()).Seconds(), "endpoint", es.name)
 			}
 		}
 	})
-	reg.Counter("borgesd_bulk_requests_total", "Completed /v1/bulk streams.", obs.Int64(&m.bulkRequests))
+	bulk := m.endpoint("bulk")
+	reg.Counter("borgesd_bulk_requests_total", "Completed /v1/bulk streams.", func() float64 { return float64(bulk.served()) })
 	reg.Counter("borgesd_bulk_lines_total", "Input lines processed by /v1/bulk.", obs.Int64(&m.bulkLines))
 	reg.Counter("borgesd_bulk_error_lines_total", "Bulk lines answered with a per-line error object (malformed or unmapped).", obs.Int64(&m.bulkErrLines))
 	reg.Gauge("borgesd_bulk_lines_per_second", "Lifetime sustained bulk throughput (lines / total streaming time).", func() float64 {
-		if d := time.Duration(m.bulkNanos.Load()); d > 0 {
+		if d := time.Duration(bulk.nanos.Load()); d > 0 {
 			return float64(m.bulkLines.Load()) / d.Seconds()
 		}
 		return 0
 	})
-	bulk := m.endpoint("bulk")
 	reg.Counter("borgesd_bulk_sheds_total", "Bulk requests refused by admission control.", obs.Int64(&bulk.sheds))
 	reg.Add("borgesd_reloads_total", obs.Counter, "Snapshot reload attempts, by result.", func(emit obs.Emit) {
 		emit(float64(m.reloadOK.Load()), "result", "success")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -409,11 +410,14 @@ func TestOrgIDParsing(t *testing.T) {
 }
 
 // TestShedsExcludedFromErrorMetrics checks the metrics contract:
-// sheds count as requests and sheds, never as 5xx handler errors.
+// sheds count as requests and sheds, never as 5xx handler errors or
+// served latencies. A shed logs one record naming its class.
 func TestShedsExcludedFromErrorMetrics(t *testing.T) {
 	var holding atomic.Bool
 	gate := make(chan struct{})
+	var log logBuffer
 	srv := newTestServer(t, Options{
+		Logger:    log.logger(),
 		Admission: &admission.Config{MaxInflight: 1, QueueDepth: 1, ShedSearchFirst: true},
 		testHold: func(endpoint string) {
 			if holding.Load() && endpoint == "as" {
@@ -446,6 +450,23 @@ func TestShedsExcludedFromErrorMetrics(t *testing.T) {
 	}
 	if !strings.Contains(body, `borgesd_errors_total{endpoint="search"} 0`) {
 		t.Errorf("shed leaked into errors_total:\n%s", body)
+	}
+	for _, want := range []string{`borgesd_requests_total{endpoint="search"} 1`, `borgesd_request_latency_seconds_count{endpoint="search"} 0`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %s:\n%s", want, body)
+		}
+	}
+	var sheds []map[string]any
+	for _, rec := range log.records(t) {
+		if rec["msg"] == "shed" {
+			delete(rec, "time")
+			sheds = append(sheds, rec)
+		}
+	}
+	want := map[string]any{"level": "INFO", "msg": "shed", "endpoint": "search", "class": "search",
+		"reason": "saturated", "status": 503.0, "retry_after_s": 1.0}
+	if len(sheds) != 1 || !reflect.DeepEqual(sheds[0], want) {
+		t.Errorf("shed records = %v, want [%v]", sheds, want)
 	}
 	for _, name := range []string{"borgesd_admission_inflight", "borgesd_admission_limit", "borgesd_admission_sheds_total"} {
 		if !strings.Contains(body, name) {

@@ -23,27 +23,14 @@ type ScrubResult struct {
 
 // ScrubTarget is one store the background scrubber sweeps: the
 // generation ring, a -snapshot-out file, a replica's last-good
-// artifact, a cache's disk tier. Implementations must be safe to call
-// concurrently with serving traffic.
-type ScrubTarget interface {
-	// ScrubName labels the target in logs and metrics.
-	ScrubName() string
-	// Scrub performs one integrity pass.
-	Scrub(ctx context.Context) ScrubResult
+// artifact.
+type ScrubTarget struct {
+	// Name labels the target in logs.
+	Name string
+	// Scrub performs one integrity pass. It must be safe to call
+	// concurrently with serving traffic.
+	Scrub func(ctx context.Context) ScrubResult
 }
-
-// ScrubTargetFunc adapts a function to ScrubTarget.
-func ScrubTargetFunc(name string, fn func(ctx context.Context) ScrubResult) ScrubTarget {
-	return scrubFunc{name: name, fn: fn}
-}
-
-type scrubFunc struct {
-	name string
-	fn   func(ctx context.Context) ScrubResult
-}
-
-func (s scrubFunc) ScrubName() string                     { return s.name }
-func (s scrubFunc) Scrub(ctx context.Context) ScrubResult { return s.fn(ctx) }
 
 // ScrubSummary aggregates one full scrub cycle across every target,
 // plus the post-scrub health probe and any rollback it triggered.
@@ -67,13 +54,13 @@ type ScrubSummary struct {
 func (s *Server) scrubTargets() []ScrubTarget {
 	targets := append([]ScrubTarget(nil), s.opts.ScrubTargets...)
 	if ring := s.opts.Generations; ring != nil {
-		targets = append(targets, ScrubTargetFunc("generations", func(context.Context) ScrubResult {
+		targets = append(targets, ScrubTarget{Name: "generations", Scrub: func(context.Context) ScrubResult {
 			checked, quarantined := ring.Scrub()
 			return ScrubResult{Checked: checked, Quarantined: quarantined}
-		}))
+		}})
 	}
 	if s.opts.SnapshotOut != "" {
-		targets = append(targets, ScrubTargetFunc("snapshot-out", s.scrubSnapshotOut))
+		targets = append(targets, ScrubTarget{Name: "snapshot-out", Scrub: s.scrubSnapshotOut})
 	}
 	return targets
 }
@@ -95,16 +82,16 @@ func (s *Server) scrubSnapshotOut(ctx context.Context) ScrubResult {
 	}
 	if err := fsys.Rename(path, path+".corrupt"); err == nil {
 		res.Quarantined = 1
-		s.logf(`{"event":"snapshot_out_quarantine","path":%q}`, path)
+		s.opts.Logger.Info("snapshot_out_quarantine", "path", path)
 	}
 	if _, err := WriteSnapshotFileFS(fsys, path, s.snap.Load()); err != nil {
 		s.metrics.persistErrors.Add(1)
-		s.logf(`{"event":"snapshot_out_repair","ok":false,"error":%q}`, err.Error())
+		s.opts.Logger.Info("snapshot_out_repair", "ok", false, "error", err)
 		res.Err = err
 		return res
 	}
 	res.Repaired = 1
-	s.logf(`{"event":"snapshot_out_repair","ok":true,"path":%q}`, path)
+	s.opts.Logger.Info("snapshot_out_repair", "ok", true, "path", path)
 	return res
 }
 
@@ -121,10 +108,10 @@ func (s *Server) ScrubOnce(ctx context.Context) ScrubSummary {
 		sum.Quarantined += res.Quarantined
 		sum.Repaired += res.Repaired
 		if res.Err != nil {
-			s.logf(`{"event":"scrub","target":%q,"ok":false,"error":%q}`, t.ScrubName(), res.Err.Error())
+			s.opts.Logger.Info("scrub", "target", t.Name, "ok", false, "error", res.Err)
 		} else if res.Quarantined > 0 || res.Repaired > 0 {
-			s.logf(`{"event":"scrub","target":%q,"checked":%d,"quarantined":%d,"repaired":%d}`,
-				t.ScrubName(), res.Checked, res.Quarantined, res.Repaired)
+			s.opts.Logger.Info("scrub", "target", t.Name, "checked", res.Checked,
+				"quarantined", res.Quarantined, "repaired", res.Repaired)
 		}
 	}
 	s.metrics.scrubCycles.Add(1)
@@ -137,14 +124,14 @@ func (s *Server) ScrubOnce(ctx context.Context) ScrubSummary {
 		return sum
 	}
 	s.metrics.probeFailures.Add(1)
-	s.logf(`{"event":"health_probe","ok":false,"error":%q}`, sum.ProbeErr.Error())
+	s.opts.Logger.Info("health_probe", "ok", false, "error", sum.ProbeErr)
 	if s.opts.Generations == nil {
 		sum.RollbackErr = ErrNoVerifiedGeneration
 		return sum
 	}
 	if _, _, err := s.Rollback(ctx, "auto"); err != nil {
 		sum.RollbackErr = err
-		s.logf(`{"event":"auto_rollback","ok":false,"error":%q}`, err.Error())
+		s.opts.Logger.Info("auto_rollback", "ok", false, "error", err)
 	} else {
 		sum.RolledBack = true
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -55,9 +56,9 @@ type Options struct {
 	DeltaSource DeltaSource
 	// RequestTimeout bounds each request's handling time (default 10s).
 	RequestTimeout time.Duration
-	// Logf receives one structured line per request and per reload.
-	// Nil disables request logging.
-	Logf func(format string, args ...any)
+	// Logger receives one record per request, shed, reload, persist,
+	// rollback, scrub finding, listen and shutdown. Nil logs nothing.
+	Logger *slog.Logger
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/. Off by default: the profiling surface exposes heap
 	// and goroutine internals and should only be reachable when the
@@ -174,6 +175,7 @@ func NewServer(snap *Snapshot, opts Options) (*Server, error) {
 	if opts.WatchBuffer <= 0 {
 		opts.WatchBuffer = defaultWatchBuffer
 	}
+	opts.Logger = obs.OrDiscard(opts.Logger)
 	s := &Server{
 		opts:      opts,
 		mux:       http.NewServeMux(),
@@ -314,7 +316,7 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 			collectRetired()
 		}
 		s.metrics.reloadErr.Add(1)
-		s.logf(`{"event":"reload","ok":false,"error":%q}`, err.Error())
+		s.opts.Logger.Info("reload", "ok", false, "error", err)
 		return nil, err
 	}
 	s.snap.Store(next)
@@ -335,9 +337,9 @@ func (s *Server) swapWith(ctx context.Context, prepare func(ctx context.Context,
 	d := s.opts.now().Sub(start)
 	s.metrics.reloadOK.Add(1)
 	s.metrics.lastLoad.Store(&loadRecord{mode: next.LoadMode(), d: d})
-	s.logf(`{"event":"reload","ok":true,"mode":%q,"hash":%q,"health":%q,"orgs":%d,"asns":%d,"theta":%.6f,"load_us":%d}`,
-		next.LoadMode(), next.ContentHash(), next.Health().Status,
-		next.Stats().Orgs, next.Stats().ASNs, next.Stats().Theta, d.Microseconds())
+	s.opts.Logger.Info("reload", "ok", true, "mode", next.LoadMode(), "hash", next.ContentHash(),
+		"health", next.Health().Status, "orgs", next.Stats().Orgs, "asns", next.Stats().ASNs,
+		"theta", next.Stats().Theta, "load_us", d.Microseconds())
 	// The outgoing snapshot is collected only after every post-swap
 	// consumer (watch fan-out, OnSwap, persistence) is done with it.
 	if old != next {
@@ -370,19 +372,17 @@ func collectRetired() { go runtime.GC() }
 // OnSwap.
 func (s *Server) persistSwap(next *Snapshot) {
 	if ring := s.opts.Generations; ring != nil {
-		if gen, err := ring.Record(next, s.opts.now()); err != nil {
+		if _, err := ring.Record(next, s.opts.now()); err != nil {
 			s.metrics.persistErrors.Add(1)
-			s.logf(`{"event":"generation_record","ok":false,"error":%q}`, err.Error())
-		} else {
-			_ = gen
+			s.opts.Logger.Info("generation_record", "ok", false, "error", err)
 		}
 	}
 	if s.opts.SnapshotOut != "" {
 		if _, err := WriteSnapshotFileFS(s.fs(), s.opts.SnapshotOut, next); err != nil {
 			s.metrics.persistErrors.Add(1)
-			s.logf(`{"event":"snapshot_persist","ok":false,"path":%q,"error":%q}`, s.opts.SnapshotOut, err.Error())
+			s.opts.Logger.Info("snapshot_persist", "ok", false, "path", s.opts.SnapshotOut, "error", err)
 		} else {
-			s.logf(`{"event":"snapshot_persist","ok":true,"path":%q,"hash":%q}`, s.opts.SnapshotOut, next.ContentHash())
+			s.opts.Logger.Info("snapshot_persist", "ok", true, "path", s.opts.SnapshotOut, "hash", next.ContentHash())
 		}
 	}
 }
@@ -413,14 +413,8 @@ func (s *Server) Rollback(ctx context.Context, trigger string) (*Snapshot, Gener
 		return nil, Generation{}, err
 	}
 	s.metrics.observeRollback(trigger)
-	s.logf(`{"event":"rollback","trigger":%q,"seq":%d,"hash":%q}`, trigger, gen.Seq, gen.Hash)
+	s.opts.Logger.Info("rollback", "trigger", trigger, "seq", gen.Seq, "hash", gen.Hash)
 	return snap, gen, nil
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
 }
 
 // statusWriter captures the response status for logging and metrics.
@@ -463,10 +457,11 @@ func (w *statusWriter) Flush() {
 // intended behaviour, not a hung request. Those handlers bound
 // themselves (body size caps, line caps, hub shutdown) and extend the
 // connection's read/write deadlines as they make progress. The
-// endpoint's stats are resolved here, once, and a log line is built
-// only when a logger is set.
+// endpoint's stats are resolved here, once; records are built from
+// slog.Attrs, and a request's path is read only if its record is taken.
 func (s *Server) instrument(endpoint string, class admission.Class, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	es := s.metrics.endpoint(endpoint)
+	log := s.opts.Logger
 	return func(w http.ResponseWriter, r *http.Request) {
 		if timeout > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -481,13 +476,12 @@ func (s *Server) instrument(endpoint string, class admission.Class, timeout time
 				writeRetryableError(sw, dec.Status, dec.RetryAfter,
 					"overloaded: request shed (%s), retry later", dec.Reason)
 				// A shed counts as a request but not as an error, and its
-				// latency stays out of the window, so shedding cannot
+				// latency stays out of the buckets, so shedding cannot
 				// flatter the latency a served request sees.
 				es.sheds.Add(1)
-				if s.opts.Logf != nil {
-					s.opts.Logf(`{"event":"shed","endpoint":%q,"class":%q,"reason":%q,"status":%d,"retry_after_s":%d}`,
-						endpoint, class, dec.Reason, sw.status, int(dec.RetryAfter.Seconds()))
-				}
+				log.LogAttrs(r.Context(), slog.LevelInfo, "shed", slog.String("endpoint", endpoint),
+					slog.String("class", class.String()), slog.String("reason", dec.Reason),
+					slog.Int("status", sw.status), slog.Int("retry_after_s", int(dec.RetryAfter.Seconds())))
 				return
 			}
 			defer func() { release(s.opts.now().Sub(start)) }()
@@ -501,9 +495,10 @@ func (s *Server) instrument(endpoint string, class admission.Class, timeout time
 		}
 		d := s.opts.now().Sub(start)
 		es.observe(sw.status, d)
-		if s.opts.Logf != nil {
-			s.opts.Logf(`{"event":"request","endpoint":%q,"method":%q,"path":%q,"status":%d,"duration_us":%d}`,
-				endpoint, r.Method, r.URL.RequestURI(), sw.status, d.Microseconds())
+		if log.Enabled(r.Context(), slog.LevelInfo) {
+			log.LogAttrs(r.Context(), slog.LevelInfo, "request", slog.String("endpoint", endpoint),
+				slog.String("method", r.Method), slog.String("path", r.URL.RequestURI()),
+				slog.Int("status", sw.status), slog.Int64("duration_us", d.Microseconds()))
 		}
 	}
 }
@@ -889,12 +884,14 @@ func (s *Server) ServeHandler(ctx context.Context, ln net.Listener, handler http
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	if s.opts.ScrubInterval > 0 {
-		// The scrubber shares the server's lifetime: it stops accepting
-		// work when the listener does. ScrubOnce remains callable for
-		// on-demand cycles regardless.
-		go s.scrubLoop(ctx)
+		// The scrubber stops with the server, which returns only once a
+		// cycle in progress has finished. ScrubOnce remains callable.
+		scrubCtx, stopScrub := context.WithCancel(ctx)
+		scrubbed := make(chan struct{})
+		go func() { defer close(scrubbed); s.scrubLoop(scrubCtx) }()
+		defer func() { stopScrub(); <-scrubbed }()
 	}
-	s.logf(`{"event":"listening","addr":%q}`, ln.Addr().String())
+	s.opts.Logger.Info("listening", "addr", ln.Addr().String())
 	select {
 	case <-ctx.Done():
 		// Close the watch hub first: Shutdown waits for in-flight
@@ -907,7 +904,7 @@ func (s *Server) ServeHandler(ctx context.Context, ln net.Listener, handler http
 		defer cancel()
 		err := hs.Shutdown(shutCtx)
 		<-errc // always http.ErrServerClosed after Shutdown
-		s.logf(`{"event":"shutdown","ok":%v}`, err == nil)
+		s.opts.Logger.Info("shutdown", "ok", err == nil)
 		return err
 	case err := <-errc:
 		return err

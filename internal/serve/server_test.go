@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/nu-aqualab/borges/internal/asnum"
@@ -21,6 +24,46 @@ func newTestServer(t *testing.T, opts Options) *Server {
 		t.Fatalf("NewServer: %v", err)
 	}
 	return srv
+}
+
+// logBuffer collects a JSON slog handler's records; it is safe for
+// concurrent use.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// logger returns a logger writing JSON records into l.
+func (l *logBuffer) logger() *slog.Logger { return slog.New(slog.NewJSONHandler(l, nil)) }
+
+// lines returns the records written so far, one line each.
+func (l *logBuffer) lines() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.buf.Len() == 0 {
+		return nil
+	}
+	return strings.Split(strings.TrimSuffix(l.buf.String(), "\n"), "\n")
+}
+
+// records decodes every record written so far.
+func (l *logBuffer) records(t *testing.T) []map[string]any {
+	t.Helper()
+	var recs []map[string]any
+	for _, line := range l.lines() {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 // get performs a request against the server's handler and decodes the
@@ -165,7 +208,8 @@ func TestHandleMetrics(t *testing.T) {
 	for _, want := range []string{
 		`borgesd_requests_total{endpoint="as"} 2`,
 		`borgesd_requests_total{endpoint="stats"} 1`,
-		`borgesd_request_latency_seconds{endpoint="as",quantile="0.99"}`,
+		`borgesd_request_latency_seconds_bucket{endpoint="as",le="+Inf"} 2`,
+		`borgesd_request_latency_seconds_count{endpoint="as"} 2`,
 		`borgesd_reloads_total{result="success"} 0`,
 		`borgesd_snapshot_orgs 4`,
 		`borgesd_snapshot_asns 7`,

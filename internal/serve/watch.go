@@ -301,9 +301,5 @@ func (h *watchHub) register(reg *obs.Registry) {
 	reg.Counter("borgesd_watch_evictions_total", "Slow /v1/watch subscribers evicted for a full event queue.", obs.Int64(&h.evictions))
 }
 
-// WatchEvictions returns how many slow /v1/watch subscribers the
-// server has evicted (for tests and metrics).
-func (s *Server) WatchEvictions() int64 { return s.watch.evictions.Load() }
-
 // WatchSubscribers returns the number of connected /v1/watch streams.
 func (s *Server) WatchSubscribers() int { return s.watch.subscribers() }
